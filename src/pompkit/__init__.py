@@ -12,10 +12,8 @@ from .core import (
     ModelSpec,
     ParamVector,
     SimulationRecord,
-    StateVector,
     TimeSeriesData,
     attach_data,
-    covariate_lookup,
     discrete_time_process,
     euler_process,
     log_exp_transforms,

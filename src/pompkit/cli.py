@@ -34,7 +34,7 @@ from .pmcmc import (
     pmcmc as run_pmcmc,
     uniform_box_prior,
 )
-from .rng import child_seeds, stream
+from .rng import child_seeds, stream  # noqa: F401  (perfbench's tracer patches cli.stream)
 
 logger = logging.getLogger("pompkit")
 
@@ -465,9 +465,15 @@ def _run_probe(model, config, settings, outdir):
                           nsim=nsim, seed=config["seed"])
     path = os.path.join(outdir, "probes.csv")
     dataio.write_probes_csv(path, result)
-    # the probe values derive from these datasets; regenerate them (same
-    # child stream as probe() used) so they can be plotted or re-ingested
-    records = _probe_simulations(model, nsim, config["seed"])
+    # the datasets the probe values derive from, for plotting or re-ingesting
+    times_full = np.concatenate(([model.data.t0], model.data.times))
+    records = [
+        core.SimulationRecord(
+            times=times_full, states=np.empty((model.data.n_obs + 1, 0)),
+            observations=obs, state_names=(), obs_names=model.obs_names,
+            params=model.params)
+        for obs in result.simulated_obs
+    ]
     sim_path = os.path.join(outdir, "simulations.csv")
     dataio.write_simulations_csv(sim_path, records, include_states=False)
     out = {
@@ -477,18 +483,6 @@ def _run_probe(model, config, settings, outdir):
         "p_values": result.p_values.tolist(),
     }
     return out, {"probes": path, "simulations": sim_path}
-
-
-def _probe_simulations(model, nsim, seed):
-    _, obs = core.simulate_paths(model, model.params, stream(seed, "probe"), nsim)
-    times_full = np.concatenate(([model.data.t0], model.data.times))
-    return [
-        core.SimulationRecord(
-            times=times_full, states=np.empty((model.data.n_obs + 1, 0)),
-            observations=obs[j], state_names=(), obs_names=model.obs_names,
-            params=model.params)
-        for j in range(nsim)
-    ]
 
 
 def _run_nlf(model, config, settings, outdir):

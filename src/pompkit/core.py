@@ -61,7 +61,6 @@ from .rng import stream
 
 __all__ = [
     "ParamVector",
-    "StateVector",
     "TimeSeriesData",
     "CovariateTable",
     "ModelSpec",
@@ -69,7 +68,6 @@ __all__ = [
     "simulate",
     "simulate_paths",
     "transform_params",
-    "covariate_lookup",
     "discrete_time_process",
     "euler_process",
     "log_exp_transforms",
@@ -81,8 +79,8 @@ logger = logging.getLogger("pompkit")
 INIT_SUFFIX = ".0"
 
 
-class _NamedVector(Mapping):
-    """Ordered, named real vector with total name lookup."""
+class ParamVector(Mapping):
+    """Named, ordered parameter vector with total name lookup."""
 
     __slots__ = ("_names", "_values")
 
@@ -129,7 +127,7 @@ class _NamedVector(Mapping):
     def as_dict(self) -> dict:
         return {n: float(v) for n, v in zip(self._names, self._values)}
 
-    def replace(self, **updates) -> "_NamedVector":
+    def replace(self, **updates) -> "ParamVector":
         d = self.as_dict()
         unknown = set(updates) - set(d)
         if unknown:
@@ -143,21 +141,13 @@ class _NamedVector(Mapping):
 
     def __eq__(self, other):
         return (
-            isinstance(other, _NamedVector)
+            isinstance(other, ParamVector)
             and self._names == other._names
             and np.array_equal(self._values, other._values)
         )
 
     def __hash__(self):
         return hash((self._names, self._values.tobytes()))
-
-
-class ParamVector(_NamedVector):
-    """Named, ordered parameter vector."""
-
-
-class StateVector(_NamedVector):
-    """Named, ordered state vector."""
 
 
 @dataclass(frozen=True)
@@ -279,13 +269,6 @@ class CovariateTable:
         return {n: float(row[k]) for k, n in enumerate(self.names)}
 
 
-def covariate_lookup(table: CovariateTable, t) -> dict:
-    """Interpolate ``table`` at time ``t`` (see :meth:`CovariateTable.lookup`)."""
-    if table is None:
-        raise DomainError("covariate_lookup requires a table")
-    return table.lookup(t)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A partially observed Markov process model plus its dataset.
@@ -379,7 +362,7 @@ class SimulationRecord:
 
 
 def params_to_dict(params) -> dict:
-    if isinstance(params, _NamedVector):
+    if isinstance(params, ParamVector):
         return params.as_dict()
     if isinstance(params, Mapping):
         return dict(params)
@@ -396,7 +379,7 @@ def transform_params(model: ModelSpec, params, direction: str):
     if direction not in ("to-estimation", "from-estimation"):
         raise DomainError(f"unknown transform direction: {direction!r}")
     fn = model.to_estimation if direction == "to-estimation" else model.from_estimation
-    as_vector = isinstance(params, _NamedVector)
+    as_vector = isinstance(params, ParamVector)
     d = params_to_dict(params)
     if fn is not None:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -576,10 +559,6 @@ def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, par
 def _reset_accumulators(model: ModelSpec, state_mat: np.ndarray):
     for s in model.accumulators:
         state_mat[:, model.state_names.index(s)] = 0.0
-
-
-def accumulator_indices(model: ModelSpec):
-    return [model.state_names.index(s) for s in model.accumulators]
 
 
 # ---------------------------------------------------------------------------

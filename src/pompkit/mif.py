@@ -7,6 +7,11 @@ filter means of the perturbed parameter swarm, weighted by inverse prediction
 variances.  Initial-value parameters (IVPs), which only early observations
 inform, are perturbed at time zero only and re-estimated as the swarm mean at
 a fixed lag.
+
+The filter is the shared step loop of :mod:`pompkit.smc`.  This module adds
+only the parameter bookkeeping, through the loop's two hooks: one perturbs
+the parameter swarm before each advance, the other updates the running
+estimates from the weighted swarm after each weighting.
 """
 
 from __future__ import annotations
@@ -134,8 +139,13 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     is_ivp = np.array([n in settings.ivp_names for n in names])
     est = (sigma > 0) & ~is_ivp          # random-walk parameters
     ivp = (sigma > 0) & is_ivp           # time-zero-only parameters
+    n_est = int(est.sum())
     start_nat = settings.start.as_dict()
     theta = np.array([_to_work(model, start_nat, settings.transform)[n] for n in names])
+
+    def natural(theta_mat):
+        return _to_nat(model, {nm: theta_mat[:, i] for i, nm in enumerate(names)},
+                       settings.transform)
 
     rng = stream(seed, "mif")
     trace = np.empty((M, p))
@@ -145,47 +155,33 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         cool = a ** (m - 1)
         init_sd = C * cool * sigma
         theta_mat = theta + init_sd * rng.standard_normal((J, p))
-        params_nat = _to_nat(model, {n: theta_mat[:, i] for i, n in enumerate(names)},
-                             settings.transform)
-        x = core._init_states(model, params_nat, data.t0, rng, J)
+        x = core._init_states(model, natural(theta_mat), data.t0, rng, J)
 
         theta_bar_prev = theta[est]
-        v = np.empty((N + 1, est.sum()))
+        v = np.empty((N + 1, n_est))
         v[0] = (C * C + 1.0) * cool * cool * sigma[est] ** 2  # prediction variance for step 1
-        increments = np.zeros(est.sum())
-        step_sd = cool * sigma[est]
+        increments = np.zeros(n_est)
+        walk_sd = perturbation_sd(settings, m)
+        step_sd = np.array([walk_sd[nm] for nm, e in zip(names, est) if e])
         theta_ivp_hat = None
-        n_failures = 0
 
-        t_prev = data.t0
-        for n in range(N):
-            t = float(data.times[n])
-            theta_mat[:, est] += step_sd * rng.standard_normal((J, int(est.sum())))
-            params_nat = _to_nat(model, {nm: theta_mat[:, i] for i, nm in enumerate(names)},
-                                 settings.transform)
-            x = core.advance(model, x, params_nat, t_prev, t, rng)
-            logw = core.measurement_logdensity(model, data.record(n), x, params_nat, t)
-            max_logw = np.max(logw)
-            if not np.isfinite(max_logw):
-                n_failures += 1
-                if n_failures > settings.max_fail:
-                    raise FilteringFailureError(n + 1, t)
-                w_norm = np.full(J, 1.0 / J)
-            else:
-                w = np.exp(logw - max_logw)
-                w_norm = w / w.sum()
+        def perturb():
+            theta_mat[:, est] += step_sd * rng.standard_normal((J, n_est))
+            return natural(theta_mat)
+
+        def observe(n, w_norm, idx):
+            nonlocal theta_mat, theta_bar_prev, increments, theta_ivp_hat
             theta_bar = w_norm @ theta_mat[:, est]
             v[n + 1] = step_sd**2 + w_norm @ (theta_mat[:, est] - theta_bar) ** 2
             increments += (theta_bar - theta_bar_prev) / v[n]
             theta_bar_prev = theta_bar
-            if np.isfinite(max_logw):
-                idx = smc.systematic_resample(w_norm, rng)
-                x = x[idx]
+            if idx is not None:
                 theta_mat = theta_mat[idx]
             if n + 1 == ic_lag:
                 theta_ivp_hat = theta_mat[:, ivp].mean(axis=0)
-            core._reset_accumulators(model, x)
-            t_prev = t
+
+        n_failures_total += smc._filter_pass(model, x, None, rng, settings.max_fail,
+                                             perturb, observe).n_failures
 
         theta = theta.copy()
         theta[est] += v[0] * increments
@@ -194,7 +190,6 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         nat = _to_nat(model, {nm: theta[i] for i, nm in enumerate(names)}, settings.transform)
         trace[m - 1] = [start_nat[nm] if sigma[i] == 0 else nat[nm]
                         for i, nm in enumerate(names)]
-        n_failures_total += n_failures
 
     if M > 0:
         theta_hat = core.ParamVector({nm: trace[-1, i] for i, nm in enumerate(names)})

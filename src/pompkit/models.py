@@ -177,8 +177,9 @@ def _sir_step(x, params, t, dt, rng, covars):
 
 
 def _sir_initializer(params, t0, rng, n):
+    # axis 0 runs over S, I, R; per-particle parameters add a particle axis
     fracs = np.array([params["S.0"], params["I.0"], params["R.0"]], dtype=float)
-    counts = np.round(params["popsize"] * fracs / fracs.sum())
+    counts = np.round(params["popsize"] * fracs / fracs.sum(axis=0))
     return {
         "S": np.full(n, counts[0]),
         "I": np.full(n, counts[1]),
@@ -259,10 +260,10 @@ def _sir_seasonal_step(x, params, t, dt, rng, covars):
 
 def _sir_seasonal_initializer(params, t0, rng, n):
     fracs = np.array([params["S.0"], params["I.0"], params["R.0"]], dtype=float)
-    counts = np.round(params["popsize"] * np.concatenate([fracs / fracs.sum(), [1.0]]))
+    counts = np.round(params["popsize"] * (fracs / fracs.sum(axis=0)))
     return {
         "S": np.full(n, counts[0]), "I": np.full(n, counts[1]),
-        "R": np.full(n, counts[2]), "P": np.full(n, counts[3]),
+        "R": np.full(n, counts[2]), "P": np.full(n, np.round(params["popsize"])),
         "H": np.zeros(n), "Phi": np.zeros(n), "noise": np.zeros(n),
     }
 

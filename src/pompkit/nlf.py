@@ -22,7 +22,7 @@ import numpy as np
 
 from . import core
 from .exceptions import DomainError
-from .oracle import nelder_mead
+from .oracle import FitResult, fit_on_estimation_scale
 from .rng import stream
 
 __all__ = ["NlfSettings", "rbf_centers", "nlf_quasi_loglik", "nlf_fit", "NlfResult"]
@@ -155,12 +155,7 @@ def nlf_quasi_loglik(model: core.ModelSpec, params=None,
                  - np.sum(data_resid**2) / (2.0 * sigma2))
 
 
-@dataclass(frozen=True)
-class NlfResult:
-    theta: core.ParamVector
-    value: float
-    status: str
-    n_evals: int
+NlfResult = FitResult
 
 
 def nlf_fit(model: core.ModelSpec, start: core.ParamVector,
@@ -171,36 +166,7 @@ def nlf_fit(model: core.ModelSpec, start: core.ParamVector,
     fixed across evaluations; a non-converged search returns the best point
     found, flagged in ``status``.
     """
-    est = settings.est
-    if not est:
-        return NlfResult(theta=start, status="converged", n_evals=1,
-                         value=nlf_quasi_loglik(model, start, settings, seed))
-    unknown = set(est) - set(start.names)
-    if unknown:
-        raise DomainError(f"est names not in start: {sorted(unknown)}")
-    base_nat = start.as_dict()
-    work = (core.transform_params(model, base_nat, "to-estimation")
-            if settings.transform else dict(base_nat))
-
-    def unpack(x):
-        w = dict(work)
-        w.update(zip(est, x))
-        nat = (core.transform_params(model, w, "from-estimation")
-               if settings.transform else w)
-        for name in start.names:
-            if name not in est:
-                nat[name] = base_nat[name]
-        return core.ParamVector({n: nat[n] for n in start.names})
-
-    def negobjective(x):
-        try:
-            return -nlf_quasi_loglik(model, unpack(x), settings, seed)
-        except DomainError as err:
-            logger.warning("quasi-likelihood degenerate at %s: %s", x, err)
-            return math.inf
-
-    x0 = np.array([work[n] for n in est])
-    res = nelder_mead(negobjective, x0, maxit=maxit, reltol=reltol)
-    status = res.status if res.status != "maxit" else "maxit (best found returned)"
-    return NlfResult(theta=unpack(res.x), value=-res.fun, status=status,
-                     n_evals=res.n_evals)
+    return fit_on_estimation_scale(
+        model, start, settings.est,
+        lambda theta: nlf_quasi_loglik(model, theta, settings, seed),
+        transform=settings.transform, maxit=maxit, reltol=reltol)

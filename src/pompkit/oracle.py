@@ -8,7 +8,8 @@ and directly comparable to particle-filter estimates of the Gompertz
 likelihood, because :func:`kalman_loglik` includes the lognormal Jacobian.
 
 Also hosts the derivative-free simplex optimizer used wherever the package
-maximizes a noisy-but-deterministic objective.
+maximizes a noisy-but-deterministic objective, and the estimation-scale
+fitter that probe matching and quasi-likelihood fitting share.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamVector, TimeSeriesData
-from .exceptions import DomainError
+from .core import ParamVector, TimeSeriesData, transform_params
+from .exceptions import DomainError, SingularCovarianceError
 
 __all__ = [
     "LinearGaussianSSM",
@@ -235,3 +236,57 @@ def nelder_mead(f, x0, maxit=2000, reltol=1e-8) -> NelderMeadResult:
     return NelderMeadResult(
         x=simplex[best].copy(), fun=float(fvals[best]), n_evals=evals, status=status
     )
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Best parameters found by :func:`fit_on_estimation_scale` and their objective."""
+
+    theta: ParamVector
+    value: float
+    status: str
+    n_evals: int
+
+
+def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform=True,
+                            maxit=400, reltol=1e-6) -> FitResult:
+    """Maximize ``objective(theta)`` over the parameters named in ``est``.
+
+    The simplex search runs on the model's estimation scale when ``transform``
+    is set; parameters outside ``est`` stay at their values in ``start``.  An
+    objective that raises :class:`DomainError` or
+    :class:`SingularCovarianceError` counts as -inf rather than aborting the
+    search.  A non-converged search returns the best point found, flagged in
+    ``status``.  With ``est`` empty the objective is evaluated once at
+    ``start``.
+    """
+    est = tuple(est)
+    if not est:
+        return FitResult(theta=start, value=objective(start), status="converged",
+                         n_evals=1)
+    unknown = set(est) - set(start.names)
+    if unknown:
+        raise DomainError(f"est names not in start: {sorted(unknown)}")
+    base_nat = start.as_dict()
+    work = transform_params(model, base_nat, "to-estimation") if transform else dict(base_nat)
+
+    def unpack(x):
+        w = dict(work)
+        w.update(zip(est, x))
+        nat = transform_params(model, w, "from-estimation") if transform else w
+        for name in start.names:
+            if name not in est:
+                nat[name] = base_nat[name]
+        return ParamVector({n: nat[n] for n in start.names})
+
+    def negobjective(x):
+        try:
+            return -objective(unpack(x))
+        except (DomainError, SingularCovarianceError) as err:
+            logger.warning("objective degenerate at %s: %s", x, err)
+            return math.inf
+
+    x0 = np.array([work[n] for n in est])
+    res = nelder_mead(negobjective, x0, maxit=maxit, reltol=reltol)
+    status = res.status if res.status != "maxit" else "maxit (best found returned)"
+    return FitResult(theta=unpack(res.x), value=-res.fun, status=status, n_evals=res.n_evals)

@@ -41,7 +41,6 @@ class Proposal:
     """
 
     sd: dict
-    kind: str = "mvn-diag-rw"
 
     def __post_init__(self):
         if any(v < 0 for v in self.sd.values()):

@@ -22,7 +22,7 @@ import scipy.linalg
 
 from . import core
 from .exceptions import DomainError, SingularCovarianceError
-from .oracle import NelderMeadResult, nelder_mead
+from .oracle import FitResult, fit_on_estimation_scale
 from .rng import stream
 
 __all__ = [
@@ -235,7 +235,11 @@ def synth_loglik(simulated, observed, labels=None) -> float:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Observed and simulated probe values with comparison summaries."""
+    """Observed and simulated probe values with comparison summaries.
+
+    ``simulated_obs`` holds the (nsim, N, r) simulated observations that the
+    simulated probe values were computed from.
+    """
 
     labels: tuple
     observed: np.ndarray
@@ -243,6 +247,7 @@ class ProbeResult:
     synth_loglik: float
     p_values: np.ndarray
     correlations: np.ndarray
+    simulated_obs: np.ndarray
 
     @property
     def n_sim(self) -> int:
@@ -284,15 +289,11 @@ def probe(model: core.ModelSpec, params=None, probes=(), nsim=1000, seed=0) -> P
         synth_loglik=synth_loglik(simulated, observed, labels),
         p_values=_two_sided_p_values(simulated, observed),
         correlations=correlations,
+        simulated_obs=obs_arrays,
     )
 
 
-@dataclass(frozen=True)
-class ProbeMatchResult:
-    theta: core.ParamVector
-    value: float
-    status: str
-    n_evals: int
+ProbeMatchResult = FitResult
 
 
 def probe_match(model: core.ModelSpec, start: core.ParamVector, est, probes,
@@ -305,38 +306,7 @@ def probe_match(model: core.ModelSpec, start: core.ParamVector, est, probes,
     ``transform`` is set.  Degenerate probe covariances during the search count
     as objective -inf rather than aborting.
     """
-    est = tuple(est)
-    if not est:
-        result = probe(model, start, probes, nsim=nsim, seed=seed)
-        return ProbeMatchResult(theta=start, value=result.synth_loglik,
-                                status="converged", n_evals=1)
-    unknown = set(est) - set(start.names)
-    if unknown:
-        raise DomainError(f"est names not in start: {sorted(unknown)}")
-
-    base_nat = start.as_dict()
-    work = (core.transform_params(model, base_nat, "to-estimation")
-            if transform else dict(base_nat))
-
-    def unpack(x):
-        w = dict(work)
-        w.update(zip(est, x))
-        nat = (core.transform_params(model, w, "from-estimation")
-               if transform else w)
-        for name in start.names:
-            if name not in est:
-                nat[name] = base_nat[name]
-        return core.ParamVector({n: nat[n] for n in start.names})
-
-    def negobjective(x):
-        try:
-            return -probe(model, unpack(x), probes, nsim=nsim, seed=seed).synth_loglik
-        except (SingularCovarianceError, DomainError) as err:
-            logger.warning("objective degenerate at %s: %s", x, err)
-            return math.inf
-
-    x0 = np.array([work[n] for n in est])
-    res: NelderMeadResult = nelder_mead(negobjective, x0, maxit=maxit, reltol=reltol)
-    status = res.status if res.status != "maxit" else "maxit (best found returned)"
-    return ProbeMatchResult(theta=unpack(res.x), value=-res.fun,
-                            status=status, n_evals=res.n_evals)
+    return fit_on_estimation_scale(
+        model, start, est,
+        lambda theta: probe(model, theta, probes, nsim=nsim, seed=seed).synth_loglik,
+        transform=transform, maxit=maxit, reltol=reltol)

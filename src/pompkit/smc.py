@@ -6,6 +6,11 @@ resamples systematically, and accumulates per-step conditional log
 likelihoods whose sum estimates the log likelihood.  Resampling happens at
 every observation; there is no ESS-triggered adaptive scheme.
 
+The step loop lives in one private kernel, ``_filter_pass``.  :func:`pfilter`
+runs it at fixed parameters; iterated filtering (:mod:`pompkit.mif`) runs the
+same kernel with hooks that perturb the parameter swarm before each advance
+and read the weighted swarm after each weighting.
+
 The estimator is unbiased for the likelihood (not the log likelihood), which
 is why replicate estimates are combined with :func:`logmeanexp`.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -120,11 +125,26 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
     if num_particles < 1:
         raise DomainError("num_particles must be at least 1")
     p = core.params_to_dict(model.default_params(params))
-    data = model.data
-    J = int(num_particles)
     rng = stream(seed, "pfilter")
+    x = core._init_states(model, p, model.data.t0, rng, int(num_particles))
+    result = _filter_pass(model, x, p, rng, max_fail)
+    return result if save_final_particles else replace(result, final_particles=None)
 
-    x = core._init_states(model, p, data.t0, rng, J)
+
+def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
+                 observe=None) -> FilterResult:
+    """One filtering pass of the (J, q) swarm ``x`` over every observation.
+
+    Each step advances the swarm, weights it by the measurement density,
+    resamples it systematically and zeroes the accumulators.  The hooks let
+    iterated filtering ride on the same loop: ``perturb()`` runs before each
+    advance and returns the parameters for that step; ``observe(n, w_norm,
+    idx)`` sees the normalized weights and the resampling indices (None after
+    a tolerated failure, when the swarm stays unresampled under uniform
+    weights).  ``final_particles`` holds the swarm after the last step.
+    """
+    data = model.data
+    J = x.shape[0]
     N = data.n_obs
     cond_logliks = np.empty(N)
     ess_vec = np.empty(N)
@@ -134,8 +154,10 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
     t_prev = data.t0
     for n in range(N):
         t = float(data.times[n])
-        x = core.advance(model, x, p, t_prev, t, rng)
-        logw = core.measurement_logdensity(model, data.record(n), x, p, t)
+        if perturb is not None:
+            params = perturb()
+        x = core.advance(model, x, params, t_prev, t, rng)
+        logw = core.measurement_logdensity(model, data.record(n), x, params, t)
         max_logw = np.max(logw)
         if not np.isfinite(max_logw):
             n_failures += 1
@@ -146,6 +168,7 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
             cond_logliks[n] = -np.inf
             ess_vec[n] = J
             filter_means[n] = x.mean(axis=0)
+            w_norm, idx = np.full(J, 1.0 / J), None
         else:
             w = np.exp(logw - max_logw)
             sum_w = w.sum()
@@ -153,7 +176,10 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
             w_norm = w / sum_w
             ess_vec[n] = 1.0 / np.sum(w_norm**2)
             filter_means[n] = w_norm @ x
-            x = x[systematic_resample(w_norm, rng)]
+            idx = systematic_resample(w_norm, rng)
+            x = x[idx]
+        if observe is not None:
+            observe(n, w_norm, idx)
         core._reset_accumulators(model, x)
         t_prev = t
 
@@ -164,5 +190,5 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
         filter_means=filter_means,
         num_particles=J,
         n_failures=n_failures,
-        final_particles=x.copy() if save_final_particles else None,
+        final_particles=x,
     )

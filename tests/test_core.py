@@ -30,14 +30,6 @@ def test_param_vector_missing_name_is_error():
         theta["q"]
 
 
-def test_state_vector_shares_container_semantics():
-    x = pk.StateVector({"S": 100.0, "I": 2.0})
-    assert x.names == ("S", "I")
-    assert x["I"] == 2.0
-    with pytest.raises(KeyError):
-        x["R"]
-
-
 def test_param_vector_rejects_duplicates_and_empty_names():
     with pytest.raises(DomainError):
         ParamVector([("a", 1.0), ("a", 2.0)])
@@ -66,23 +58,23 @@ def test_time_series_ordering_invariants():
 
 def test_covariate_lookup_nodes_and_midpoint():
     table = CovariateTable(times=[0.0, 1.0], values=[[10.0], [20.0]], names=("v",))
-    assert pk.covariate_lookup(table, 0.0) == {"v": 10.0}
-    assert pk.covariate_lookup(table, 1.0) == {"v": 20.0}
-    assert pk.covariate_lookup(table, 0.5) == {"v": 15.0}
+    assert table.lookup(0.0) == {"v": 10.0}
+    assert table.lookup(1.0) == {"v": 20.0}
+    assert table.lookup(0.5) == {"v": 15.0}
 
 
 def test_covariate_lookup_interior_interpolation():
     table = CovariateTable(times=[0.0, 1.0, 2.0], values=[[0.0], [1.0], [4.0]],
                            names=("v",))
-    assert pk.covariate_lookup(table, 1.5)["v"] == pytest.approx(2.5, abs=1e-12)
+    assert table.lookup(1.5)["v"] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_covariate_extrapolation_is_linear_and_warns(caplog):
     table = CovariateTable(times=[0.0, 1.0, 2.0], values=[[0.0], [1.0], [4.0]],
                            names=("v",))
     with caplog.at_level(logging.WARNING, logger="pompkit"):
-        low = pk.covariate_lookup(table, -1.0)["v"]
-        high = pk.covariate_lookup(table, 3.0)["v"]
+        low = table.lookup(-1.0)["v"]
+        high = table.lookup(3.0)["v"]
     assert low == pytest.approx(-1.0)   # extend first segment, slope 1
     assert high == pytest.approx(7.0)   # extend last segment, slope 3
     assert any("extrapolates" in r.message for r in caplog.records)

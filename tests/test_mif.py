@@ -120,3 +120,14 @@ def test_final_filter_runs_at_estimate(gompertz_fitted):
     assert out.final_filter is not None
     assert out.final_filter.num_particles == 100
     assert np.isfinite(out.final_filter.loglik)
+
+
+def test_mif_runs_on_seasonal_sir():
+    model = pk.sir_seasonal_model(years=0.2)
+    model = pk.attach_data(model, pk.simulate(model, seed=6)[0])
+    s = MifSettings(start=model.params, n_iterations=1, num_particles=8,
+                    rw_sd={"b1": 0.01, "S.0": 0.001}, ivp_names=("S.0",), ic_lag=3)
+    out = pk.mif(model, s, seed=15)
+    assert out.trace.shape == (1, len(model.params))
+    assert np.all(np.isfinite(out.trace))
+    assert out.final_filter is not None

@@ -202,6 +202,24 @@ def test_seasonal_model_uses_birth_covariate():
     assert rec_hi.state_column("P")[-1] > rec_lo.state_column("P")[-1]
 
 
+@pytest.mark.parametrize("factory", [pk.sir_model, pk.sir_seasonal_model])
+def test_sir_initializers_take_per_particle_parameters(factory):
+    # mif hands the initializer one parameter value per particle; each
+    # particle must start where a scalar call at its parameters starts.
+    model = factory(years=0.1)
+    scalar = model.params.as_dict()
+    per_particle = {k: np.full(4, v) for k, v in scalar.items()}
+    per_particle["popsize"] = scalar["popsize"] * np.array([1.0, 0.5, 2.0, 1.0])
+    per_particle["I.0"] = scalar["I.0"] * np.array([1.0, 1.0, 3.0, 0.5])
+    batch = model.initializer(per_particle, model.data.t0, None, 4)
+    for j in range(4):
+        one = model.initializer({k: v[j] for k, v in per_particle.items()},
+                                model.data.t0, None, 1)
+        for name in model.state_names:
+            assert batch[name].shape == (4,)
+            assert batch[name][j] == one[name][0]
+
+
 def test_registry_knows_all_builtins():
     assert set(models.BUILTIN_MODELS) == {"gompertz", "ricker", "sir", "sir-seasonal"}
     with pytest.raises(KeyError, match="unknown model"):

@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,40 @@ def test_pfilter_variance_shrinks_with_more_particles(gompertz_fitted):
     big = [pk.pfilter(gompertz_fitted, num_particles=2000, seed=s).loglik
            for s in pk.child_seeds(0, "big", 20)]
     assert np.var(big, ddof=1) < np.var(small, ddof=1)
+
+
+def test_accumulators_are_zero_after_every_observation():
+    # The swarm a pass over the first n observations ends with is the swarm
+    # after observation n: its incidence column H must be reset, while the
+    # weighted mean of H at that observation shows it counted cases.
+    model = pk.sir_model(years=0.2)
+    model = pk.attach_data(model, pk.simulate(model, seed=21)[0])
+    data = model.data
+    h = model.state_names.index("H")
+    for n in range(1, data.n_obs + 1):
+        prefix = model.with_data(TimeSeriesData(
+            t0=data.t0, times=data.times[:n], observations=data.observations[:n],
+            obs_names=data.obs_names))
+        out = pk.pfilter(prefix, num_particles=30, seed=4, save_final_particles=True)
+        assert np.all(out.final_particles[:, h] == 0.0)
+        assert out.filter_means[-1, h] > 0.0
+
+
+def test_mif_counts_and_logs_tolerated_failures(gompertz_fitted, caplog):
+    t_fail = float(gompertz_fitted.data.times[6])
+    dmeasure = gompertz_fitted.dmeasure
+    broken = dataclasses.replace(
+        gompertz_fitted,
+        dmeasure=lambda y, x, p, t, log, cv: (
+            np.full(x["X"].shape, -np.inf) if t == t_fail else dmeasure(y, x, p, t, log, cv)))
+    s = pk.MifSettings(start=gompertz_fitted.params, n_iterations=2, num_particles=50,
+                       rw_sd={"r": 0.02, "sigma": 0.02, "tau": 0.02}, max_fail=1)
+    with caplog.at_level(logging.WARNING, logger="pompkit"):
+        out = pk.mif(broken, s, seed=3, run_final_filter=False)
+    assert out.n_failures == 2
+    assert sum("filtering failure at step 7" in r.message for r in caplog.records) == 2
+    with pytest.raises(FilteringFailureError, match="step 7"):
+        pk.mif(broken, dataclasses.replace(s, max_fail=0), seed=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,157 @@
+"""Fingerprint fixed-seed outputs of the library and the CLI.
+
+Prints one ``name sha256-prefix`` line per output.  Run it against two
+checkouts and diff the listings to show that a refactor left the numbers
+bit-identical:
+
+    PYTHONPATH=<checkout>/src python3 tools/hash_outputs.py > hashes.txt
+
+Covered: ``pfilter`` on Gompertz and SIR (with a tolerated filtering
+failure), ``mif`` on Gompertz (with and without IVPs and ``transform``, and
+with a tolerated failure), ``probe_match``, ``nlf_fit``, and the CLI's
+``result.json`` (minus ``generated_at``) and CSV files for ``pfilter``,
+``mif``, ``pmcmc`` and ``probe``.  All runs are small; the whole script takes
+well under a minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+import pompkit as pk
+from pompkit import cli
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr(part.shape).encode())
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        elif isinstance(part, (bytes, bytearray)):
+            h.update(part)
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def filter_parts(res):
+    parts = [res.loglik, res.cond_logliks, res.ess, res.filter_means, res.n_failures]
+    if res.final_particles is not None:
+        parts.append(res.final_particles)
+    return parts
+
+
+def fails_at(model, t_fail):
+    """The model with every particle weight zero at observation time ``t_fail``."""
+    dmeasure = model.dmeasure
+
+    def broken(y, x, params, t, log, covars):
+        out = dmeasure(y, x, params, t, log, covars)
+        return np.full(np.shape(out), -np.inf) if t == t_fail else out
+
+    return dataclasses.replace(model, dmeasure=broken)
+
+
+def library_hashes():
+    out = {}
+    gomp = pk.gompertz_model()
+    gomp = pk.attach_data(gomp, pk.simulate(gomp, seed=1914)[0])
+    sir = pk.sir_model(years=0.5)
+    sir = pk.attach_data(sir, pk.simulate(sir, seed=7)[0])
+
+    for name, model, J in (("gompertz", gomp, 300), ("sir", sir, 60)):
+        res = pk.pfilter(model, num_particles=J, seed=11, save_final_particles=True)
+        out[f"pfilter/{name}"] = digest(*filter_parts(res))
+        t_fail = float(model.data.times[3])
+        res = pk.pfilter(fails_at(model, t_fail), num_particles=J, seed=11, max_fail=1,
+                         save_final_particles=True)
+        out[f"pfilter/{name}/max_fail"] = digest(*filter_parts(res))
+
+    rw = {"r": 0.02, "sigma": 0.02, "tau": 0.02}
+    rw_nat = {"r": 0.002, "sigma": 0.002, "tau": 0.002}  # keeps sigma, tau positive
+    cases = {
+        "plain": dict(rw_sd=rw),
+        "ivp": dict(rw_sd={**rw, "X.0": 0.1}, ivp_names=("X.0",), ic_lag=10),
+        "no-transform": dict(rw_sd=rw_nat, transform=False),
+        "no-transform-ivp": dict(rw_sd={**rw_nat, "X.0": 0.01}, ivp_names=("X.0",),
+                                 transform=False),
+    }
+    for name, kw in cases.items():
+        settings = pk.MifSettings(start=gomp.params, n_iterations=3, num_particles=150,
+                                  cooling_fraction=0.5, **kw)
+        res = pk.mif(gomp, settings, seed=5)
+        out[f"mif/{name}"] = digest(res.trace, res.theta_hat.values, res.n_failures,
+                                    *filter_parts(res.final_filter))
+    settings = pk.MifSettings(start=gomp.params, n_iterations=2, num_particles=100,
+                              rw_sd=rw, max_fail=2)
+    res = pk.mif(fails_at(gomp, float(gomp.data.times[4])), settings, seed=5)
+    out["mif/max_fail"] = digest(res.trace, res.theta_hat.values, res.n_failures,
+                                 *filter_parts(res.final_filter))
+
+    probes = [pk.probe_mean("Y", transform=np.sqrt), pk.probe_acf("Y", [1, 2])]
+    res = pk.probe_match(gomp, gomp.params, ("r", "sigma"), probes, nsim=60, seed=3,
+                         maxit=30)
+    out["probe_match"] = digest(res.theta.values, res.value, res.status, res.n_evals)
+    nset = pk.NlfSettings(lags=(1, 2), sim_length=150, transient=100, est=("r", "tau"))
+    res = pk.nlf_fit(gomp, gomp.params, nset, seed=3, maxit=30)
+    out["nlf_fit"] = digest(res.theta.values, res.value, res.status, res.n_evals)
+    return out
+
+
+PRIOR = {"r": [0.01, 1.0], "sigma": [0.01, 1.0], "tau": [0.01, 1.0]}
+CLI_RUNS = {
+    "pfilter": {"np": 200, "replicates": 3, "max_fail": 1},
+    "mif": {"iterations": 3, "np": 100, "starts": 2, "eval_replicates": 2,
+            "rw_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02, "X.0": 0.1},
+            "ivp_names": ["X.0"]},
+    "pmcmc": {"steps": 30, "np": 40, "proposal_sd": {"r": 0.01, "sigma": 0.01, "tau": 0.01},
+              "prior": PRIOR},
+    "probe": {"nsim": 50, "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
+                                     {"type": "acf", "var": "Y", "lags": [1, 2]},
+                                     {"type": "marginal", "var": "Y"}]},
+}
+
+
+def cli_hashes(workdir):
+    out = {}
+    for algorithm, settings in CLI_RUNS.items():
+        outdir = os.path.join(workdir, algorithm)
+        config = os.path.join(workdir, f"{algorithm}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"schema": 1, "algorithm": algorithm, "model": "gompertz",
+                       "seed": 2024, "output": outdir, "settings": settings}, fh)
+        with contextlib.redirect_stdout(sys.stderr):
+            status = cli.main([algorithm, "--config", config])
+        if status != 0:
+            raise SystemExit(f"pomp-kit {algorithm} exited {status}")
+        with open(os.path.join(outdir, "result.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload.pop("generated_at")
+        out[f"cli/{algorithm}/result.json"] = digest(json.dumps(payload, sort_keys=True))
+        for name in sorted(os.listdir(outdir)):
+            if name.endswith(".csv"):
+                with open(os.path.join(outdir, name), "rb") as fh:
+                    out[f"cli/{algorithm}/{name}"] = digest(fh.read())
+    return out
+
+
+def main() -> int:
+    hashes = library_hashes()
+    with tempfile.TemporaryDirectory() as workdir:
+        hashes.update(cli_hashes(workdir))
+    for name, value in hashes.items():
+        print(f"{name} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
