@@ -26,7 +26,7 @@ import jsonschema
 
 from . import core, dataio, models, nlf, oracle, probes, smc
 from .abc import AbcSettings, abc as run_abc, compute_probe_scales
-from .exceptions import ConfigError, PompKitError
+from .exceptions import ConfigError, DomainError, PompKitError
 from .mif import MifSettings, mif as run_mif
 from .pmcmc import (
     effective_sample_size,
@@ -272,16 +272,27 @@ def _build_model(config: dict):
         model = model.with_params(core.ParamVector(merged))
     if config.get("covariates"):
         model = dataclasses.replace(
-            model, covariates=dataio.load_covariates(config["covariates"]))
+            model, covariates=_load_input(dataio.load_covariates, config["covariates"]))
     data = config.get("data", "simulate")
     if data == "simulate":
         rec = core.simulate(model, seed=child_seeds(config["seed"], "dataset", 1)[0])[0]
         model = core.attach_data(model, rec)
     else:
         t0 = config.get("t0", model.data.t0)
-        tsd = dataio.load_time_series(data, t0=t0, observables=list(model.obs_names))
-        model = model.with_data(tsd)
+        model = model.with_data(_load_input(dataio.load_time_series, data, t0=t0,
+                                            observables=list(model.obs_names)))
     return model
+
+
+def _load_input(loader, path, **kwargs):
+    """Run a dataio loader; a file that cannot be read or holds malformed
+    content is a validation error (exit status 2), not an algorithm failure."""
+    try:
+        return loader(path, **kwargs)
+    except DomainError as err:
+        raise ConfigError(str(err)) from None
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror or err}") from None
 
 
 def _prior_callbacks(prior_spec: dict):
@@ -532,9 +543,10 @@ def run(config: dict) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     outdir = config.get("output", ".")
-    os.makedirs(outdir, exist_ok=True)
     try:
         model = _build_model(config)
+        # only once the inputs load, so a rejected run leaves no directory behind
+        os.makedirs(outdir, exist_ok=True)
         results, files = _RUNNERS[config["algorithm"]](
             model, config, config.get("settings", {}), outdir)
     except ConfigError as err:

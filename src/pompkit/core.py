@@ -44,6 +44,7 @@ makes a constructed model immutable and safe to share across workers.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -54,8 +55,10 @@ import numpy as np
 from .exceptions import (
     DomainError,
     ModelComponentError,
+    PompKitError,
     SimulationDivergedError,
     TransformDomainError,
+    require_integer,
 )
 from .rng import stream
 
@@ -238,6 +241,10 @@ class CovariateTable:
                 f"(n_times={times.size}, n_names={len(self.names)})"
             )
         object.__setattr__(self, "_warned", set())
+        # plain-float copies: lookup runs once per simulator step, and Python
+        # float arithmetic gives the same IEEE results as numpy scalars
+        object.__setattr__(self, "_time_list", times.tolist())
+        object.__setattr__(self, "_value_rows", values.tolist())
 
     def lookup(self, t) -> dict:
         """Covariate values at time ``t``: exact at nodes, linear between them.
@@ -245,10 +252,10 @@ class CovariateTable:
         Outside the table range the nearest two nodes are extrapolated
         linearly and a warning is logged once per side.
         """
-        times, values = self.times, self.values
+        times, rows = self._time_list, self._value_rows
         t = float(t)
-        if times.size == 1:
-            return {n: float(values[0, i]) for i, n in enumerate(self.names)}
+        if len(times) == 1:
+            return dict(zip(self.names, rows[0]))
         if t < times[0] or t > times[-1]:
             side = "before" if t < times[0] else "after"
             if side not in self._warned:
@@ -260,13 +267,11 @@ class CovariateTable:
                     times[0],
                     times[-1],
                 )
-            i = 0 if t < times[0] else times.size - 2
+            i = 0 if t < times[0] else len(times) - 2
         else:
-            i = int(np.searchsorted(times, t, side="right")) - 1
-            i = min(max(i, 0), times.size - 2)
+            i = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
         w = (t - times[i]) / (times[i + 1] - times[i])
-        row = values[i] + w * (values[i + 1] - values[i])
-        return {n: float(row[k]) for k, n in enumerate(self.names)}
+        return {n: lo + w * (hi - lo) for n, lo, hi in zip(self.names, rows[i], rows[i + 1])}
 
 
 @dataclass(frozen=True)
@@ -517,9 +522,20 @@ def _from_state_dict(model: ModelSpec, x: dict, n: int) -> np.ndarray:
 
 
 def advance(model: ModelSpec, state_mat: np.ndarray, params: dict, t0, t1, rng) -> np.ndarray:
-    """Propagate a (n, q) state matrix from t0 to t1 through rprocess."""
+    """Propagate a (n, q) state matrix from t0 to t1 through rprocess.
+
+    A ``ValueError`` from the simulator itself (say, numpy refusing a negative
+    scale because a parameter left its domain) is re-raised as
+    :class:`DomainError` naming the interval.
+    """
     n = state_mat.shape[0]
-    x = model.rprocess(_as_state_dict(model, state_mat), params, t0, t1, rng, model.covariates)
+    try:
+        x = model.rprocess(_as_state_dict(model, state_mat), params, t0, t1, rng,
+                           model.covariates)
+    except PompKitError:
+        raise
+    except ValueError as err:
+        raise DomainError(f"process simulation over [{t0:g}, {t1:g}] failed: {err}") from err
     return _from_state_dict(model, x, n)
 
 
@@ -541,16 +557,17 @@ def measure(model: ModelSpec, state_mat: np.ndarray, params: dict, t, rng) -> np
 def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, params: dict, t):
     """Log measurement density of record ``y`` under each row of the state matrix.
 
-    Observation records whose components are all missing contribute log-density
-    zero (the conditioning convention); models receive NaN for partially
-    missing components and apply the same convention per component.
+    ``y`` has at least one observed component: a record whose components are
+    all missing contributes log-density zero (the conditioning convention), so
+    the filter does not evaluate it.  Models receive NaN for partially missing
+    components and apply the same convention per component.
     """
     n = state_mat.shape[0]
-    if all(np.isnan(v) for v in y.values()):
-        return np.zeros(n)
     cv = model.covariates.lookup(t) if model.covariates is not None else None
-    logw = model.dmeasure(y, _as_state_dict(model, state_mat), params, t, True, cv)
-    logw = np.broadcast_to(np.asarray(logw, dtype=float), (n,)).copy()
+    logw = np.asarray(model.dmeasure(y, _as_state_dict(model, state_mat), params, t, True, cv),
+                      dtype=float)
+    if logw.shape != (n,):
+        logw = np.broadcast_to(logw, (n,)).copy()
     if np.isnan(logw).any():
         raise DomainError(f"dmeasure returned NaN at t={t}; it must return finite values or -inf")
     return logw
@@ -626,8 +643,7 @@ def simulate(model: ModelSpec, params=None, seed=0, nsim=1):
 
     Deterministic given ``(seed, nsim)``.
     """
-    if nsim < 1:
-        raise DomainError("nsim must be at least 1")
+    nsim = require_integer("nsim", nsim, 1)
     pv = model.default_params(params)
     states, obs = simulate_paths(model, pv, seed, nsim)
     times_full = np.concatenate(([model.data.t0], model.data.times))

@@ -34,23 +34,42 @@ def _fmt(value) -> str:
     return repr(v)
 
 
-def _parse(cell: str) -> float:
+def _parse(cell: str, where: str) -> float:
     cell = cell.strip()
     if cell in ("", "NA", "NaN", "nan"):
         return float("nan")
-    return float(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        raise DomainError(f"{where}: not a number: {cell!r}") from None
 
 
 def _read_table(path, time_col):
+    """Header and (rows, columns) float table of a CSV file.
+
+    Malformed content raises :class:`DomainError` naming the file and line;
+    a file that cannot be opened raises the ``OSError``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DomainError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if time_col not in header:
-            raise DomainError(f"{path}: no {time_col!r} column (found {header})")
-        rows = [[_parse(c) for c in row] for row in reader if row]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DomainError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if time_col not in header:
+                raise DomainError(f"{path}: no {time_col!r} column (found {header})")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise DomainError(f"{where}: {len(row)} cells, but the header has "
+                                      f"{len(header)}")
+                rows.append([_parse(c, where) for c in row])
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise DomainError(f"{path}: unreadable CSV: {err}") from None
     if not rows:
         raise DomainError(f"{path}: no data rows")
     return header, np.array(rows, dtype=float)
@@ -81,8 +100,11 @@ def load_time_series(path, t0, time_col="time", observables=None, sim=None) -> T
         raise DomainError(f"{path}: missing observable columns {missing}")
     times = table[:, header.index(time_col)]
     obs = np.column_stack([table[:, header.index(c)] for c in observables])
-    return TimeSeriesData(t0=t0, times=times, observations=obs,
-                          obs_names=tuple(observables))
+    try:
+        return TimeSeriesData(t0=t0, times=times, observations=obs,
+                              obs_names=tuple(observables))
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from None
 
 
 def load_covariates(path, time_col="time") -> CovariateTable:
@@ -91,8 +113,11 @@ def load_covariates(path, time_col="time") -> CovariateTable:
     if not names:
         raise DomainError(f"{path}: covariate file has no value columns")
     values = np.column_stack([table[:, header.index(c)] for c in names])
-    return CovariateTable(times=table[:, header.index(time_col)], values=values,
-                          names=tuple(names))
+    try:
+        return CovariateTable(times=table[:, header.index(time_col)], values=values,
+                              names=tuple(names))
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from None
 
 
 def write_simulations_csv(path, records, include_states=True):

@@ -2,7 +2,8 @@
 
 Every error raised deliberately by the library derives from :class:`PompKitError`,
 so callers can catch the whole family with one clause.  Errors that are really
-argument-domain violations also derive from ``ValueError``.
+argument-domain violations also derive from ``ValueError``.  The module also
+holds :func:`require_integer`, the shared boundary check for counts and seeds.
 """
 
 
@@ -69,3 +70,21 @@ class SingularCovarianceError(PompKitError):
 
 class ConfigError(PompKitError, ValueError):
     """A run configuration failed validation."""
+
+
+def require_integer(name, value, minimum) -> int:
+    """``value`` as an ``int``; :class:`DomainError` unless it is a whole number
+    of at least ``minimum``.
+
+    The boundary check for counts and seeds: an entry point calls it once on
+    its arguments, so a fractional particle count fails instead of being
+    truncated, and no step loop repeats it.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    if whole != value or whole < minimum:
+        raise DomainError(f"{name} must be a whole number of at least {minimum}, "
+                          f"got {value!r}")
+    return whole

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import core, smc
-from .exceptions import DomainError, FilteringFailureError
+from .exceptions import DomainError, FilteringFailureError, require_integer
 from .rng import stream
 
 __all__ = ["MifSettings", "MifResult", "mif", "perturbation_sd"]
@@ -57,10 +57,10 @@ class MifSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "ivp_names", tuple(self.ivp_names))
-        if self.n_iterations < 0:
-            raise DomainError("n_iterations must be non-negative")
-        if self.num_particles < 1:
-            raise DomainError("num_particles must be at least 1")
+        object.__setattr__(self, "n_iterations",
+                           require_integer("n_iterations", self.n_iterations, 0))
+        object.__setattr__(self, "num_particles",
+                           require_integer("num_particles", self.num_particles, 1))
         if any(v < 0 for v in self.rw_sd.values()):
             raise DomainError("rw_sd entries must be non-negative")
         unknown = set(self.rw_sd) - set(self.start.names)

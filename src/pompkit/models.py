@@ -149,13 +149,19 @@ def sir_step_flows(x, params, dt, rng, lam, birth_rate):
     Exits from each compartment are Euler-multinomial over the competing
     routes; births are Poisson with the given rate.  Returns a dict of counts.
     """
-    mu = params["mu"] * np.ones_like(x["S"])
-    births = rng.poisson(np.asarray(birth_rate) * dt * np.ones_like(x["S"]))
-    exits_s = reulermultinom(x["S"].astype(np.int64),
-                             np.column_stack([lam * np.ones_like(x["S"]), mu]), dt, rng)
-    exits_i = reulermultinom(x["I"].astype(np.int64),
-                             np.column_stack([params["gamma"] * np.ones_like(mu), mu]), dt, rng)
-    exits_r = reulermultinom(x["R"].astype(np.int64), mu[:, None], dt, rng)
+    n = x["S"].shape[0]
+    births = rng.poisson(np.asarray(birth_rate) * dt, size=n)
+    # one (n, 2) array of exit rates per compartment: (infection, death) for S,
+    # (recovery, death) for I; R has only the death column
+    rates_s = np.empty((n, 2))
+    rates_s[:, 0] = lam
+    rates_s[:, 1] = params["mu"]
+    exits_s = reulermultinom(x["S"].astype(np.int64), rates_s, dt, rng)
+    rates_i = np.empty((n, 2))
+    rates_i[:, 0] = params["gamma"]
+    rates_i[:, 1] = params["mu"]
+    exits_i = reulermultinom(x["I"].astype(np.int64), rates_i, dt, rng)
+    exits_r = reulermultinom(x["R"].astype(np.int64), rates_i[:, 1:], dt, rng)
     return {
         "births": births,
         "SI": exits_s[:, 0], "SD": exits_s[:, 1],
@@ -232,27 +238,27 @@ SIR_SEASONAL_DEFAULTS = ParamVector({
 
 def seasonal_transmission_rate(params, phase):
     """log-linear Fourier transmission rate evaluated at the given phase."""
-    two_pi = 2.0 * np.pi
-    return np.exp(params["b1"] + params["b2"] * np.cos(two_pi * phase)
-                  + params["b3"] * np.sin(two_pi * phase))
+    angle = 2.0 * np.pi * phase
+    return np.exp(params["b1"] + params["b2"] * np.cos(angle)
+                  + params["b3"] * np.sin(angle))
 
 
 def _sir_seasonal_step(x, params, t, dt, rng, covars):
-    beta = seasonal_transmission_rate(params, x["Phi"])
+    phi = x["Phi"]
+    beta = seasonal_transmission_rate(params, phi)
     lam = beta * (x["I"] + params["iota"]) / x["P"]
     birth_rate = covars["births"] if covars is not None else params["mu"] * x["P"]
     flows = sir_step_flows(x, params, dt, rng, lam, birth_rate)
-    sigma = params["sigma"] * np.ones_like(x["Phi"])
-    dw = rng.normal(dt * np.ones_like(x["Phi"]), sigma * np.sqrt(dt))
+    sigma = params["sigma"]
+    dw = rng.normal(dt, sigma * np.sqrt(dt), size=phi.shape)
     s_new = x["S"] + flows["births"] - flows["SI"] - flows["SD"]
     i_new = x["I"] + flows["SI"] - flows["IR"] - flows["ID"]
     r_new = x["R"] + flows["IR"] - flows["RD"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        noise_inc = np.where(sigma > 0, (dw - dt) / np.where(sigma > 0, sigma, 1.0), 0.0)
+    noise_inc = np.divide(dw - dt, sigma, out=np.zeros(phi.shape), where=sigma > 0)
     return {
         "S": s_new, "I": i_new, "R": r_new,
         "P": s_new + i_new + r_new,
-        "Phi": x["Phi"] + dw,
+        "Phi": phi + dw,
         "H": x["H"] + flows["SI"],
         "noise": x["noise"] + noise_inc,
     }

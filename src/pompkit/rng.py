@@ -23,6 +23,8 @@ import zlib
 
 import numpy as np
 
+from .exceptions import require_integer
+
 __all__ = ["stream", "child_seeds", "as_seed_path"]
 
 
@@ -53,7 +55,7 @@ def as_seed_path(*path) -> tuple[int, ...]:
 def stream(seed, *path) -> np.random.Generator:
     """Return the child generator for ``path`` under ``seed``.
 
-    ``seed`` may be an integer master seed or an existing
+    ``seed`` may be a non-negative integer master seed or an existing
     :class:`numpy.random.Generator`; a generator is returned unchanged only
     when no path is given (caller already owns a stream).
     """
@@ -64,7 +66,8 @@ def stream(seed, *path) -> np.random.Generator:
         # stream rather than global state.
         root = int(seed.integers(0, 2**63 - 1))
         return stream(root, *path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=as_seed_path(*path))
+    ss = np.random.SeedSequence(entropy=require_integer("seed", seed, 0),
+                                spawn_key=as_seed_path(*path))
     return np.random.default_rng(ss)
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import core
-from .exceptions import DomainError, FilteringFailureError
+from .exceptions import DomainError, FilteringFailureError, require_integer
 from .rng import stream
 
 __all__ = ["FilterResult", "pfilter", "systematic_resample", "ess", "logmeanexp"]
@@ -62,16 +62,21 @@ def systematic_resample(weights, rng, n=None) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DomainError("weights must be a non-empty 1-D vector")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if not (w.min() >= 0 and w.max() < np.inf):
         raise DomainError("weights must be finite and non-negative")
-    total = w.sum()
-    if total <= 0:
+    if not w.sum() > 0:
         raise DomainError("all weights are zero")
     n = w.size if n is None else int(n)
-    cumulative = np.cumsum(w / total)
+    return _systematic_resample(w, rng, np.arange(n))
+
+
+def _systematic_resample(w, rng, grid) -> np.ndarray:
+    """:func:`systematic_resample` without its checks, for weights known to be
+    finite and non-negative with a positive sum; ``grid`` is ``arange(n)``."""
+    cumulative = np.cumsum(w / w.sum())
     cumulative[-1] = 1.0
-    u = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(cumulative, u, side="left").astype(np.intp)
+    u = (rng.random() + grid) / grid.size
+    return np.searchsorted(cumulative, u, side="left")
 
 
 def ess(weights) -> float:
@@ -122,11 +127,10 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
     Deterministic given ``(seed, num_particles)``, independent of worker count.
     """
     model.require("particle filtering", "rprocess", "dmeasure")
-    if num_particles < 1:
-        raise DomainError("num_particles must be at least 1")
+    num_particles = require_integer("num_particles", num_particles, 1)
     p = core.params_to_dict(model.default_params(params))
     rng = stream(seed, "pfilter")
-    x = core._init_states(model, p, model.data.t0, rng, int(num_particles))
+    x = core._init_states(model, p, model.data.t0, rng, num_particles)
     result = _filter_pass(model, x, p, rng, max_fail)
     return result if save_final_particles else replace(result, final_particles=None)
 
@@ -150,6 +154,9 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
     ess_vec = np.empty(N)
     filter_means = np.empty((N, model.n_states))
     n_failures = 0
+    records = [data.record(n) for n in range(N)]
+    all_missing = np.isnan(data.observations).all(axis=1).tolist()
+    grid = np.arange(J)
 
     t_prev = data.t0
     for n in range(N):
@@ -157,7 +164,10 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
         if perturb is not None:
             params = perturb()
         x = core.advance(model, x, params, t_prev, t, rng)
-        logw = core.measurement_logdensity(model, data.record(n), x, params, t)
+        if all_missing[n]:
+            logw = np.zeros(J)
+        else:
+            logw = core.measurement_logdensity(model, records[n], x, params, t)
         max_logw = np.max(logw)
         if not np.isfinite(max_logw):
             n_failures += 1
@@ -176,7 +186,8 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
             w_norm = w / sum_w
             ess_vec[n] = 1.0 / np.sum(w_norm**2)
             filter_means[n] = w_norm @ x
-            idx = systematic_resample(w_norm, rng)
+            # exp() of finite-max log weights: finite, non-negative, max term 1
+            idx = _systematic_resample(w_norm, rng, grid)
             x = x[idx]
         if observe is not None:
             observe(n, w_norm, idx)

@@ -134,6 +134,50 @@ def test_algorithm_failure_exits_3(tmp_path, capsys):
     assert "algorithm failure" in capsys.readouterr().err
 
 
+GOOD_CSV = "time,Y\n1.0,1.1\n2.0,0.9\n3.0,1.0\n"
+
+
+@pytest.mark.parametrize("case", ["non-numeric-cell", "ragged-row", "missing-data",
+                                  "missing-covariates", "non-increasing-times"])
+def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, case):
+    data = tmp_path / "data.csv"
+    data.write_text({
+        "non-numeric-cell": "time,Y\n1.0,1.1\n2.0,abc\n",
+        "ragged-row": "time,Y\n1.0,1.1\n2.0,0.9,7\n",
+        "non-increasing-times": "time,Y\n1.0,1.1\n3.0,0.9\n2.0,1.0\n",
+    }.get(case, GOOD_CSV))
+    out = tmp_path / "out"
+    config = {"schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": 1,
+              "data": str(data), "output": str(out), "settings": {"np": 20}}
+    if case == "missing-data":
+        config["data"] = str(tmp_path / "absent.csv")
+    if case == "missing-covariates":
+        config["covariates"] = str(tmp_path / "absent-covariates.csv")
+    assert run_cli(["pfilter", "--config", write_config(tmp_path, "c.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert ("absent" if case.startswith("missing") else "data.csv") in lines[0]
+    assert not out.exists()
+
+
+def test_parameter_walk_leaving_domain_exits_3(tmp_path, capsys):
+    # without transforms the random walk drives sigma below zero; the model
+    # step's numpy error surfaces as an algorithm failure, not a traceback
+    out = tmp_path / "mif"
+    cfg = write_config(tmp_path, "mif.json", {
+        "schema": 1, "algorithm": "mif", "model": "gompertz", "seed": 3,
+        "output": str(out),
+        "settings": {"iterations": 1, "np": 50, "transform": False,
+                     "rw_sd": {"sigma": 0.05, "tau": 0.05}},
+    })
+    assert run_cli(["mif", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("algorithm failure: ") and "scale < 0" in err
+
+
 # ---------------------------------------------------------------------------
 # the multi-start search workflow
 

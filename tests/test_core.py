@@ -80,6 +80,18 @@ def test_covariate_extrapolation_is_linear_and_warns(caplog):
     assert any("extrapolates" in r.message for r in caplog.records)
 
 
+def test_stream_and_simulate_reject_bad_integers():
+    with pytest.raises(DomainError, match="seed"):
+        pk.stream(-1)
+    with pytest.raises(DomainError, match="seed"):
+        pk.stream(2.5, "pfilter")
+    with pytest.raises(DomainError, match="nsim"):
+        pk.simulate(pk.gompertz_model(n_obs=3), nsim=1.5)
+    with pytest.raises(DomainError, match="nsim"):
+        pk.simulate(pk.gompertz_model(n_obs=3), nsim=0)
+    assert pk.stream(7).random() == pk.stream(np.int64(7)).random()
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

@@ -70,6 +70,120 @@ def test_domain_errors():
         pk.dnbinom_mu(1, 1.0, -1.0)
 
 
+def _reference_probs(r, dt):
+    total = r.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(total > 0, r / np.where(total > 0, total, 1.0), 0.0)
+    return p * (-np.expm1(-total * float(dt)))
+
+
+def _reference_reulermultinom(size, rates, dt, rng):
+    """The stick-breaking sampler as first written, kept as an oracle for the
+    leaner one: both must make the same draws from the same generator."""
+    rates2 = np.asarray(rates, dtype=float)
+    if rates2.ndim == 1:
+        rates2 = rates2[None, :]
+    size_arr = np.asarray(size, dtype=float)
+    scalar = np.ndim(size) == 0 and np.asarray(rates).ndim == 1
+    n = max(rates2.shape[0], size_arr.size if size_arr.ndim else 1)
+    p = _reference_probs(np.broadcast_to(rates2, (n, rates2.shape[1])), dt)
+    remaining = np.broadcast_to(np.asarray(size_arr, dtype=np.int64), (n,)).copy()
+    remaining_p = np.ones(n)
+    counts = np.zeros((n, p.shape[1]), dtype=np.int64)
+    for j in range(p.shape[1]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(remaining_p > 0, p[:, j] / np.where(remaining_p > 0, remaining_p, 1.0), 0.0)
+        q = np.clip(q, 0.0, 1.0)
+        draw = rng.binomial(remaining, q)
+        counts[:, j] = draw
+        remaining -= draw
+        remaining_p -= p[:, j]
+    return counts[0] if scalar else counts
+
+
+def _sir_shaped_spec():
+    """Sizes and rates shaped as one seasonal-SIR step passes them (J=200)."""
+    rng = np.random.default_rng(4)
+    n = 200
+    sizes = rng.integers(0, 30000, size=n).astype(np.int64)
+    rates = np.empty((n, 2))
+    rates[:, 0] = rng.uniform(0.0, 400.0, size=n)
+    rates[:, 1] = 0.02
+    return sizes, rates, 1.0 / 52.0 / 20.0
+
+
+@pytest.mark.parametrize("size,rates,dt", [
+    pytest.param(100, [0.0, 0.0], 1.0, id="zero-total-rate"),
+    pytest.param(np.array([5, 0, 7]), np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 3.0]]), 0.5,
+                 id="mixed-zero-rows"),
+    pytest.param(0, [1.0, 2.0, 3.0], 0.7, id="size-0"),
+    pytest.param(np.arange(6), np.full((6, 1), 2.5), 0.3, id="k-1"),
+    pytest.param(40, [0.5, 1.5, 2.5], 0.2, id="scalar-size-1d-rates"),
+    pytest.param(np.arange(0, 200, 10), [0.5, 1.5, 2.5], 0.2, id="n-sizes-k-rates"),
+    pytest.param(25, np.tile([0.3, 0.1], (8, 1)), 0.4, id="scalar-size-nk-rates"),
+    pytest.param(np.array([50, 60]), np.array([[1e3, 0.0], [1e3, 2.0]]), 10.0,
+                 id="route-0-takes-all-mass"),
+    pytest.param(np.array([1000, 3, 99]), np.array([[0.2, 0.5, 1.0], [2.0, 0.0, 0.1],
+                                                    [0.0, 0.0, 4.0]]), 0.9, id="k-3"),
+    pytest.param(*_sir_shaped_spec(), id="sir-step-shapes"),
+])
+def test_reulermultinom_matches_reference_draw_for_draw(size, rates, dt):
+    expected = _reference_reulermultinom(size, rates, dt, np.random.default_rng(12))
+    got = pk.reulermultinom(size, rates, dt, np.random.default_rng(12))
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_reulermultinom_probs_match_reference_bit_for_bit():
+    # draws can agree while probabilities differ in the last bit, so the
+    # probabilities are compared exactly as well
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 5):
+        rates = rng.uniform(0.0, 50.0, size=(300, k)) * (rng.random((300, k)) > 0.2)
+        for dt in (1.0 / 1040.0, 0.3, 25.0):
+            assert np.array_equal(euler_multinomial_probs(rates, dt),
+                                  _reference_probs(rates, dt))
+
+
+def test_reulermultinom_draws_continue_the_reference_stream():
+    # the generators stay in step across calls, as in a simulator's step loop
+    ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    sizes, rates, dt = _sir_shaped_spec()
+    for _ in range(5):
+        expected = _reference_reulermultinom(sizes, rates, dt, ref_rng)
+        assert np.array_equal(pk.reulermultinom(sizes, rates, dt, rng), expected)
+        sizes = sizes - expected.sum(axis=1)
+
+
+@pytest.mark.parametrize("size,rates,dt", [
+    pytest.param(5, [np.nan, 1.0], 1.0, id="nan-rate"),
+    pytest.param(5, [np.inf, 1.0], 1.0, id="inf-rate"),
+    pytest.param(5, [1.0, -0.5], 1.0, id="negative-rate"),
+    pytest.param(np.array([3, 4]), np.array([[1.0], [np.nan]]), 1.0, id="nan-rate-row"),
+    pytest.param(2.5, [1.0], 1.0, id="fractional-size"),
+    pytest.param(np.array([2.0, -1.0]), [1.0], 1.0, id="negative-float-size"),
+    pytest.param(np.array([2, -1]), [1.0], 1.0, id="negative-int-size"),
+    pytest.param(np.nan, [1.0], 1.0, id="nan-size"),
+    pytest.param(5, [1.0], 0.0, id="zero-dt"),
+    pytest.param(5, [1.0], -0.1, id="negative-dt"),
+    pytest.param(5, [1.0], np.array([0.1, 0.2]), id="array-dt"),
+])
+def test_reulermultinom_rejects_out_of_domain_arguments(size, rates, dt):
+    with pytest.raises(DomainError):
+        pk.reulermultinom(size, rates, dt, np.random.default_rng(0))
+
+
+def test_density_domain_checks_reject_nan_and_nonpositive_scales():
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError):
+            pk.dlnorm(1.0, 0.0, bad)
+        with pytest.raises(DomainError):
+            pk.dnbinom_mu(1, bad, 1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(DomainError):
+            pk.dnbinom_mu(1, 1.0, np.array([1.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # deulermultinom
 

@@ -74,6 +74,25 @@ def test_settings_validation():
         settings(start, ivp_names=("nope",))
 
 
+def test_settings_reject_fractional_counts():
+    start = pk.gompertz_model().params
+    with pytest.raises(DomainError, match="num_particles"):
+        MifSettings(start=start, n_iterations=2, num_particles=2.5, rw_sd={"r": 0.02})
+    with pytest.raises(DomainError, match="n_iterations"):
+        MifSettings(start=start, n_iterations=1.5, num_particles=10, rw_sd={"r": 0.02})
+
+
+def test_walk_leaving_parameter_domain_raises_domain_error(gompertz_fitted):
+    # on the natural scale the walk drives sigma below zero, where the model
+    # step's normal draw fails; the error names the interval and keeps its cause
+    s = MifSettings(start=gompertz_fitted.params, n_iterations=1, num_particles=150,
+                    rw_sd={"sigma": 0.02, "tau": 0.02}, transform=False)
+    with pytest.raises(DomainError, match=r"process simulation over \[") as err:
+        pk.mif(gompertz_fitted, s, seed=3)
+    assert isinstance(err.value.__cause__, ValueError)
+    assert "scale < 0" in str(err.value)
+
+
 def test_mif_is_deterministic(gompertz_fitted):
     s = settings(gompertz_fitted.params, n_iterations=3)
     a = pk.mif(gompertz_fitted, s, seed=7, run_final_filter=False)

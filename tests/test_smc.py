@@ -68,6 +68,17 @@ def test_filtering_failure_reports_step():
     assert np.isfinite(out.cond_logliks[[0, 1, 3, 4]]).all()
 
 
+def test_pfilter_rejects_fractional_particle_counts_and_negative_seeds(gompertz_fitted):
+    with pytest.raises(DomainError, match="num_particles"):
+        pk.pfilter(gompertz_fitted, num_particles=2.5, seed=1)
+    with pytest.raises(DomainError, match="num_particles"):
+        pk.pfilter(gompertz_fitted, num_particles=0, seed=1)
+    with pytest.raises(DomainError, match="seed"):
+        pk.pfilter(gompertz_fitted, num_particles=10, seed=-1)
+    # a whole-valued float is a whole number of particles
+    assert pk.pfilter(gompertz_fitted, num_particles=10.0, seed=1).num_particles == 10
+
+
 def test_pfilter_variance_shrinks_with_more_particles(gompertz_fitted):
     small = [pk.pfilter(gompertz_fitted, num_particles=100, seed=s).loglik
              for s in pk.child_seeds(0, "small", 20)]

@@ -6,9 +6,10 @@ bit-identical:
 
     PYTHONPATH=<checkout>/src python3 tools/hash_outputs.py > hashes.txt
 
-Covered: ``pfilter`` on Gompertz and SIR (with a tolerated filtering
-failure), ``mif`` on Gompertz (with and without IVPs and ``transform``, and
-with a tolerated failure), ``probe_match``, ``nlf_fit``, and the CLI's
+Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
+tolerated filtering failure), ``simulate_paths`` on seasonal SIR, ``mif`` on
+Gompertz (with and without IVPs and ``transform``, and with a tolerated
+failure) and on seasonal SIR, ``probe_match``, ``nlf_fit``, and the CLI's
 ``result.json`` (minus ``generated_at``) and CSV files for ``pfilter``,
 ``mif``, ``pmcmc`` and ``probe``.  All runs are small; the whole script takes
 well under a minute.
@@ -67,14 +68,20 @@ def library_hashes():
     gomp = pk.attach_data(gomp, pk.simulate(gomp, seed=1914)[0])
     sir = pk.sir_model(years=0.5)
     sir = pk.attach_data(sir, pk.simulate(sir, seed=7)[0])
+    seasonal = pk.sir_seasonal_model(years=0.5)
+    seasonal = pk.attach_data(seasonal, pk.simulate(seasonal, seed=8)[0])
 
-    for name, model, J in (("gompertz", gomp, 300), ("sir", sir, 60)):
+    for name, model, J in (("gompertz", gomp, 300), ("sir", sir, 60),
+                           ("sir-seasonal", seasonal, 60)):
         res = pk.pfilter(model, num_particles=J, seed=11, save_final_particles=True)
         out[f"pfilter/{name}"] = digest(*filter_parts(res))
         t_fail = float(model.data.times[3])
         res = pk.pfilter(fails_at(model, t_fail), num_particles=J, seed=11, max_fail=1,
                          save_final_particles=True)
         out[f"pfilter/{name}/max_fail"] = digest(*filter_parts(res))
+
+    states, obs = pk.simulate_paths(pk.sir_seasonal_model(years=2.0), None, 13, 4)
+    out["simulate_paths/sir-seasonal"] = digest(states, obs)
 
     rw = {"r": 0.02, "sigma": 0.02, "tau": 0.02}
     rw_nat = {"r": 0.002, "sigma": 0.002, "tau": 0.002}  # keeps sigma, tau positive
@@ -96,6 +103,12 @@ def library_hashes():
     res = pk.mif(fails_at(gomp, float(gomp.data.times[4])), settings, seed=5)
     out["mif/max_fail"] = digest(res.trace, res.theta_hat.values, res.n_failures,
                                  *filter_parts(res.final_filter))
+
+    settings = pk.MifSettings(start=seasonal.params, n_iterations=2, num_particles=40,
+                              rw_sd={"b1": 0.02, "rho": 0.002, "sigma": 0.005})
+    res = pk.mif(seasonal, settings, seed=5)
+    out["mif/sir-seasonal"] = digest(res.trace, res.theta_hat.values, res.n_failures,
+                                     *filter_parts(res.final_filter))
 
     probes = [pk.probe_mean("Y", transform=np.sqrt), pk.probe_acf("Y", [1, 2])]
     res = pk.probe_match(gomp, gomp.params, ("r", "sigma"), probes, nsim=60, seed=3,
