@@ -5,6 +5,14 @@ and is accepted only if the scaled probe mismatch falls inside a tolerance
 ball AND a Metropolis draw passes the prior ratio.  The per-step scaled
 distance (and the simulated probes behind it) are kept on the chain for
 audit.
+
+The chain is the random-walk Metropolis kernel :func:`pompkit.pmcmc._metropolis`
+that PMMH uses, with a different score: 0 inside the tolerance ball and -inf
+outside it.  The start scores 0 unsimulated, since the chain starts where it
+is told; each proposal inside the prior support is simulated once, and the
+incumbent is never re-simulated.  Each step draws the proposal normals, then
+one uniform (also on steps rejected for the prior or the ball), then
+simulates.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from . import core
 from .exceptions import DomainError
-from .pmcmc import Chain, Proposal
+from .pmcmc import Chain, Proposal, _metropolis
 from .probes import apply_probes, probe_labels
 from .rng import stream
 
@@ -88,50 +96,30 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
     evaluates a likelihood.
     """
     model.require("abc", "rprocess", "rmeasure")
-    if model.dprior is None:
-        raise DomainError("abc requires a dprior callback on the model")
-    names = start.names
-    theta = np.array(start.values)
-    logprior = float(model.dprior(dict(zip(names, theta)), True))
-    if not np.isfinite(logprior):
-        raise DomainError("starting parameters have zero prior density")
-    scales = settings.proposal.scales(names)
     tau = settings.scale
     eps2 = settings.epsilon**2
-
     data_batch = {name: model.data.column(name)[None, :] for name in model.obs_names}
     observed = apply_probes(settings.probes, data_batch)[0]
 
-    rng = stream(seed, "abc-chain")
     M = settings.n_steps
-    samples = np.empty((M, len(names)))
-    log_priors = np.empty(M)
-    accepted = np.zeros(M, dtype=bool)
     distances = np.full(M, np.nan)
     sim_probes = np.full((M, observed.size), np.nan)
 
-    for m in range(M):
-        theta_prop = settings.proposal.propose(theta, scales, rng)
-        logprior_prop = float(model.dprior(dict(zip(names, theta_prop)), True))
-        if np.isfinite(logprior_prop):
-            # Out-of-prior proposals never reach the simulator (they are
-            # rejected regardless, and may lie outside the model's domain).
-            params = core.ParamVector(dict(zip(names, theta_prop)))
-            _, obs_arrays = core.simulate_paths(model, params,
-                                                stream(seed, "abc-sim", m), 1)
-            batch = {name: obs_arrays[:, :, i] for i, name in enumerate(model.obs_names)}
-            sim_vals = apply_probes(settings.probes, batch)[0]
-            dist2 = float(np.sum(((sim_vals - observed) / tau) ** 2))
-            distances[m] = dist2
-            sim_probes[m] = sim_vals
-            if dist2 < eps2 and math.log(rng.random()) < logprior_prop - logprior:
-                theta, logprior = theta_prop, logprior_prop
-                accepted[m] = True
-        samples[m] = theta
-        log_priors[m] = logprior
+    def log_target(params, m):
+        if m == 0:
+            return 0.0
+        _, obs_arrays = core.simulate_paths(model, params, stream(seed, "abc-sim", m - 1), 1)
+        batch = {name: obs_arrays[:, :, i] for i, name in enumerate(model.obs_names)}
+        sim_vals = apply_probes(settings.probes, batch)[0]
+        dist2 = float(np.sum(((sim_vals - observed) / tau) ** 2))
+        distances[m - 1] = dist2
+        sim_probes[m - 1] = sim_vals
+        return 0.0 if dist2 < eps2 else -math.inf
 
+    samples, _, log_priors, accepted = _metropolis(
+        model, start, settings.proposal, M, stream(seed, "abc-chain"), log_target, "abc")
     return Chain(
-        param_names=names,
+        param_names=start.names,
         samples=samples,
         logliks=np.full(M, np.nan),
         log_priors=log_priors,

@@ -295,13 +295,9 @@ def _load_input(loader, path, **kwargs):
         raise ConfigError(f"{path}: {err.strerror or err}") from None
 
 
-def _prior_callbacks(prior_spec: dict):
-    bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()}
-    return uniform_box_prior(bounds)
-
-
 def _with_prior(model, prior_spec):
-    rprior, dprior = _prior_callbacks(prior_spec)
+    rprior, dprior = uniform_box_prior(
+        {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()})
     return dataclasses.replace(model, rprior=rprior, dprior=dprior)
 
 

@@ -176,6 +176,8 @@ class TimeSeriesData:
         object.__setattr__(self, "obs_names", tuple(self.obs_names))
         if times.ndim != 1 or times.size == 0:
             raise DomainError("times must be a non-empty 1-D array")
+        if not (np.all(np.isfinite(times)) and np.isfinite(self.t0)):
+            raise DomainError("t0 and the observation times must be finite")
         if np.any(np.diff(times) <= 0):
             raise DomainError("observation times must be strictly increasing")
         if self.t0 > times[0]:
@@ -196,10 +198,6 @@ class TimeSeriesData:
     def record(self, n) -> dict:
         """Observation record at time index ``n`` as a name->scalar dict."""
         return {k: float(v) for k, v in zip(self.obs_names, self.observations[n])}
-
-    @property
-    def has_missing(self) -> bool:
-        return bool(np.isnan(self.observations).any())
 
     @staticmethod
     def empty(t0, times, obs_names) -> "TimeSeriesData":
@@ -231,6 +229,8 @@ class CovariateTable:
         object.__setattr__(self, "names", tuple(self.names))
         if times.ndim != 1 or times.size == 0:
             raise DomainError("covariate times must be a non-empty 1-D array")
+        if not np.all(np.isfinite(times)):
+            raise DomainError("covariate times must be finite")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise DomainError("covariate times must be strictly increasing")
         if len(set(self.names)) != len(self.names):
@@ -495,30 +495,32 @@ def default_initializer(model: ModelSpec):
     return initializer
 
 
+def _stack(out: dict, names, n: int, component: str, operation: str) -> np.ndarray:
+    """The (n, k) matrix of a callback's named outputs; scalars broadcast.
+
+    A name the callback did not return raises :class:`ModelComponentError`
+    naming the callback.
+    """
+    mat = np.empty((n, len(names)), dtype=float)
+    for i, name in enumerate(names):
+        try:
+            v = out[name]
+        except KeyError:
+            raise ModelComponentError(f"{component} ('{name}' not returned)", operation) from None
+        if isinstance(v, np.ndarray) and v.shape == (n,):
+            mat[:, i] = v  # the common case on the filter's hot path
+        else:
+            mat[:, i] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+    return mat
+
+
 def _init_states(model: ModelSpec, params: dict, t0, rng, n) -> np.ndarray:
     init = model.initializer if model.initializer is not None else default_initializer(model)
-    x = init(params, t0, rng, n)
-    mat = np.empty((n, model.n_states), dtype=float)
-    for i, s in enumerate(model.state_names):
-        if s not in x:
-            raise ModelComponentError(f"initializer (state '{s}' not returned)", "initialize")
-        mat[:, i] = np.broadcast_to(np.asarray(x[s], dtype=float), (n,))
-    return mat
+    return _stack(init(params, t0, rng, n), model.state_names, n, "initializer", "initialize")
 
 
 def _as_state_dict(model: ModelSpec, mat: np.ndarray) -> dict:
     return {s: mat[:, i] for i, s in enumerate(model.state_names)}
-
-
-def _from_state_dict(model: ModelSpec, x: dict, n: int) -> np.ndarray:
-    mat = np.empty((n, model.n_states), dtype=float)
-    for i, s in enumerate(model.state_names):
-        v = x[s]
-        if isinstance(v, np.ndarray) and v.shape == (n,):
-            mat[:, i] = v
-        else:
-            mat[:, i] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
-    return mat
 
 
 def advance(model: ModelSpec, state_mat: np.ndarray, params: dict, t0, t1, rng) -> np.ndarray:
@@ -536,7 +538,7 @@ def advance(model: ModelSpec, state_mat: np.ndarray, params: dict, t0, t1, rng) 
         raise
     except ValueError as err:
         raise DomainError(f"process simulation over [{t0:g}, {t1:g}] failed: {err}") from err
-    return _from_state_dict(model, x, n)
+    return _stack(x, model.state_names, n, "rprocess", "advance")
 
 
 def measure(model: ModelSpec, state_mat: np.ndarray, params: dict, t, rng) -> np.ndarray:
@@ -544,14 +546,7 @@ def measure(model: ModelSpec, state_mat: np.ndarray, params: dict, t, rng) -> np
     n = state_mat.shape[0]
     cv = model.covariates.lookup(t) if model.covariates is not None else None
     y = model.rmeasure(_as_state_dict(model, state_mat), params, t, rng, cv)
-    out = np.empty((n, len(model.obs_names)), dtype=float)
-    for i, name in enumerate(model.obs_names):
-        v = y[name]
-        if isinstance(v, np.ndarray) and v.shape == (n,):
-            out[:, i] = v
-        else:
-            out[:, i] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
-    return out
+    return _stack(y, model.obs_names, n, "rmeasure", "measure")
 
 
 def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, params: dict, t):

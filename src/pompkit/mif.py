@@ -17,7 +17,7 @@ estimates from the weighted swarm after each weighting.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -101,17 +101,6 @@ class MifResult:
     final_filter: Optional[smc.FilterResult]
     n_failures: int = 0
 
-    def trace_column(self, name) -> np.ndarray:
-        return self.trace[:, self.param_names.index(name)].copy()
-
-
-def _to_work(model, theta_nat: dict, transform: bool) -> dict:
-    return core.transform_params(model, theta_nat, "to-estimation") if transform else dict(theta_nat)
-
-
-def _to_nat(model, theta_work: dict, transform: bool) -> dict:
-    return core.transform_params(model, theta_work, "from-estimation") if transform else dict(theta_work)
-
 
 def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         run_final_filter=True) -> MifResult:
@@ -123,6 +112,8 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     to their starting values.
     """
     model.require("iterated filtering", "rprocess", "dmeasure")
+    if not settings.transform:
+        model = replace(model, to_estimation=None, from_estimation=None)
     names = settings.start.names
     p = len(names)
     data = model.data
@@ -141,11 +132,12 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     ivp = (sigma > 0) & is_ivp           # time-zero-only parameters
     n_est = int(est.sum())
     start_nat = settings.start.as_dict()
-    theta = np.array([_to_work(model, start_nat, settings.transform)[n] for n in names])
+    start_work = core.transform_params(model, start_nat, "to-estimation")
+    theta = np.array([start_work[n] for n in names])
 
     def natural(theta_mat):
-        return _to_nat(model, {nm: theta_mat[:, i] for i, nm in enumerate(names)},
-                       settings.transform)
+        return core.transform_params(model, {nm: theta_mat[:, i] for i, nm in enumerate(names)},
+                                     "from-estimation")
 
     rng = stream(seed, "mif")
     trace = np.empty((M, p))
@@ -187,7 +179,8 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         theta[est] += v[0] * increments
         if ivp.any():
             theta[ivp] = theta_ivp_hat
-        nat = _to_nat(model, {nm: theta[i] for i, nm in enumerate(names)}, settings.transform)
+        nat = core.transform_params(model, {nm: theta[i] for i, nm in enumerate(names)},
+                                    "from-estimation")
         trace[m - 1] = [start_nat[nm] if sigma[i] == 0 else nat[nm]
                         for i, nm in enumerate(names)]
 

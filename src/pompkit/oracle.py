@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,13 +267,15 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
     unknown = set(est) - set(start.names)
     if unknown:
         raise DomainError(f"est names not in start: {sorted(unknown)}")
+    if not transform:
+        model = replace(model, to_estimation=None, from_estimation=None)
     base_nat = start.as_dict()
-    work = transform_params(model, base_nat, "to-estimation") if transform else dict(base_nat)
+    work = transform_params(model, base_nat, "to-estimation")
 
     def unpack(x):
         w = dict(work)
         w.update(zip(est, x))
-        nat = transform_params(model, w, "from-estimation") if transform else w
+        nat = transform_params(model, w, "from-estimation")
         for name in start.names:
             if name not in est:
                 nat[name] = base_nat[name]

@@ -5,6 +5,13 @@ the incumbent's estimate is carried along unchanged, never recomputed, which
 is what makes the chain target the exact posterior despite the likelihood
 being estimated.  Proposals are a symmetric diagonal-normal random walk, so
 the acceptance ratio needs no proposal terms.
+
+The chain itself is :func:`_metropolis`, which ABC-MCMC (:mod:`pompkit.abc`)
+shares; the two differ only in how a proposal is scored.  The kernel scores
+the start once (``log_target(start, 0)``) after checking that it has positive
+prior density, and then only the proposals ``m = 1..M`` that lie inside the
+prior support; the incumbent's score is carried, never recomputed.  Each step
+draws the proposal normals, then one uniform, then scores the proposal.
 """
 
 from __future__ import annotations
@@ -52,9 +59,6 @@ class Proposal:
             raise DomainError(f"proposal names not in parameters: {sorted(unknown)}")
         return np.array([float(self.sd.get(n, 0.0)) for n in names])
 
-    def propose(self, theta: np.ndarray, scales: np.ndarray, rng) -> np.ndarray:
-        return theta + scales * rng.standard_normal(theta.shape)
-
 
 def mvn_diag_rw(sd: dict) -> Proposal:
     """Diagonal-normal random-walk proposal with per-parameter scales."""
@@ -89,8 +93,8 @@ class Chain:
     """A Metropolis chain of parameter samples with acceptance bookkeeping.
 
     Row m repeats row m-1 whenever step m was rejected.  ``logliks`` holds the
-    carried likelihood estimate of the retained sample (for feature-matching
-    chains this is the scaled probe distance instead; see ``extras``).
+    carried likelihood estimate of the retained sample (NaN for ABC chains,
+    which keep each proposal's scaled probe distance in ``extras``).
     """
 
     param_names: tuple
@@ -156,6 +160,53 @@ def effective_sample_size(samples, with_flag=False):
     return (ess_value, capped) if with_flag else ess_value
 
 
+def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Proposal,
+                n_steps: int, rng, log_target, operation: str):
+    """Random-walk Metropolis chain of ``n_steps`` steps from ``start``.
+
+    Accepts a proposal with probability min(1, prior ratio times
+    exp(log_target ratio)).  ``log_target(params, m)`` is called once for the
+    start (m = 0) and once for each proposal m that has positive prior
+    density; prior-zero proposals are rejected unscored, so the model never
+    sees parameters outside the prior support.  Returns ``(samples, targets,
+    log_priors, accepted)``, where row m-1 holds the retained state after
+    step m.
+    """
+    if model.dprior is None:
+        raise DomainError(f"{operation} requires a dprior callback on the model")
+    names = start.names
+    theta = np.array(start.values)
+    logprior = float(model.dprior(dict(zip(names, theta)), True))
+    if not np.isfinite(logprior):
+        raise DomainError("starting parameters have zero prior density")
+    scales = proposal.scales(names)
+    target = log_target(start, 0)
+
+    M = int(n_steps)
+    samples = np.empty((M, len(names)))
+    targets = np.empty(M)
+    log_priors = np.empty(M)
+    accepted = np.zeros(M, dtype=bool)
+
+    for m in range(1, M + 1):
+        theta_prop = theta + scales * rng.standard_normal(theta.shape)
+        params_prop = dict(zip(names, theta_prop))
+        logprior_prop = float(model.dprior(params_prop, True))
+        log_u = math.log(rng.random())
+        if np.isfinite(logprior_prop):
+            target_prop = log_target(core.ParamVector(params_prop), m)
+            log_ratio = (logprior_prop + target_prop) - (logprior + target)
+        else:
+            target_prop, log_ratio = -math.inf, -math.inf
+        if log_u < log_ratio:
+            theta, target, logprior = theta_prop, target_prop, logprior_prop
+            accepted[m - 1] = True
+        samples[m - 1] = theta
+        targets[m - 1] = target
+        log_priors[m - 1] = logprior
+    return samples, targets, log_priors, accepted
+
+
 def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
           num_particles: int, proposal: Proposal, seed=0, max_fail=0) -> Chain:
     """Particle marginal Metropolis-Hastings.
@@ -166,54 +217,19 @@ def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
     an error.
     """
     model.require("pmcmc", "rprocess", "dmeasure")
-    if model.dprior is None:
-        raise DomainError("pmcmc requires a dprior callback on the model")
-    names = start.names
-    theta = np.array(start.values)
-    logprior = float(model.dprior(dict(zip(names, theta)), True))
-    if not np.isfinite(logprior):
-        raise DomainError("starting parameters have zero prior density")
-    scales = proposal.scales(names)
 
-    def estimate_loglik(theta_vec, tag):
-        params = core.ParamVector(dict(zip(names, theta_vec)))
+    def log_target(params, m):
         try:
             return pfilter(model, params, num_particles=num_particles,
-                           seed=stream(seed, "pmcmc-pfilter", tag)).loglik
+                           seed=stream(seed, "pmcmc-pfilter", m)).loglik
         except FilteringFailureError as err:
             logger.warning("proposal auto-rejected: %s", err)
             return -math.inf
 
-    loglik = estimate_loglik(theta, 0)
-    rng = stream(seed, "pmcmc-chain")
-
-    M = int(n_steps)
-    samples = np.empty((M, len(names)))
-    logliks = np.empty(M)
-    log_priors = np.empty(M)
-    accepted = np.zeros(M, dtype=bool)
-
-    for m in range(1, M + 1):
-        theta_prop = proposal.propose(theta, scales, rng)
-        logprior_prop = float(model.dprior(dict(zip(names, theta_prop)), True))
-        log_u = math.log(rng.random())
-        if np.isfinite(logprior_prop):
-            # Prior-zero proposals skip the filtering pass: they are rejected
-            # with probability one either way, and the model components need
-            # never see out-of-domain parameters.
-            loglik_prop = estimate_loglik(theta_prop, m)
-            log_ratio = (logprior_prop + loglik_prop) - (logprior + loglik)
-        else:
-            loglik_prop, log_ratio = -math.inf, -math.inf
-        if log_u < log_ratio:
-            theta, loglik, logprior = theta_prop, loglik_prop, logprior_prop
-            accepted[m - 1] = True
-        samples[m - 1] = theta
-        logliks[m - 1] = loglik
-        log_priors[m - 1] = logprior
-
+    samples, logliks, log_priors, accepted = _metropolis(
+        model, start, proposal, n_steps, stream(seed, "pmcmc-chain"), log_target, "pmcmc")
     return Chain(
-        param_names=names,
+        param_names=start.names,
         samples=samples,
         logliks=logliks,
         log_priors=log_priors,

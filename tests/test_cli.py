@@ -138,13 +138,15 @@ GOOD_CSV = "time,Y\n1.0,1.1\n2.0,0.9\n3.0,1.0\n"
 
 
 @pytest.mark.parametrize("case", ["non-numeric-cell", "ragged-row", "missing-data",
-                                  "missing-covariates", "non-increasing-times"])
+                                  "missing-covariates", "non-increasing-times",
+                                  "blank-time-cell"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, case):
     data = tmp_path / "data.csv"
     data.write_text({
         "non-numeric-cell": "time,Y\n1.0,1.1\n2.0,abc\n",
         "ragged-row": "time,Y\n1.0,1.1\n2.0,0.9,7\n",
         "non-increasing-times": "time,Y\n1.0,1.1\n3.0,0.9\n2.0,1.0\n",
+        "blank-time-cell": "time,Y\n1.0,1.1\n,0.9\n3.0,1.0\n4.0,1.2\n",
     }.get(case, GOOD_CSV))
     out = tmp_path / "out"
     config = {"schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": 1,

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -50,6 +51,20 @@ def test_time_series_ordering_invariants():
     tsd = TimeSeriesData(t0=1.0, times=[1.0, 2.0], observations=np.zeros((2, 1)),
                          obs_names=("y",))
     assert tsd.n_obs == 2
+
+
+@pytest.mark.parametrize("t0, times", [(0.0, [1.0, np.nan, 3.0]), (0.0, [1.0, 2.0, np.inf]),
+                                       (np.nan, [1.0, 2.0, 3.0]), (-np.inf, [1.0, 2.0, 3.0])])
+def test_time_series_rejects_non_finite_times(t0, times):
+    # NaN compares False, so an ordering check alone lets it through
+    with pytest.raises(DomainError, match="finite"):
+        TimeSeriesData(t0=t0, times=times, observations=np.zeros((3, 1)), obs_names=("y",))
+
+
+@pytest.mark.parametrize("times", [[np.nan], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])
+def test_covariate_table_rejects_non_finite_times(times):
+    with pytest.raises(DomainError, match="finite"):
+        CovariateTable(times=times, values=np.zeros((len(times), 1)), names=("c",))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +212,25 @@ def test_default_initializer_uses_dot_zero_suffix():
     rec = pk.simulate(model, seed=0)[0]
     assert rec.states[0, 0] == 7.0   # N.0
     assert rec.states[0, 1] == 0.0   # e.0
+
+
+@pytest.mark.parametrize("component", ["initializer", "rprocess", "rmeasure"])
+def test_callback_omitting_a_name_is_model_component_error(component):
+    model = pk.ModelSpec(
+        data=TimeSeriesData.empty(0.0, [1.0, 2.0], ("y",)),
+        state_names=("x", "z"),
+        initializer=lambda p, t0, rng, n: {"x": 1.0, "z": np.zeros(n)},
+        rprocess=lambda x, p, t0, t1, rng, cv: x,
+        rmeasure=lambda x, p, t, rng, cv: {"y": x["x"]},
+    )
+    drop_z = {
+        "initializer": lambda p, t0, rng, n: {"x": 1.0},
+        "rprocess": lambda x, p, t0, t1, rng, cv: {"x": x["x"]},
+        "rmeasure": lambda x, p, t, rng, cv: {},
+    }[component]
+    model = dataclasses.replace(model, **{component: drop_z})
+    with pytest.raises(ModelComponentError, match=component):
+        pk.simulate(model, ParamVector({"a": 1.0}), seed=0)
 
 
 def test_custom_initializer_overrides_suffix_rule():

@@ -10,6 +10,7 @@ from pompkit.exceptions import DomainError
 
 # the pmcmc *module*; the package attribute of the same name is the function
 pmcmc_mod = importlib.import_module("pompkit.pmcmc")
+core_mod = importlib.import_module("pompkit.core")
 
 
 def gompertz_with_prior(model):
@@ -148,3 +149,51 @@ def test_detailed_balance_against_analytic_posterior():
     analytic = np.diff(cdf) / (cdf[-1] - cdf[0])
     tv = 0.5 * np.abs(empirical - analytic).sum()
     assert tv < 0.05
+
+
+# ---------------------------------------------------------------------------
+# the Metropolis kernel shared by pmcmc and abc
+
+
+@pytest.mark.parametrize("method", ["pmcmc", "abc"])
+def test_chain_scores_each_in_prior_proposal_once(method, monkeypatch):
+    lo, hi = -1.0, 1.0
+    model = stub_model(0.4, lo, hi)
+    dprior = model.dprior
+    calls = {"in_prior": 0, "scored": 0}
+
+    def guarded_rprocess(x, p, t0, t1, rng, cv):
+        if not lo <= p["theta"] <= hi:
+            raise AssertionError(f"simulator reached theta={p['theta']} outside the prior")
+        return x
+
+    def counting_dprior(params, log=True):
+        value = dprior(params, log)
+        calls["in_prior"] += bool(np.isfinite(value))
+        return value
+
+    model = dataclasses.replace(model, rprocess=guarded_rprocess, dprior=counting_dprior)
+    # pmcmc scores by a filtering pass, abc by one simulated dataset
+    owner, name = (pmcmc_mod, "pfilter") if method == "pmcmc" else (core_mod, "simulate_paths")
+    real = getattr(owner, name)
+
+    def counting_scorer(*args, **kwargs):
+        calls["scored"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting_scorer)
+    n_steps = 200
+    proposal = pk.mvn_diag_rw({"theta": 1.5})  # wide: many proposals leave the prior
+    if method == "pmcmc":
+        chain = pk.pmcmc(model, model.params, n_steps=n_steps, num_particles=1,
+                         proposal=proposal, seed=9)
+    else:
+        settings = pk.AbcSettings(probes=(pk.probe_mean("y"),), scale=[1.0],
+                                  proposal=proposal, n_steps=n_steps, epsilon=2.0)
+        chain = pk.abc(model, model.params, settings, seed=9)
+    in_prior_proposals = calls["in_prior"] - 1  # the start's own check
+    assert 0 < in_prior_proposals < n_steps
+    assert 0 < chain.acceptance_rate < 1
+    # pmcmc scores the start once; abc starts where it is told, unsimulated
+    start_scores = 1 if method == "pmcmc" else 0
+    assert calls["scored"] == in_prior_proposals + start_scores

@@ -9,10 +9,11 @@ bit-identical:
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
 tolerated filtering failure), ``simulate_paths`` on seasonal SIR, ``mif`` on
 Gompertz (with and without IVPs and ``transform``, and with a tolerated
-failure) and on seasonal SIR, ``probe_match``, ``nlf_fit``, and the CLI's
-``result.json`` (minus ``generated_at``) and CSV files for ``pfilter``,
-``mif``, ``pmcmc`` and ``probe``.  All runs are small; the whole script takes
-well under a minute.
+failure) and on seasonal SIR, ``pmcmc`` on Gompertz (plain, and with
+prior-zero proposals and an auto-rejected filtering failure), ``abc`` on
+Gompertz, ``probe_match``, ``nlf_fit``, and the CLI's ``result.json`` (minus
+``generated_at``) and CSV files for ``pfilter``, ``mif``, ``pmcmc``, ``probe``
+and ``abc``.  All runs are small; the whole script takes well under a minute.
 """
 
 from __future__ import annotations
@@ -51,15 +52,26 @@ def filter_parts(res):
     return parts
 
 
-def fails_at(model, t_fail):
-    """The model with every particle weight zero at observation time ``t_fail``."""
+def chain_parts(chain):
+    return [chain.samples, chain.logliks, chain.log_priors, chain.accepted,
+            *(chain.extras[k] for k in sorted(chain.extras))]
+
+
+def fails_at(model, t_fail, when=lambda params: True):
+    """The model with every particle weight zero at observation time ``t_fail``,
+    for the parameters where ``when(params)`` holds."""
     dmeasure = model.dmeasure
 
     def broken(y, x, params, t, log, covars):
         out = dmeasure(y, x, params, t, log, covars)
-        return np.full(np.shape(out), -np.inf) if t == t_fail else out
+        return np.full(np.shape(out), -np.inf) if t == t_fail and when(params) else out
 
     return dataclasses.replace(model, dmeasure=broken)
+
+
+def with_box_prior(model, bounds):
+    rprior, dprior = pk.uniform_box_prior(bounds)
+    return dataclasses.replace(model, rprior=rprior, dprior=dprior)
 
 
 def library_hashes():
@@ -110,7 +122,26 @@ def library_hashes():
     out["mif/sir-seasonal"] = digest(res.trace, res.theta_hat.values, res.n_failures,
                                      *filter_parts(res.final_filter))
 
+    wide = with_box_prior(gomp, {n: (0.01, 1.0) for n in ("r", "sigma", "tau")})
+    chain = pk.pmcmc(wide, gomp.params, n_steps=30, num_particles=40,
+                     proposal=pk.mvn_diag_rw({"r": 0.02, "sigma": 0.02, "tau": 0.02}), seed=6)
+    out["pmcmc/plain"] = digest(*chain_parts(chain))
+    # a narrow box that wide proposals leave, and a filter that fails for large tau
+    narrow = with_box_prior(fails_at(gomp, float(gomp.data.times[5]),
+                                     lambda params: params["tau"] > 0.11),
+                            {"r": (0.05, 0.2), "sigma": (0.05, 0.2), "tau": (0.05, 0.2)})
+    chain = pk.pmcmc(narrow, gomp.params, n_steps=40, num_particles=40,
+                     proposal=pk.mvn_diag_rw({"r": 0.05, "sigma": 0.03, "tau": 0.03}), seed=6)
+    out["pmcmc/prior-zero-and-failure"] = digest(*chain_parts(chain))
+
     probes = [pk.probe_mean("Y", transform=np.sqrt), pk.probe_acf("Y", [1, 2])]
+    scale = pk.compute_probe_scales(gomp, None, probes, nsim=50, seed=4)
+    aset = pk.AbcSettings(probes=probes, scale=scale, n_steps=60, epsilon=2.0,
+                          proposal=pk.mvn_diag_rw({"r": 0.05, "sigma": 0.03, "tau": 0.03}))
+    chain = pk.abc(with_box_prior(gomp, {"r": (0.05, 0.2), "sigma": (0.05, 0.2),
+                                        "tau": (0.05, 0.2)}), gomp.params, aset, seed=7)
+    out["abc/plain"] = digest(*chain_parts(chain))
+
     res = pk.probe_match(gomp, gomp.params, ("r", "sigma"), probes, nsim=60, seed=3,
                          maxit=30)
     out["probe_match"] = digest(res.theta.values, res.value, res.status, res.n_evals)
@@ -131,6 +162,10 @@ CLI_RUNS = {
     "probe": {"nsim": 50, "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
                                      {"type": "acf", "var": "Y", "lags": [1, 2]},
                                      {"type": "marginal", "var": "Y"}]},
+    "abc": {"steps": 40, "scale_nsim": 50, "epsilon": 2.0, "prior": PRIOR,
+            "proposal_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02},
+            "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
+                       {"type": "acf", "var": "Y", "lags": [1, 2]}]},
 }
 
 
