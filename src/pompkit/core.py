@@ -389,7 +389,7 @@ def transform_params(model: ModelSpec, params, direction: str):
     if fn is not None:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             d = dict(fn(d))
-        bad = [k for k, v in d.items() if not np.all(np.isfinite(v))]
+        bad = [k for k, v in d.items() if not np.isfinite(v).all()]
         if bad:
             raise TransformDomainError(bad, direction)
     return ParamVector(d) if as_vector else d
@@ -556,6 +556,11 @@ def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, par
     all missing contributes log-density zero (the conditioning convention), so
     the filter does not evaluate it.  Models receive NaN for partially missing
     components and apply the same convention per component.
+
+    The result is returned unchecked.  The filter kernel
+    (:func:`pompkit.smc._filter_pass`) enforces the never-NaN contract through
+    the maximum log weight it already takes, which is NaN whenever any entry
+    is, and raises :class:`DomainError` naming ``t``.
     """
     n = state_mat.shape[0]
     cv = model.covariates.lookup(t) if model.covariates is not None else None
@@ -563,8 +568,6 @@ def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, par
                       dtype=float)
     if logw.shape != (n,):
         logw = np.broadcast_to(logw, (n,)).copy()
-    if np.isnan(logw).any():
-        raise DomainError(f"dmeasure returned NaN at t={t}; it must return finite values or -inf")
     return logw
 
 

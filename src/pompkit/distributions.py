@@ -206,16 +206,21 @@ def dpois(y, lam, log=False):
 
 
 def dlnorm(y, meanlog, sdlog, log=False):
-    """Lognormal density; zero (log: -inf) for y <= 0."""
-    y = np.asarray(y, dtype=float)
+    """Lognormal density; zero (log: -inf) for y <= 0 and for NaN y."""
     meanlog = np.asarray(meanlog, dtype=float)
     sdlog = np.asarray(sdlog, dtype=float)
     if not sdlog.min(initial=np.inf) > 0:
         raise DomainError("sdlog must be positive")
-    positive = y > 0
-    ly = np.log(y, out=np.zeros(y.shape), where=positive)
+    if isinstance(y, float) and y > 0:
+        # one positive observation, the filter's case: nothing to mask
+        ly, positive = np.log(y), None
+    else:
+        y = np.asarray(y, dtype=float)
+        positive = y > 0
+        ly = np.log(y, out=np.zeros(y.shape), where=positive)
     z = (ly - meanlog) / sdlog
     logpdf = -0.5 * z**2 - np.log(sdlog) - _HALF_LOG_2PI - ly
-    logpdf = np.where(positive, logpdf, -np.inf)
+    if positive is not None:
+        logpdf = np.where(positive, logpdf, -np.inf)
     out = logpdf if log else np.exp(logpdf)
     return float(out) if np.ndim(out) == 0 else out

@@ -95,8 +95,18 @@ def perturbation_sd(settings: MifSettings, iteration: int) -> dict:
 
 @dataclass(frozen=True)
 class MifResult:
+    """Output of :func:`mif`.
+
+    ``trace`` holds the estimate after each iteration on the natural scale and
+    ``logliks`` the log likelihood estimate of each iteration's perturbed
+    filtering pass (-inf when a tolerated filtering failure occurred in it).
+    Those come from the perturbed model, so they track progress but are not
+    likelihood estimates at any single parameter value; ``final_filter`` is.
+    """
+
     theta_hat: core.ParamVector
     trace: np.ndarray  # (n_iterations, p) on the natural scale
+    logliks: np.ndarray  # (n_iterations,)
     param_names: tuple
     final_filter: Optional[smc.FilterResult]
     n_failures: int = 0
@@ -135,19 +145,21 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     start_work = core.transform_params(model, start_nat, "to-estimation")
     theta = np.array([start_work[n] for n in names])
 
-    def natural(theta_mat):
-        return core.transform_params(model, {nm: theta_mat[:, i] for i, nm in enumerate(names)},
-                                     "from-estimation")
+    # the parameter swarm is held as a (p, J) array, one contiguous row per
+    # parameter, so the hooks read and write whole rows
+    def natural(swarm):
+        return core.transform_params(model, dict(zip(names, swarm)), "from-estimation")
 
     rng = stream(seed, "mif")
     trace = np.empty((M, p))
+    logliks = np.empty(M)
     n_failures_total = 0
 
     for m in range(1, M + 1):
         cool = a ** (m - 1)
         init_sd = C * cool * sigma
-        theta_mat = theta + init_sd * rng.standard_normal((J, p))
-        x = core._init_states(model, natural(theta_mat), data.t0, rng, J)
+        swarm = (theta + init_sd * rng.standard_normal((J, p))).T.copy()
+        x = core._init_states(model, natural(swarm), data.t0, rng, J)
 
         theta_bar_prev = theta[est]
         v = np.empty((N + 1, n_est))
@@ -158,22 +170,24 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         theta_ivp_hat = None
 
         def perturb():
-            theta_mat[:, est] += step_sd * rng.standard_normal((J, n_est))
-            return natural(theta_mat)
+            swarm[est] += step_sd[:, None] * rng.standard_normal((J, n_est)).T
+            return natural(swarm)
 
         def observe(n, w_norm, idx):
-            nonlocal theta_mat, theta_bar_prev, increments, theta_ivp_hat
-            theta_bar = w_norm @ theta_mat[:, est]
-            v[n + 1] = step_sd**2 + w_norm @ (theta_mat[:, est] - theta_bar) ** 2
+            nonlocal swarm, theta_bar_prev, increments, theta_ivp_hat
+            walked = swarm[est]
+            theta_bar = walked @ w_norm
+            v[n + 1] = step_sd**2 + ((walked - theta_bar[:, None]) ** 2) @ w_norm
             increments += (theta_bar - theta_bar_prev) / v[n]
             theta_bar_prev = theta_bar
             if idx is not None:
-                theta_mat = theta_mat[idx]
+                swarm = swarm[:, idx]
             if n + 1 == ic_lag:
-                theta_ivp_hat = theta_mat[:, ivp].mean(axis=0)
+                theta_ivp_hat = swarm[ivp].mean(axis=1)
 
-        n_failures_total += smc._filter_pass(model, x, None, rng, settings.max_fail,
-                                             perturb, observe).n_failures
+        result = smc._filter_pass(model, x, None, rng, settings.max_fail, perturb, observe)
+        n_failures_total += result.n_failures
+        logliks[m - 1] = result.loglik
 
         theta = theta.copy()
         theta[est] += v[0] * increments
@@ -201,6 +215,7 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     return MifResult(
         theta_hat=theta_hat,
         trace=trace,
+        logliks=logliks,
         param_names=names,
         final_filter=final,
         n_failures=n_failures_total,

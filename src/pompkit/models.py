@@ -48,12 +48,12 @@ GOMPERTZ_DEFAULTS = ParamVector({"r": 0.1, "K": 1.0, "sigma": 0.1, "tau": 0.1, "
 
 def _gompertz_step(x, params, t, dt, rng, covars):
     s = np.exp(-params["r"] * dt)
-    eps = np.exp(rng.normal(0.0, params["sigma"] * np.ones_like(x["X"])))
+    eps = np.exp(rng.normal(0.0, params["sigma"], size=x["X"].shape))
     return {"X": params["K"] ** (1.0 - s) * x["X"] ** s * eps}
 
 
 def _gompertz_rmeasure(x, params, t, rng, covars):
-    return {"Y": np.exp(rng.normal(np.log(x["X"]), params["tau"] * np.ones_like(x["X"])))}
+    return {"Y": np.exp(rng.normal(np.log(x["X"]), params["tau"], size=x["X"].shape))}
 
 
 def _gompertz_dmeasure(y, x, params, t, log, covars):
@@ -92,12 +92,12 @@ RICKER_DEFAULTS = ParamVector(
 
 
 def _ricker_step(x, params, t, dt, rng, covars):
-    e = rng.normal(0.0, params["sigma"] * np.ones_like(x["N"]))
+    e = rng.normal(0.0, params["sigma"], size=x["N"].shape)
     return {"N": params["r"] * x["N"] * np.exp(-x["N"] + e), "e": e}
 
 
 def _ricker_rmeasure(x, params, t, rng, covars):
-    return {"y": rng.poisson(params["phi"] * x["N"] * np.ones_like(x["N"]))}
+    return {"y": rng.poisson(params["phi"] * x["N"], size=x["N"].shape)}
 
 
 def _ricker_dmeasure(y, x, params, t, log, covars):
@@ -195,8 +195,8 @@ def _sir_initializer(params, t0, rng, n):
 
 
 def _sir_rmeasure(x, params, t, rng, covars):
-    return {"cases": rnbinom_mu(params["theta"] * np.ones_like(x["H"]),
-                                params["rho"] * x["H"], rng).astype(float)}
+    return {"cases": rnbinom_mu(params["theta"], params["rho"] * x["H"], rng,
+                                n=x["H"].shape[0]).astype(float)}
 
 
 def _sir_dmeasure(y, x, params, t, log, covars):

@@ -212,16 +212,17 @@ def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
     """Particle marginal Metropolis-Hastings.
 
     Accepts a proposal with probability min(1, prior ratio times the ratio of
-    likelihood estimates).  A filtering failure at a proposal counts as
-    likelihood zero (auto-reject, logged); zero prior density at the start is
-    an error.
+    likelihood estimates).  Each filtering pass tolerates up to ``max_fail``
+    failed steps (see :func:`~pompkit.smc.pfilter`); a pass that fails more
+    often counts as likelihood zero (auto-reject, logged).  Zero prior density
+    at the start is an error.
     """
     model.require("pmcmc", "rprocess", "dmeasure")
 
     def log_target(params, m):
         try:
             return pfilter(model, params, num_particles=num_particles,
-                           seed=stream(seed, "pmcmc-pfilter", m)).loglik
+                           seed=stream(seed, "pmcmc-pfilter", m), max_fail=max_fail).loglik
         except FilteringFailureError as err:
             logger.warning("proposal auto-rejected: %s", err)
             return -math.inf

@@ -9,7 +9,10 @@ every observation; there is no ESS-triggered adaptive scheme.
 The step loop lives in one private kernel, ``_filter_pass``.  :func:`pfilter`
 runs it at fixed parameters; iterated filtering (:mod:`pompkit.mif`) runs the
 same kernel with hooks that perturb the parameter swarm before each advance
-and read the weighted swarm after each weighting.
+and read the weighted swarm after each weighting.  The kernel also enforces
+the never-NaN ``dmeasure`` contract: the maximum log weight it takes at every
+step propagates NaN from any particle, so one comparison on that maximum
+raises :class:`~pompkit.exceptions.DomainError` without a separate scan.
 
 The estimator is unbiased for the likelihood (not the log likelihood), which
 is why replicate estimates are combined with :func:`logmeanexp`.
@@ -73,10 +76,9 @@ def systematic_resample(weights, rng, n=None) -> np.ndarray:
 def _systematic_resample(w, rng, grid) -> np.ndarray:
     """:func:`systematic_resample` without its checks, for weights known to be
     finite and non-negative with a positive sum; ``grid`` is ``arange(n)``."""
-    cumulative = np.cumsum(w / w.sum())
+    cumulative = (w / w.sum()).cumsum()
     cumulative[-1] = 1.0
-    u = (rng.random() + grid) / grid.size
-    return np.searchsorted(cumulative, u, side="left")
+    return cumulative.searchsorted((rng.random() + grid) / grid.size, side="left")
 
 
 def ess(weights) -> float:
@@ -86,7 +88,7 @@ def ess(weights) -> float:
     if total <= 0:
         raise DomainError("all weights are zero")
     w = w / total
-    return float(1.0 / np.sum(w**2))
+    return float(1.0 / (w * w).sum())
 
 
 def logmeanexp(values, with_se=False):
@@ -168,8 +170,11 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
             logw = np.zeros(J)
         else:
             logw = core.measurement_logdensity(model, records[n], x, params, t)
-        max_logw = np.max(logw)
-        if not np.isfinite(max_logw):
+        max_logw = logw.max()
+        if max_logw != max_logw:  # the maximum propagates NaN from any particle
+            raise DomainError(f"dmeasure returned NaN at t={t}; "
+                              "it must return finite values or -inf")
+        if not math.isfinite(max_logw):
             n_failures += 1
             if n_failures > max_fail:
                 raise FilteringFailureError(n + 1, t)
@@ -184,7 +189,7 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
             sum_w = w.sum()
             cond_logliks[n] = max_logw + np.log(sum_w / J)
             w_norm = w / sum_w
-            ess_vec[n] = 1.0 / np.sum(w_norm**2)
+            ess_vec[n] = 1.0 / (w_norm * w_norm).sum()
             filter_means[n] = w_norm @ x
             # exp() of finite-max log weights: finite, non-negative, max term 1
             idx = _systematic_resample(w_norm, rng, grid)

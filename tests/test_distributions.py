@@ -305,3 +305,20 @@ def test_dlnorm_matches_scipy():
     expected = stats.lognorm.logpdf(y, s=0.4, scale=np.exp(0.3))
     assert np.allclose(pk.dlnorm(y, 0.3, 0.4, log=True), expected)
     assert pk.dlnorm(-1.0, 0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("y", [2.5, 1e-300, 0.0, -1.0, np.nan])
+@pytest.mark.parametrize("meanlog", [0.3, np.linspace(-1.0, 2.0, 7)], ids=["scalar", "array"])
+def test_dlnorm_scalar_observation_matches_array_path(y, meanlog):
+    # a float y takes the unmasked path when positive; a 0-d array takes the masked one
+    sdlog = np.linspace(0.1, 0.7, 7)
+    for log in (True, False):
+        fast = pk.dlnorm(float(y), meanlog, sdlog, log=log)
+        masked = pk.dlnorm(np.asarray(y), meanlog, sdlog, log=log)
+        assert np.array_equal(fast, masked)
+        fast = pk.dlnorm(float(y), meanlog, 0.4, log=log)
+        masked = pk.dlnorm(np.asarray(y), meanlog, 0.4, log=log)
+        assert np.array_equal(fast, masked)
+        assert type(fast) is type(masked)
+    if not y > 0:
+        assert np.all(pk.dlnorm(float(y), meanlog, sdlog, log=True) == -np.inf)

@@ -133,6 +133,15 @@ def test_ivp_update_estimates_initial_condition(gompertz_fitted):
     assert abs(np.log(out.theta_hat["X.0"])) < abs(np.log(3.0))
 
 
+def test_logliks_hold_each_iterations_perturbed_filter(gompertz_fitted):
+    s = settings(gompertz_fitted.params, n_iterations=3)
+    out = pk.mif(gompertz_fitted, s, seed=16, run_final_filter=False)
+    assert out.logliks.shape == (3,)
+    assert np.isfinite(out.logliks).all()
+    assert pk.mif(gompertz_fitted, settings(gompertz_fitted.params, n_iterations=0),
+                  seed=16).logliks.shape == (0,)
+
+
 def test_final_filter_runs_at_estimate(gompertz_fitted):
     s = settings(gompertz_fitted.params, n_iterations=2)
     out = pk.mif(gompertz_fitted, s, seed=14)

@@ -224,3 +224,72 @@ def test_registry_knows_all_builtins():
     assert set(models.BUILTIN_MODELS) == {"gompertz", "ricker", "sir", "sir-seasonal"}
     with pytest.raises(KeyError, match="unknown model"):
         models.build_model("lorenz")
+
+
+# ---------------------------------------------------------------------------
+# the built-in draws, against their earlier ``ones_like`` forms
+
+
+def _old_gompertz_step(x, params, t, dt, rng, covars):
+    s = np.exp(-params["r"] * dt)
+    eps = np.exp(rng.normal(0.0, params["sigma"] * np.ones_like(x["X"])))
+    return {"X": params["K"] ** (1.0 - s) * x["X"] ** s * eps}
+
+
+def _old_gompertz_rmeasure(x, params, t, rng, covars):
+    return {"Y": np.exp(rng.normal(np.log(x["X"]), params["tau"] * np.ones_like(x["X"])))}
+
+
+def _old_ricker_step(x, params, t, dt, rng, covars):
+    e = rng.normal(0.0, params["sigma"] * np.ones_like(x["N"]))
+    return {"N": params["r"] * x["N"] * np.exp(-x["N"] + e), "e": e}
+
+
+def _old_ricker_rmeasure(x, params, t, rng, covars):
+    return {"y": rng.poisson(params["phi"] * x["N"] * np.ones_like(x["N"]))}
+
+
+def _old_sir_rmeasure(x, params, t, rng, covars):
+    return {"cases": pk.rnbinom_mu(params["theta"] * np.ones_like(x["H"]),
+                                   params["rho"] * x["H"], rng).astype(float)}
+
+
+J_DRAWS = 64
+_draw_rng = np.random.default_rng(2718)
+DRAW_CASES = {
+    "gompertz-step": (models._gompertz_step, _old_gompertz_step, True,
+                      {"X": _draw_rng.lognormal(0.0, 0.3, J_DRAWS)},
+                      {"r": 0.1, "K": 1.0, "sigma": 0.1}),
+    "gompertz-rmeasure": (models._gompertz_rmeasure, _old_gompertz_rmeasure, False,
+                          {"X": _draw_rng.lognormal(0.0, 0.3, J_DRAWS)}, {"tau": 0.1}),
+    "ricker-step": (models._ricker_step, _old_ricker_step, True,
+                    {"N": _draw_rng.uniform(1.0, 10.0, J_DRAWS)},
+                    {"r": float(np.exp(3.8)), "sigma": 0.3}),
+    "ricker-rmeasure": (models._ricker_rmeasure, _old_ricker_rmeasure, False,
+                        {"N": _draw_rng.uniform(1.0, 10.0, J_DRAWS)}, {"phi": 10.0}),
+    "sir-rmeasure": (models._sir_rmeasure, _old_sir_rmeasure, False,
+                     {"H": _draw_rng.integers(0, 500, J_DRAWS).astype(float)},
+                     {"theta": 100.0, "rho": 0.1}),
+}
+
+
+@pytest.mark.parametrize("per_particle", [False, True], ids=["scalar", "per-particle"])
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+def test_builtin_draws_match_ones_like_form_bit_for_bit(case, per_particle):
+    new, old, is_step, x, params = DRAW_CASES[case]
+    if per_particle:
+        # mif hands every parameter over as a (J,) array
+        spread = np.linspace(0.8, 1.2, J_DRAWS)
+        params = {k: v * spread for k, v in params.items()}
+
+    def call(fn, rng):
+        return fn(x, params, 0.0, 1.0, rng, None) if is_step else fn(x, params, 0.0, rng, None)
+
+    rng_new, rng_old = np.random.default_rng(99), np.random.default_rng(99)
+    got, want = call(new, rng_new), call(old, rng_old)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].shape == (J_DRAWS,)
+        assert got[name].dtype == want[name].dtype
+        assert np.array_equal(got[name], want[name])
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state

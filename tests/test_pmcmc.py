@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import logging
 
 import numpy as np
 import pytest
@@ -18,6 +19,37 @@ def gompertz_with_prior(model):
     bounds = {n: (truth[n] / 10, truth[n] * 10) for n in ("r", "sigma", "tau")}
     rprior, dprior = pk.uniform_box_prior(bounds)
     return dataclasses.replace(model, rprior=rprior, dprior=dprior), bounds
+
+
+def test_max_fail_reaches_the_proposal_filters(gompertz_fitted, caplog):
+    # every weight is zero at one step whenever tau > 0.11, which many proposals reach
+    t_fail = float(gompertz_fitted.data.times[5])
+    dmeasure = gompertz_fitted.dmeasure
+
+    def broken(y, x, p, t, log, cv):
+        out = dmeasure(y, x, p, t, log, cv)
+        return np.full(np.shape(out), -np.inf) if t == t_fail and p["tau"] > 0.11 else out
+
+    model, _ = gompertz_with_prior(dataclasses.replace(gompertz_fitted, dmeasure=broken))
+    kw = dict(n_steps=20, num_particles=40,
+              proposal=pk.mvn_diag_rw({"r": 0.05, "sigma": 0.03, "tau": 0.03}), seed=6)
+
+    def run(max_fail):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="pompkit"):
+            chain = pk.pmcmc(model, model.params, max_fail=max_fail, **kw)
+        messages = [r.message for r in caplog.records]
+        return (chain, sum("auto-rejected" in m for m in messages),
+                sum("zero weights tolerated" in m for m in messages))
+
+    strict, rejected, tolerated = run(0)
+    assert rejected > 0 and tolerated == 0
+    lenient, rejected, tolerated = run(1)
+    assert rejected == 0 and tolerated > 0
+    # a tolerated failure still makes the pass's likelihood zero, so the same
+    # proposals are rejected either way
+    assert np.array_equal(strict.samples, lenient.samples)
+    assert np.array_equal(strict.logliks, lenient.logliks)
 
 
 def test_degenerate_proposal_keeps_chain_at_start(gompertz_fitted):

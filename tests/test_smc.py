@@ -121,6 +121,33 @@ def test_mif_counts_and_logs_tolerated_failures(gompertz_fitted, caplog):
         pk.mif(broken, dataclasses.replace(s, max_fail=0), seed=3)
 
 
+def nan_at(model, t_nan, every_particle):
+    """The model with dmeasure returning NaN at ``t_nan``, for one particle or all."""
+    dmeasure = model.dmeasure
+
+    def broken(y, x, p, t, log, cv):
+        out = np.array(dmeasure(y, x, p, t, log, cv), dtype=float)
+        if t == t_nan:
+            out[slice(None) if every_particle else 3] = np.nan
+        return out
+
+    return dataclasses.replace(model, dmeasure=broken)
+
+
+@pytest.mark.parametrize("every_particle", [False, True], ids=["one-particle", "all-particles"])
+def test_nan_log_density_is_domain_error_naming_t(gompertz_fitted, every_particle):
+    t_nan = float(gompertz_fitted.data.times[4])
+    broken = nan_at(gompertz_fitted, t_nan, every_particle)
+    match = rf"dmeasure returned NaN at t={t_nan}"
+    # max_fail does not turn a NaN into a tolerated failure
+    with pytest.raises(DomainError, match=match):
+        pk.pfilter(broken, num_particles=20, seed=1, max_fail=5)
+    s = pk.MifSettings(start=gompertz_fitted.params, n_iterations=1, num_particles=20,
+                       rw_sd={"r": 0.02, "sigma": 0.02, "tau": 0.02}, max_fail=5)
+    with pytest.raises(DomainError, match=match):
+        pk.mif(broken, s, seed=1, run_final_filter=False)
+
+
 # ---------------------------------------------------------------------------
 # systematic resampling
 

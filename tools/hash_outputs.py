@@ -7,7 +7,8 @@ bit-identical:
     PYTHONPATH=<checkout>/src python3 tools/hash_outputs.py > hashes.txt
 
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
-tolerated filtering failure), ``simulate_paths`` on seasonal SIR, ``mif`` on
+tolerated filtering failure) and on Ricker, ``simulate_paths`` on seasonal
+SIR, Ricker and Gompertz, ``mif`` on
 Gompertz (with and without IVPs and ``transform``, and with a tolerated
 failure) and on seasonal SIR, ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure), ``abc`` on
@@ -83,6 +84,9 @@ def library_hashes():
     seasonal = pk.sir_seasonal_model(years=0.5)
     seasonal = pk.attach_data(seasonal, pk.simulate(seasonal, seed=8)[0])
 
+    ricker = pk.ricker_model()
+    ricker = pk.attach_data(ricker, pk.simulate(ricker, seed=9)[0])
+
     for name, model, J in (("gompertz", gomp, 300), ("sir", sir, 60),
                            ("sir-seasonal", seasonal, 60)):
         res = pk.pfilter(model, num_particles=J, seed=11, save_final_particles=True)
@@ -92,8 +96,14 @@ def library_hashes():
                          save_final_particles=True)
         out[f"pfilter/{name}/max_fail"] = digest(*filter_parts(res))
 
+    res = pk.pfilter(ricker, num_particles=300, seed=11, save_final_particles=True)
+    out["pfilter/ricker"] = digest(*filter_parts(res))
+
     states, obs = pk.simulate_paths(pk.sir_seasonal_model(years=2.0), None, 13, 4)
     out["simulate_paths/sir-seasonal"] = digest(states, obs)
+    for name, model in (("ricker", ricker), ("gompertz", gomp)):
+        states, obs = pk.simulate_paths(model, None, 13, 50)
+        out[f"simulate_paths/{name}"] = digest(states, obs)
 
     rw = {"r": 0.02, "sigma": 0.02, "tau": 0.02}
     rw_nat = {"r": 0.002, "sigma": 0.002, "tau": 0.002}  # keeps sigma, tau positive
