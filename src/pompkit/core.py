@@ -39,7 +39,11 @@ states.  Signatures:
     unconstrained estimation scale.
 
 Callbacks must be pure given their inputs and the supplied generator, which
-makes a constructed model immutable and safe to share across workers.
+makes a constructed model immutable and safe to share across workers.  Pure
+includes never modifying an input array in place: :func:`simulate_paths`
+passes the arrays ``rprocess`` returned back in, unchanged, as the next
+step's ``x`` and as ``rmeasure``'s ``x``, so an array a callback receives may
+be one it returned on an earlier call.
 """
 
 from __future__ import annotations
@@ -168,9 +172,11 @@ class TimeSeriesData:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
+        # a read-only copy: the filter's records below are built from it once
+        obs = np.atleast_2d(np.array(self.observations, dtype=float))
         if obs.shape[0] != times.shape[0] and obs.shape[1] == times.shape[0]:
             obs = obs.T
+        obs.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "obs_names", tuple(self.obs_names))
@@ -187,6 +193,9 @@ class TimeSeriesData:
                 f"observations shape {obs.shape} does not match "
                 f"(n_times={times.size}, n_names={len(self.obs_names)})"
             )
+        object.__setattr__(self, "_records", tuple(
+            dict(zip(self.obs_names, row)) for row in obs.tolist()))
+        object.__setattr__(self, "_all_missing", np.isnan(obs).all(axis=1).tolist())
 
     @property
     def n_obs(self) -> int:
@@ -194,10 +203,6 @@ class TimeSeriesData:
 
     def column(self, name) -> np.ndarray:
         return self.observations[:, self.obs_names.index(name)].copy()
-
-    def record(self, n) -> dict:
-        """Observation record at time index ``n`` as a name->scalar dict."""
-        return {k: float(v) for k, v in zip(self.obs_names, self.observations[n])}
 
     @staticmethod
     def empty(t0, times, obs_names) -> "TimeSeriesData":
@@ -417,6 +422,8 @@ def log_exp_transforms(names):
 # ---------------------------------------------------------------------------
 # Process wrappers
 
+_PLAN_CACHE_SIZE = 64
+
 
 def discrete_time_process(step_fn, delta_t):
     """Wrap a one-step map into an rprocess advancing in fixed steps of ``delta_t``.
@@ -426,13 +433,22 @@ def discrete_time_process(step_fn, delta_t):
     steps.
     """
 
+    # step count per span: a model's observation grid has few distinct gaps.
+    # A span that fails the whole-step check is never stored, so it raises on
+    # every call; threads racing on a new span can only store the same count.
+    plans = {}
+
     def rprocess(x, params, t0, t1, rng, covars=None):
         span = t1 - t0
-        nstep = int(round(span / delta_t))
-        if abs(span - nstep * delta_t) > 1e-8 * max(1.0, abs(span)):
-            raise DomainError(
-                f"interval [{t0}, {t1}] is not a whole number of steps of {delta_t}"
-            )
+        nstep = plans.get(span)
+        if nstep is None:
+            nstep = int(round(span / delta_t))
+            if abs(span - nstep * delta_t) > 1e-8 * max(1.0, abs(span)):
+                raise DomainError(
+                    f"interval [{t0}, {t1}] is not a whole number of steps of {delta_t}"
+                )
+            if len(plans) < _PLAN_CACHE_SIZE:
+                plans[span] = nstep
         t = t0
         for _ in range(nstep):
             cv = covars.lookup(t) if covars is not None else None
@@ -495,22 +511,37 @@ def default_initializer(model: ModelSpec):
     return initializer
 
 
-def _stack(out: dict, names, n: int, component: str, operation: str) -> np.ndarray:
-    """The (n, k) matrix of a callback's named outputs; scalars broadcast.
+_FLOAT64 = np.dtype(np.float64)
 
-    A name the callback did not return raises :class:`ModelComponentError`
-    naming the callback.
+
+def _store(out: dict, names, dest: np.ndarray, component: str, operation: str) -> dict:
+    """Write a callback's named outputs into the columns of the (n, k) array ``dest``.
+
+    Scalars broadcast.  Returns the outputs as a dict of float (n,) arrays: a
+    float64 (n,) array the callback returned is passed on as it is, anything
+    else as a float copy of its written column.  A name the callback did not
+    return raises :class:`ModelComponentError` naming the callback.
     """
-    mat = np.empty((n, len(names)), dtype=float)
+    n = dest.shape[0]
+    x = {}
     for i, name in enumerate(names):
         try:
             v = out[name]
         except KeyError:
             raise ModelComponentError(f"{component} ('{name}' not returned)", operation) from None
-        if isinstance(v, np.ndarray) and v.shape == (n,):
-            mat[:, i] = v  # the common case on the filter's hot path
+        if type(v) is np.ndarray and v.dtype == _FLOAT64 and v.shape == (n,):
+            dest[:, i] = v  # the common case on the hot paths
         else:
-            mat[:, i] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+            dest[:, i] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+            v = dest[:, i].copy()
+        x[name] = v
+    return x
+
+
+def _stack(out: dict, names, n: int, component: str, operation: str) -> np.ndarray:
+    """The (n, k) matrix of a callback's named outputs (see :func:`_store`)."""
+    mat = np.empty((n, len(names)))
+    _store(out, names, mat, component, operation)
     return mat
 
 
@@ -523,30 +554,29 @@ def _as_state_dict(model: ModelSpec, mat: np.ndarray) -> dict:
     return {s: mat[:, i] for i, s in enumerate(model.state_names)}
 
 
-def advance(model: ModelSpec, state_mat: np.ndarray, params: dict, t0, t1, rng) -> np.ndarray:
-    """Propagate a (n, q) state matrix from t0 to t1 through rprocess.
+def _rprocess(model: ModelSpec, x: dict, params: dict, t0, t1, rng) -> dict:
+    """``model.rprocess`` over [t0, t1].
 
     A ``ValueError`` from the simulator itself (say, numpy refusing a negative
     scale because a parameter left its domain) is re-raised as
     :class:`DomainError` naming the interval.
     """
-    n = state_mat.shape[0]
     try:
-        x = model.rprocess(_as_state_dict(model, state_mat), params, t0, t1, rng,
-                           model.covariates)
+        return model.rprocess(x, params, t0, t1, rng, model.covariates)
     except PompKitError:
         raise
     except ValueError as err:
         raise DomainError(f"process simulation over [{t0:g}, {t1:g}] failed: {err}") from err
-    return _stack(x, model.state_names, n, "rprocess", "advance")
 
 
-def measure(model: ModelSpec, state_mat: np.ndarray, params: dict, t, rng) -> np.ndarray:
-    """Draw one observation per row of a (n, q) state matrix."""
-    n = state_mat.shape[0]
-    cv = model.covariates.lookup(t) if model.covariates is not None else None
-    y = model.rmeasure(_as_state_dict(model, state_mat), params, t, rng, cv)
-    return _stack(y, model.obs_names, n, "rmeasure", "measure")
+def advance(model: ModelSpec, state_mat: np.ndarray, params: dict, t0, t1, rng) -> np.ndarray:
+    """Propagate a (n, q) state matrix from t0 to t1 through rprocess.
+
+    A ``ValueError`` from the simulator becomes :class:`DomainError` (see
+    :func:`_rprocess`).
+    """
+    x = _rprocess(model, _as_state_dict(model, state_mat), params, t0, t1, rng)
+    return _stack(x, model.state_names, state_mat.shape[0], "rprocess", "advance")
 
 
 def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, params: dict, t):
@@ -590,7 +620,8 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
 
     The latent process and the measurements draw from separate child streams,
     so the state paths for a given seed do not depend on whether (or what)
-    measurements are drawn.
+    measurements are drawn.  Between steps the batch state is the dict of
+    arrays the callbacks returned (see the module docstring).
     """
     model.require("simulate", "rprocess")
     if with_obs:
@@ -601,11 +632,13 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     n_steps = times.size
     rng_proc = stream(seed, "simulate-process")
     rng_meas = stream(seed, "simulate-measure") if with_obs else None
+    state_names, obs_names, covars = model.state_names, model.obs_names, model.covariates
 
-    x = _init_states(model, p, t0, rng_proc, nsim)
+    x0 = _init_states(model, p, t0, rng_proc, nsim)
     states = np.empty((nsim, n_steps + 1, model.n_states))
-    states[:, 0, :] = x
-    obs = np.empty((nsim, n_steps, len(model.obs_names))) if with_obs else None
+    states[:, 0, :] = x0
+    x = _as_state_dict(model, x0)
+    obs = np.empty((nsim, n_steps, len(obs_names))) if with_obs else None
 
     def diverged(step_index):
         bad = ~np.isfinite(states[:, : step_index + 2, :]).all(axis=0)
@@ -616,20 +649,23 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
         return SimulationDivergedError(times[first - 1] if first > 0 else t0, names)
 
     t_prev = t0
-    for n in range(n_steps):
-        x = advance(model, x, p, t_prev, times[n], rng_proc)
-        states[:, n + 1, :] = x
+    for n, t in enumerate(times):
+        x = _store(_rprocess(model, x, p, t_prev, t, rng_proc), state_names,
+                   states[:, n + 1, :], "rprocess", "advance")
         if with_obs:
             try:
-                obs[:, n, :] = measure(model, x, p, times[n], rng_meas)
+                cv = covars.lookup(t) if covars is not None else None
+                _store(model.rmeasure(x, p, t, rng_meas, cv), obs_names, obs[:, n, :],
+                       "rmeasure", "measure")
             except (ValueError, FloatingPointError):
                 # a non-finite state often crashes the measurement sampler;
                 # report the divergence rather than the downstream symptom
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(states[:, n + 1, :]).all():
                     raise diverged(n) from None
                 raise
-        _reset_accumulators(model, x)
-        t_prev = times[n]
+        for s in model.accumulators:
+            x[s] = np.zeros(nsim)  # zeroing in place would write into a callback's output
+        t_prev = t
     # one vectorized divergence scan instead of a per-step check
     if not np.all(np.isfinite(states)):
         raise diverged(n_steps - 1)

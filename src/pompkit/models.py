@@ -53,7 +53,9 @@ def _gompertz_step(x, params, t, dt, rng, covars):
 
 
 def _gompertz_rmeasure(x, params, t, rng, covars):
-    return {"Y": np.exp(rng.normal(np.log(x["X"]), params["tau"], size=x["X"].shape))}
+    # a zero-mean draw added to log X: the same numbers as an array loc, without
+    # numpy's per-call array-constraint check on it (its check on tau stays)
+    return {"Y": np.exp(np.log(x["X"]) + rng.normal(0.0, params["tau"], size=x["X"].shape))}
 
 
 def _gompertz_dmeasure(y, x, params, t, log, covars):

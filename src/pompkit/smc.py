@@ -156,8 +156,7 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
     ess_vec = np.empty(N)
     filter_means = np.empty((N, model.n_states))
     n_failures = 0
-    records = [data.record(n) for n in range(N)]
-    all_missing = np.isnan(data.observations).all(axis=1).tolist()
+    records, all_missing = data._records, data._all_missing
     grid = np.arange(J)
 
     t_prev = data.t0

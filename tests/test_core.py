@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pompkit as pk
+from pompkit import core
 from pompkit.core import ParamVector, TimeSeriesData, CovariateTable
 from pompkit.exceptions import (
     DomainError,
@@ -59,6 +60,20 @@ def test_time_series_rejects_non_finite_times(t0, times):
     # NaN compares False, so an ordering check alone lets it through
     with pytest.raises(DomainError, match="finite"):
         TimeSeriesData(t0=t0, times=times, observations=np.zeros((3, 1)), obs_names=("y",))
+
+
+def test_time_series_holds_a_read_only_copy_of_the_observations(gompertz_fitted):
+    # the filter builds its observation records once, so an in-place write
+    # must fail rather than leave them stale
+    obs = gompertz_fitted.data.observations.copy()
+    data = TimeSeriesData(t0=0.0, times=gompertz_fitted.data.times, observations=obs,
+                          obs_names=("Y",))
+    with pytest.raises(ValueError, match="read-only"):
+        data.observations[3, 0] = 50.0
+    obs[3, 0] = 50.0  # the caller's array stays writable and is not shared
+    assert data.observations[3, 0] != 50.0
+    assert pk.pfilter(gompertz_fitted.with_data(data), num_particles=50, seed=2).loglik == \
+        pk.pfilter(gompertz_fitted, num_particles=50, seed=2).loglik
 
 
 @pytest.mark.parametrize("times", [[np.nan], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])
@@ -280,3 +295,137 @@ def test_accumulator_reset_matches_no_reset_twin():
     assert np.allclose(np.cumsum(h), h_twin)
     # identical randomness: the other compartments agree exactly
     assert np.array_equal(rec.state_column("S"), rec_twin.state_column("S"))
+
+
+# ---------------------------------------------------------------------------
+# simulate_paths against a reference loop on the (nsim, q) state matrix
+
+
+def _reference_measure(model, state_mat, params, t, rng):
+    """One measurement draw per row of the state matrix: ``rmeasure`` on column
+    views of the matrix, stacked by ``_stack``."""
+    cv = model.covariates.lookup(t) if model.covariates is not None else None
+    y = model.rmeasure(core._as_state_dict(model, state_mat), params, t, rng, cv)
+    return core._stack(y, model.obs_names, state_mat.shape[0], "rmeasure", "measure")
+
+
+def _reference_simulate_paths(model, params, seed, nsim, with_obs):
+    p = core.params_to_dict(model.default_params(params))
+    rng_proc = pk.stream(seed, "simulate-process")
+    rng_meas = pk.stream(seed, "simulate-measure")
+    x = core._init_states(model, p, model.data.t0, rng_proc, nsim)
+    states, obs = [x.copy()], []
+    t_prev = model.data.t0
+    for t in model.data.times:
+        x = core.advance(model, x, p, t_prev, t, rng_proc)
+        states.append(x.copy())
+        if with_obs:
+            obs.append(_reference_measure(model, x, p, t, rng_meas))
+        core._reset_accumulators(model, x)
+        t_prev = t
+    return np.stack(states, axis=1), np.stack(obs, axis=1) if with_obs else None
+
+
+def _toy(state_names, rprocess, rmeasure, obs_names=("y",), accumulators=(), **params):
+    return pk.ModelSpec(
+        data=TimeSeriesData.empty(0.0, np.arange(1.0, 9.0), obs_names),
+        state_names=state_names, rprocess=rprocess, rmeasure=rmeasure,
+        accumulators=accumulators, params=ParamVector(params),
+    )
+
+
+def _floats(x):
+    assert all(v.dtype == np.float64 for v in x.values()), "callbacks receive float states"
+    return x
+
+
+def _shared_accumulator_step(x, p, t0, t1, rng, cv):
+    v = x["a"] + rng.normal(0.0, 1.0, size=x["a"].shape)
+    return {"a": v, "b": v}  # one array under two names; only b is reset
+
+
+PATH_MODELS = {
+    "scalars": lambda: _toy(
+        ("x", "c"),
+        lambda x, p, t0, t1, rng, cv: {"x": 0.9 * x["x"] + rng.normal(0.0, 0.1, x["x"].shape),
+                                       "c": 3.0},
+        lambda x, p, t, rng, cv: {"y": x["x"] + x["c"] * rng.standard_normal(x["x"].shape),
+                                  "w": 2.0},
+        obs_names=("y", "w"), **{"x.0": 0.5, "c.0": 1.0}),
+    "int-arrays": lambda: _toy(
+        ("k", "m"),
+        lambda x, p, t0, t1, rng, cv: {"k": rng.poisson(_floats(x)["k"] + 1.0),
+                                       "m": np.full(x["k"].shape, 2, dtype=np.int32)},
+        lambda x, p, t, rng, cv: {"y": rng.binomial(_floats(x)["k"].astype(np.int64), 0.5)},
+        **{"k.0": 3.0, "m.0": 0.0}),
+    "input-dict": lambda: _toy(
+        ("x",), lambda x, p, t0, t1, rng, cv: x,
+        lambda x, p, t, rng, cv: {"y": rng.normal(p["mu"] * np.ones_like(x["x"]), 1.0)},
+        mu=0.3, **{"x.0": 0.0}),
+    "accumulator": lambda: _toy(
+        ("a", "b"), _shared_accumulator_step,
+        lambda x, p, t, rng, cv: {"y": x["a"] + x["b"] + rng.standard_normal(x["a"].shape)},
+        accumulators=("b",), **{"a.0": 0.0, "b.0": 0.0}),
+    "gompertz": pk.gompertz_model,
+    "ricker": pk.ricker_model,
+    "sir": lambda: pk.sir_model(years=0.2),
+    "sir-seasonal": lambda: pk.sir_seasonal_model(years=0.2),
+}
+
+
+@pytest.mark.parametrize("with_obs", [True, False], ids=["obs", "no-obs"])
+@pytest.mark.parametrize("case", sorted(PATH_MODELS))
+def test_simulate_paths_matches_matrix_reference_draw_for_draw(case, with_obs):
+    model = PATH_MODELS[case]()
+    states, obs = pk.simulate_paths(model, None, 17, 5, with_obs=with_obs)
+    ref_states, ref_obs = _reference_simulate_paths(model, None, 17, 5, with_obs)
+    assert np.array_equal(states, ref_states)
+    if with_obs:
+        assert np.array_equal(obs, ref_obs)
+    else:
+        assert obs is None
+
+
+@pytest.mark.parametrize("component, operation", [("rprocess", "advance"),
+                                                  ("rmeasure", "measure")])
+def test_simulate_paths_names_the_callback_that_omits_an_output(component, operation):
+    model = _toy(("x",), lambda x, p, t0, t1, rng, cv: x,
+                 lambda x, p, t, rng, cv: {"y": x["x"]}, **{"x.0": 1.0})
+    model = dataclasses.replace(model, **{component: lambda *args: {}})
+    with pytest.raises(ModelComponentError) as err:
+        pk.simulate_paths(model, None, 0, 3)
+    missing = "x" if component == "rprocess" else "y"
+    assert err.value.component == f"{component} ('{missing}' not returned)"
+    assert err.value.operation == operation
+
+
+@pytest.mark.parametrize("rmeasure", [
+    lambda x, p, t, rng, cv: {"y": x["x"] + x["z"]},                  # scanned at the end
+    lambda x, p, t, rng, cv: {"y": rng.poisson(x["x"] + x["z"])},      # crashes on NaN
+], ids=["final-scan", "measurement-crash"])
+def test_simulate_paths_divergence_names_first_time_and_states(rmeasure):
+    def step(x, p, t0, t1, rng, cv):
+        z = x["z"] * np.nan if t1 >= 3.0 else x["z"] + 1.0
+        return {"x": x["x"] * np.inf if t1 >= 5.0 else x["x"], "z": z}
+
+    model = _toy(("x", "z"), step, rmeasure, **{"x.0": 1.0, "z.0": 1.0})
+    with pytest.raises(SimulationDivergedError) as err:
+        pk.simulate_paths(model, None, 0, 4)
+    assert err.value.time == 3.0
+    assert err.value.state_names == ("z",)
+
+
+def test_discrete_time_process_rejects_a_fractional_interval_on_every_call():
+    steps = []
+    rprocess = pk.discrete_time_process(lambda x, p, t, dt, rng, cv: steps.append(t) or x, 1.0)
+    x, rng = {"X": np.ones(2)}, np.random.default_rng(0)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="whole number of steps"):
+            rprocess(x, {}, 0.0, 1.5, rng)
+    # more distinct spans than the plan cache holds: each still takes its own count
+    for k in range(100):
+        steps.clear()
+        rprocess(x, {}, 10.0, 10.0 + k, rng)
+        assert steps == [10.0 + i for i in range(k)]
+    with pytest.raises(DomainError, match="whole number of steps"):
+        rprocess(x, {}, 0.0, 1.5, rng)

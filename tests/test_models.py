@@ -293,3 +293,21 @@ def test_builtin_draws_match_ones_like_form_bit_for_bit(case, per_particle):
         assert got[name].dtype == want[name].dtype
         assert np.array_equal(got[name], want[name])
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("tau", [-0.1, -0.0, np.linspace(0.1, -0.1, J_DRAWS)],
+                         ids=["scalar", "negative-zero", "per-particle"])
+def test_gompertz_rmeasure_rejects_a_negative_tau(tau):
+    x = {"X": np.full(J_DRAWS, 1.5)}
+    with pytest.raises(ValueError, match="scale < 0"):
+        models._gompertz_rmeasure(x, {"tau": tau}, 0.0, np.random.default_rng(1), None)
+    if np.ndim(tau) == 0:
+        model = pk.gompertz_model(n_obs=3)
+        with pytest.raises(ValueError, match="scale < 0"):
+            pk.simulate(model, model.params.replace(tau=tau), seed=1)
+
+
+def test_gompertz_rmeasure_nan_tau_draws_nan():
+    x = {"X": np.full(J_DRAWS, 1.5)}
+    y = models._gompertz_rmeasure(x, {"tau": np.nan}, 0.0, np.random.default_rng(1), None)
+    assert np.isnan(y["Y"]).all()

@@ -7,12 +7,14 @@ bit-identical:
     PYTHONPATH=<checkout>/src python3 tools/hash_outputs.py > hashes.txt
 
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
-tolerated filtering failure) and on Ricker, ``simulate_paths`` on seasonal
-SIR, Ricker and Gompertz, ``mif`` on
+tolerated filtering failure) and on Ricker, ``simulate_paths`` on SIR,
+seasonal SIR, Ricker, Gompertz (also without measurements) and a toy model
+whose ``rprocess`` returns its input, ``mif`` on
 Gompertz (with and without IVPs and ``transform``, and with a tolerated
 failure) and on seasonal SIR, ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure), ``abc`` on
-Gompertz, ``probe_match``, ``nlf_fit``, and the CLI's ``result.json`` (minus
+Gompertz and on the toy model, ``probe_match``, ``nlf_quasi_loglik``,
+``nlf_fit``, and the CLI's ``result.json`` (minus
 ``generated_at``) and CSV files for ``pfilter``, ``mif``, ``pmcmc``, ``probe``
 and ``abc``.  All runs are small; the whole script takes well under a minute.
 """
@@ -75,6 +77,22 @@ def with_box_prior(model, bounds):
     return dataclasses.replace(model, rprior=rprior, dprior=dprior)
 
 
+def normal_mean_model(n=20):
+    """Latent constant, observations iid N(mu, 1); ``rprocess`` returns its input."""
+    rprior, dprior = pk.uniform_box_prior({"mu": (-2.0, 2.0)})
+    data = np.random.default_rng(100).normal(0.3, 1.0, size=n)
+    return pk.ModelSpec(
+        data=pk.TimeSeriesData(t0=0.0, times=np.arange(1.0, n + 1), observations=data[:, None],
+                               obs_names=("y",)),
+        state_names=("x",),
+        rprocess=lambda x, p, t0, t1, rng, cv: x,
+        rmeasure=lambda x, p, t, rng, cv: {"y": rng.normal(p["mu"] * np.ones_like(x["x"]), 1.0)},
+        dprior=dprior,
+        rprior=rprior,
+        params=pk.ParamVector({"mu": 0.3, "x.0": 0.0}),
+    )
+
+
 def library_hashes():
     out = {}
     gomp = pk.gompertz_model()
@@ -101,9 +119,16 @@ def library_hashes():
 
     states, obs = pk.simulate_paths(pk.sir_seasonal_model(years=2.0), None, 13, 4)
     out["simulate_paths/sir-seasonal"] = digest(states, obs)
+    states, obs = pk.simulate_paths(pk.sir_model(years=1.0), None, 13, 4)
+    out["simulate_paths/sir"] = digest(states, obs)
     for name, model in (("ricker", ricker), ("gompertz", gomp)):
         states, obs = pk.simulate_paths(model, None, 13, 50)
         out[f"simulate_paths/{name}"] = digest(states, obs)
+    states, obs = pk.simulate_paths(gomp, None, 13, 50, with_obs=False)
+    out["simulate_paths/gompertz/no-obs"] = digest(states, obs)
+    toy = normal_mean_model()
+    states, obs = pk.simulate_paths(toy, None, 13, 5)
+    out["simulate_paths/toy"] = digest(states, obs)
 
     rw = {"r": 0.02, "sigma": 0.02, "tau": 0.02}
     rw_nat = {"r": 0.002, "sigma": 0.002, "tau": 0.002}  # keeps sigma, tau positive
@@ -151,11 +176,16 @@ def library_hashes():
     chain = pk.abc(with_box_prior(gomp, {"r": (0.05, 0.2), "sigma": (0.05, 0.2),
                                         "tau": (0.05, 0.2)}), gomp.params, aset, seed=7)
     out["abc/plain"] = digest(*chain_parts(chain))
+    tset = pk.AbcSettings(probes=(pk.probe_mean("y"),), scale=np.array([1.0 / np.sqrt(20)]),
+                          proposal=pk.mvn_diag_rw({"mu": 0.4}), n_steps=200, epsilon=1.0)
+    chain = pk.abc(toy, toy.params, tset, seed=7)
+    out["abc/toy"] = digest(*chain_parts(chain))
 
     res = pk.probe_match(gomp, gomp.params, ("r", "sigma"), probes, nsim=60, seed=3,
                          maxit=30)
     out["probe_match"] = digest(res.theta.values, res.value, res.status, res.n_evals)
     nset = pk.NlfSettings(lags=(1, 2), sim_length=150, transient=100, est=("r", "tau"))
+    out["nlf_quasi_loglik"] = digest(pk.nlf_quasi_loglik(gomp, gomp.params, nset, seed=3))
     res = pk.nlf_fit(gomp, gomp.params, nset, seed=3, maxit=30)
     out["nlf_fit"] = digest(res.theta.values, res.value, res.status, res.n_evals)
     return out
