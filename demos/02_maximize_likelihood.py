@@ -1,9 +1,11 @@
 """Maximum likelihood by iterated filtering, checked against the exact answer.
 
-Iterated filtering runs the particle filter on a model whose parameters take
-a shrinking random walk; the swarm's weighted parameter means drive an update
-that climbs the likelihood surface.  On the Gompertz model the exact maximum
-is available from the Kalman filter, so the gap is measurable.
+Iterated filtering (IF2) gives every particle its own parameter vector and
+runs the particle filter over and over while those parameters take a
+shrinking random walk.  Resampling favours the parameters that explain the
+data, so the swarm climbs the likelihood surface, and its mean after the last
+pass is the estimate.  On the Gompertz model the exact maximum is available
+from the Kalman filter, so the gap is measurable.
 """
 
 import numpy as np

@@ -5,7 +5,9 @@ abc, nlf, kalman) plus ``validate`` for configuration checking.  Simple runs
 are driven by flags; anything nested (random-walk scales, probe lists,
 priors) comes from a JSON config document, with flags overriding config
 values.  Every run requires an explicit seed: results are byte-reproducible
-given (config, seed, threads).
+given (config, seed).  Runs are serial: their loops hold the interpreter
+lock, so ``threads`` (config field or ``--threads``) is accepted and recorded
+in ``result.json`` but has no effect.
 
 Exit status: 0 success, 2 validation error, 3 algorithm failure.
 """
@@ -19,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import jsonschema
@@ -224,15 +225,6 @@ def load_config(path) -> dict:
 # Run machinery
 
 
-def _parallel_map(fn, n_tasks, threads):
-    """Deterministic ordered map; thread count never changes results because
-    every task's seed is derived before dispatch."""
-    if threads <= 1 or n_tasks <= 1:
-        return [fn(i) for i in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_tasks)))
-
-
 _TRANSFORMS = {"sqrt": np.sqrt, "log": np.log, "identity": None, None: None}
 
 
@@ -329,11 +321,9 @@ def _run_pfilter(model, config, settings, outdir):
     np_particles = settings.get("np", 1000)
     reps = settings.get("replicates", 1)
     seeds = child_seeds(config["seed"], "pfilter-reps", reps)
-    results = _parallel_map(
-        lambda i: smc.pfilter(model, num_particles=np_particles, seed=seeds[i],
-                              max_fail=settings.get("max_fail", 0)),
-        reps, config.get("threads", 1),
-    )
+    results = [smc.pfilter(model, num_particles=np_particles, seed=s,
+                           max_fail=settings.get("max_fail", 0))
+               for s in seeds]
     primary = results[0]
     out = {
         "loglik": primary.loglik,
@@ -368,7 +358,6 @@ def _run_kalman(model, config, settings, outdir):
 
 
 def _run_mif(model, config, settings, outdir):
-    start = model.params
     starts = settings.get("starts", 1)
     jitter = settings.get("start_jitter_sdlog", 1.0)
     rw_sd = settings["rw_sd"]
@@ -376,10 +365,11 @@ def _run_mif(model, config, settings, outdir):
     seeds = child_seeds(config["seed"], "mif-starts", starts)
     jitter_seeds = child_seeds(config["seed"], "mif-jitter", starts)
 
-    def one_start(i):
-        theta0 = start.as_dict()
+    runs = []
+    for seed, jitter_seed in zip(seeds, jitter_seeds):
+        theta0 = model.params.as_dict()
         if starts > 1 and jitter > 0:
-            g = np.random.default_rng(jitter_seeds[i])
+            g = np.random.default_rng(jitter_seed)
             for n in est_names:
                 theta0[n] = float(np.exp(np.log(theta0[n]) + jitter * g.standard_normal()))
         mset = MifSettings(
@@ -388,25 +378,21 @@ def _run_mif(model, config, settings, outdir):
             num_particles=settings.get("np", 1000),
             rw_sd=rw_sd,
             ivp_names=tuple(settings.get("ivp_names", ())),
-            ic_lag=settings.get("ic_lag"),
             var_factor=settings.get("var_factor", 2.0),
             cooling_factor=settings.get("cooling_factor"),
             cooling_fraction=settings.get("cooling_fraction"),
             transform=settings.get("transform", True),
             max_fail=settings.get("max_fail", 0),
         )
-        result = run_mif(model, mset, seed=seeds[i], run_final_filter=False)
-        eval_seeds = child_seeds(seeds[i], "mif-eval", settings.get("eval_replicates", 10))
+        result = run_mif(model, mset, seed=seed, run_final_filter=False)
+        eval_seeds = child_seeds(seed, "mif-eval", settings.get("eval_replicates", 10))
         lls = np.array([
             smc.pfilter(model, result.theta_hat,
                         num_particles=settings.get("eval_np", settings.get("np", 1000)),
                         seed=s, max_fail=settings.get("max_fail", 0)).loglik
             for s in eval_seeds
         ])
-        lme, se = smc.logmeanexp(lls, with_se=True)
-        return result, lme, se
-
-    runs = _parallel_map(one_start, starts, config.get("threads", 1))
+        runs.append((result, *smc.logmeanexp(lls, with_se=True)))
     best_idx = int(np.argmax([lme for _, lme, _ in runs]))
     best, best_lme, best_se = runs[best_idx]
     trace_path = os.path.join(outdir, "trace.csv")
@@ -578,7 +564,8 @@ def _add_common(sub):
     sub.add_argument("--model", help="built-in model name")
     sub.add_argument("--data", help="dataset CSV path, or 'simulate'")
     sub.add_argument("--seed", type=int, help="master seed (required)")
-    sub.add_argument("--threads", type=int, help="worker threads for outer loops")
+    sub.add_argument("--threads", type=int,
+                     help="accepted for compatibility; runs are serial")
     sub.add_argument("--t0", type=float, help="initial time for loaded data")
     sub.add_argument("-o", "--output", help="output directory")
 

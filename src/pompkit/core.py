@@ -157,6 +157,20 @@ class ParamVector(Mapping):
         return hash((self._names, self._values.tobytes()))
 
 
+def _checked_times(t0, times) -> np.ndarray:
+    """``times`` as a float array, checked to be finite with t0 <= t1 < ... < tN."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise DomainError("times must be a non-empty 1-D array")
+    if not (np.all(np.isfinite(times)) and np.isfinite(t0)):
+        raise DomainError("t0 and the observation times must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise DomainError("observation times must be strictly increasing")
+    if t0 > times[0]:
+        raise DomainError(f"t0={t0} exceeds first observation time {times[0]}")
+    return times
+
+
 @dataclass(frozen=True)
 class TimeSeriesData:
     """Observation times, observation records, and the initial time.
@@ -171,7 +185,7 @@ class TimeSeriesData:
     obs_names: tuple
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _checked_times(self.t0, self.times)
         # a read-only copy: the filter's records below are built from it once
         obs = np.atleast_2d(np.array(self.observations, dtype=float))
         if obs.shape[0] != times.shape[0] and obs.shape[1] == times.shape[0]:
@@ -180,14 +194,6 @@ class TimeSeriesData:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "obs_names", tuple(self.obs_names))
-        if times.ndim != 1 or times.size == 0:
-            raise DomainError("times must be a non-empty 1-D array")
-        if not (np.all(np.isfinite(times)) and np.isfinite(self.t0)):
-            raise DomainError("t0 and the observation times must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("observation times must be strictly increasing")
-        if self.t0 > times[0]:
-            raise DomainError(f"t0={self.t0} exceeds first observation time {times[0]}")
         if obs.shape != (times.size, len(self.obs_names)):
             raise DomainError(
                 f"observations shape {obs.shape} does not match "
@@ -225,10 +231,12 @@ class CovariateTable:
     names: tuple
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        # read-only copies: lookup answers from the plain-float copies below
+        times = np.array(self.times, dtype=float)
+        values = np.atleast_2d(np.array(self.values, dtype=float))
         if values.shape[0] != times.shape[0] and values.shape[1] == times.shape[0]:
             values = values.T
+        times.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
@@ -400,20 +408,25 @@ def transform_params(model: ModelSpec, params, direction: str):
     return ParamVector(d) if as_vector else d
 
 
-def log_exp_transforms(names):
-    """Return a (to_estimation, from_estimation) pair taking ``names`` through log/exp."""
-    names = tuple(names)
+def log_exp_transforms(names, logit_names=()):
+    """Return a (to_estimation, from_estimation) pair taking ``names`` through
+    log/exp and ``logit_names`` (probabilities) through logit/expit."""
+    names, logit_names = tuple(names), tuple(logit_names)
 
     def to_est(params):
         out = dict(params)
         for n in names:
             out[n] = np.log(out[n])
+        for n in logit_names:
+            out[n] = np.log(out[n] / (1.0 - out[n]))
         return out
 
     def from_est(params):
         out = dict(params)
         for n in names:
             out[n] = np.exp(out[n])
+        for n in logit_names:
+            out[n] = 1.0 / (1.0 + np.exp(-out[n]))
         return out
 
     return to_est, from_est
@@ -616,7 +629,8 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
 
     Returns ``(states, observations)`` with shapes (nsim, N+1, q) and
     (nsim, N, r); ``observations`` is None when ``with_obs`` is false.
-    Accumulator columns in ``states`` report pre-reset values.
+    Accumulator columns in ``states`` report pre-reset values.  Given
+    ``times`` or ``t0`` must satisfy t0 <= t1 < ... < tN (else :class:`DomainError`).
 
     The latent process and the measurements draw from separate child streams,
     so the state paths for a given seed do not depend on whether (or what)
@@ -627,8 +641,10 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     if with_obs:
         model.require("simulate", "rmeasure")
     p = params_to_dict(model.default_params(params))
-    times = model.data.times if times is None else np.asarray(times, dtype=float)
     t0 = model.data.t0 if t0 is None else float(t0)
+    times = model.data.times if times is None else times
+    if times is not model.data.times or t0 != model.data.t0:  # else checked at construction
+        times = _checked_times(t0, times)
     n_steps = times.size
     rng_proc = stream(seed, "simulate-process")
     rng_meas = stream(seed, "simulate-measure") if with_obs else None

@@ -1,17 +1,18 @@
-"""Iterated filtering: maximum likelihood via repeated perturbed filtering.
+"""Iterated filtering (IF2): maximum likelihood via repeated perturbed filtering.
 
-Each iteration runs a particle filter on an augmented model whose parameters
-take a Gaussian random walk alongside the latent state.  The walk intensity
-cools geometrically across iterations; the parameter update combines the
-filter means of the perturbed parameter swarm, weighted by inverse prediction
-variances.  Initial-value parameters (IVPs), which only early observations
-inform, are perturbed at time zero only and re-estimated as the swarm mean at
-a fixed lag.
+This is the "iterated perturbed Bayes maps" algorithm of Ionides, Nguyen,
+Atchadé, Stoev & King (PNAS 2015, doi:10.1073/pnas.1410597112), which the
+pomp package ships as ``mif2``.  Every particle carries its own parameter
+vector.  Within a filtering pass the parameters take a Gaussian random walk
+on the estimation scale, one step before each advance, and are resampled
+along with the latent states; the swarm carries over from one pass to the
+next while the walk intensity cools geometrically.  Initial-value parameters
+(IVPs), which only early observations inform, are perturbed at time zero
+only.  The estimate after each pass is the mean of the parameter swarm.
 
 The filter is the shared step loop of :mod:`pompkit.smc`.  This module adds
-only the parameter bookkeeping, through the loop's two hooks: one perturbs
-the parameter swarm before each advance, the other updates the running
-estimates from the weighted swarm after each weighting.
+only the parameter swarm, through the loop's two hooks: one perturbs the
+swarm before each advance, the other re-indexes it after each resampling.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class MifSettings:
     ``cooling_factor`` (= a) or ``cooling_fraction`` f, in which case a is
     chosen so the final iteration's scale is f * rw_sd
     (a = f**(1/(n_iterations-1))).
+
+    ``var_factor`` C sets the spread of the parameter swarm: it starts as
+    ``start + C * rw_sd * N(0, 1)`` on the estimation scale, and each IVP
+    (``ivp_names``) takes a step of scale ``C * a**(m-1) * rw_sd`` at the
+    start of iteration m > 1.  ``ic_lag`` is accepted but has no effect.
     """
 
     start: core.ParamVector
@@ -126,21 +132,14 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         model = replace(model, to_estimation=None, from_estimation=None)
     names = settings.start.names
     p = len(names)
-    data = model.data
-    N = data.n_obs
     J = settings.num_particles
     M = settings.n_iterations
-    a = settings.resolved_cooling_factor()
     C = settings.var_factor
-    ic_lag = settings.ic_lag if settings.ic_lag is not None else min(N, 20)
-    if not (1 <= ic_lag <= N):
-        raise DomainError(f"ic_lag must lie in [1, {N}]")
 
     sigma = np.array([float(settings.rw_sd.get(n, 0.0)) for n in names])
-    is_ivp = np.array([n in settings.ivp_names for n in names])
-    est = (sigma > 0) & ~is_ivp          # random-walk parameters
-    ivp = (sigma > 0) & is_ivp           # time-zero-only parameters
-    n_est = int(est.sum())
+    ivp = (sigma > 0) & np.array([n in settings.ivp_names for n in names])  # t0 only
+    est = (sigma > 0) & ~ivp             # walked before every advance
+    n_est, n_ivp = int(est.sum()), int(ivp.sum())
     start_nat = settings.start.as_dict()
     start_work = core.transform_params(model, start_nat, "to-estimation")
     theta = np.array([start_work[n] for n in names])
@@ -154,47 +153,30 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     trace = np.empty((M, p))
     logliks = np.empty(M)
     n_failures_total = 0
+    swarm = theta[:, None] + (C * sigma)[:, None] * rng.standard_normal((p, J))
 
     for m in range(1, M + 1):
-        cool = a ** (m - 1)
-        init_sd = C * cool * sigma
-        swarm = (theta + init_sd * rng.standard_normal((J, p))).T.copy()
-        x = core._init_states(model, natural(swarm), data.t0, rng, J)
-
-        theta_bar_prev = theta[est]
-        v = np.empty((N + 1, n_est))
-        v[0] = (C * C + 1.0) * cool * cool * sigma[est] ** 2  # prediction variance for step 1
-        increments = np.zeros(n_est)
         walk_sd = perturbation_sd(settings, m)
-        step_sd = np.array([walk_sd[nm] for nm, e in zip(names, est) if e])
-        theta_ivp_hat = None
+        sd = np.array([[walk_sd.get(nm, 0.0)] for nm in names])  # (p, 1)
+        if m > 1:
+            swarm[ivp] += C * sd[ivp] * rng.standard_normal((n_ivp, J))
+        x = core._init_states(model, natural(swarm), model.data.t0, rng, J)
+        step_sd = sd[est]
 
         def perturb():
-            swarm[est] += step_sd[:, None] * rng.standard_normal((J, n_est)).T
+            swarm[est] += step_sd * rng.standard_normal((n_est, J))
             return natural(swarm)
 
-        def observe(n, w_norm, idx):
-            nonlocal swarm, theta_bar_prev, increments, theta_ivp_hat
-            walked = swarm[est]
-            theta_bar = walked @ w_norm
-            v[n + 1] = step_sd**2 + ((walked - theta_bar[:, None]) ** 2) @ w_norm
-            increments += (theta_bar - theta_bar_prev) / v[n]
-            theta_bar_prev = theta_bar
-            if idx is not None:
-                swarm = swarm[:, idx]
-            if n + 1 == ic_lag:
-                theta_ivp_hat = swarm[ivp].mean(axis=1)
+        def on_resample(idx):
+            nonlocal swarm
+            swarm = swarm.take(idx, axis=1)  # unlike swarm[:, idx], keeps rows contiguous
 
-        result = smc._filter_pass(model, x, None, rng, settings.max_fail, perturb, observe)
+        result = smc._filter_pass(model, x, None, rng, settings.max_fail, perturb,
+                                  on_resample)
         n_failures_total += result.n_failures
         logliks[m - 1] = result.loglik
 
-        theta = theta.copy()
-        theta[est] += v[0] * increments
-        if ivp.any():
-            theta[ivp] = theta_ivp_hat
-        nat = core.transform_params(model, {nm: theta[i] for i, nm in enumerate(names)},
-                                    "from-estimation")
+        nat = natural(swarm.mean(axis=1))
         trace[m - 1] = [start_nat[nm] if sigma[i] == 0 else nat[nm]
                         for i, nm in enumerate(names)]
 

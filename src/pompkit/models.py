@@ -211,9 +211,12 @@ def _weekly_times(years=10.0):
 
 
 def sir_model(data=None, params=None, years=10.0, delta_t=SIR_EULER_DT) -> ModelSpec:
-    """Closed-population SIR with demographic turnover and case reporting."""
+    """Closed-population SIR with demographic turnover and case reporting;
+    transforms take ``rho`` through logit/expit, the rest through log/exp."""
     if data is None:
         data = TimeSeriesData.empty(-1.0 / 52.0, _weekly_times(years), ("cases",))
+    to_est, from_est = log_exp_transforms(
+        (n for n in SIR_DEFAULTS.names if n != "rho"), logit_names=("rho",))
     return ModelSpec(
         name="sir",
         data=data,
@@ -223,6 +226,8 @@ def sir_model(data=None, params=None, years=10.0, delta_t=SIR_EULER_DT) -> Model
         dmeasure=_sir_dmeasure,
         initializer=_sir_initializer,
         accumulators=("H",),
+        to_estimation=to_est,
+        from_estimation=from_est,
         params=params if params is not None else SIR_DEFAULTS,
     )
 
@@ -291,11 +296,18 @@ def synthetic_birth_covariate(t_min=-0.2, t_max=10.2, popsize=500000.0,
 
 def sir_seasonal_model(data=None, params=None, years=10.0, covariates=None,
                        delta_t=SIR_EULER_DT) -> ModelSpec:
-    """Seasonal SIR with phase noise, imports, and a birth covariate."""
+    """Seasonal SIR with phase noise, imports, and a birth covariate.
+
+    Transforms: logit for ``rho``, log for the rest but ``b1``-``b3``, so a
+    fit from ``sigma = 0`` needs ``transform=False``.
+    """
     if data is None:
         data = TimeSeriesData.empty(-1.0 / 52.0, _weekly_times(years), ("cases",))
     if covariates is None:
         covariates = synthetic_birth_covariate()
+    to_est, from_est = log_exp_transforms(
+        (n for n in SIR_SEASONAL_DEFAULTS.names if n not in ("b1", "b2", "b3", "rho")),
+        logit_names=("rho",))
     return ModelSpec(
         name="sir-seasonal",
         data=data,
@@ -306,6 +318,8 @@ def sir_seasonal_model(data=None, params=None, years=10.0, covariates=None,
         initializer=_sir_seasonal_initializer,
         accumulators=("H", "noise"),
         covariates=covariates,
+        to_estimation=to_est,
+        from_estimation=from_est,
         params=params if params is not None else SIR_SEASONAL_DEFAULTS,
     )
 

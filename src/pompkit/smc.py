@@ -8,8 +8,8 @@ every observation; there is no ESS-triggered adaptive scheme.
 
 The step loop lives in one private kernel, ``_filter_pass``.  :func:`pfilter`
 runs it at fixed parameters; iterated filtering (:mod:`pompkit.mif`) runs the
-same kernel with hooks that perturb the parameter swarm before each advance
-and read the weighted swarm after each weighting.  The kernel also enforces
+same kernel with hooks that perturb the per-particle parameter swarm before
+each advance and resample it along with the states.  The kernel also enforces
 the never-NaN ``dmeasure`` contract: the maximum log weight it takes at every
 step propagates NaN from any particle, so one comparison on that maximum
 raises :class:`~pompkit.exceptions.DomainError` without a separate scan.
@@ -67,16 +67,17 @@ def systematic_resample(weights, rng, n=None) -> np.ndarray:
         raise DomainError("weights must be a non-empty 1-D vector")
     if not (w.min() >= 0 and w.max() < np.inf):
         raise DomainError("weights must be finite and non-negative")
-    if not w.sum() > 0:
+    total = w.sum()
+    if not total > 0:
         raise DomainError("all weights are zero")
     n = w.size if n is None else int(n)
-    return _systematic_resample(w, rng, np.arange(n))
+    return _systematic_resample(w / total, rng, np.arange(n))
 
 
-def _systematic_resample(w, rng, grid) -> np.ndarray:
-    """:func:`systematic_resample` without its checks, for weights known to be
-    finite and non-negative with a positive sum; ``grid`` is ``arange(n)``."""
-    cumulative = (w / w.sum()).cumsum()
+def _systematic_resample(w_norm, rng, grid) -> np.ndarray:
+    """:func:`systematic_resample` without its checks, for finite non-negative
+    weights that sum to one; ``grid`` is ``arange(n)``."""
+    cumulative = w_norm.cumsum()
     cumulative[-1] = 1.0
     return cumulative.searchsorted((rng.random() + grid) / grid.size, side="left")
 
@@ -138,16 +139,16 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
 
 
 def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
-                 observe=None) -> FilterResult:
+                 on_resample=None) -> FilterResult:
     """One filtering pass of the (J, q) swarm ``x`` over every observation.
 
     Each step advances the swarm, weights it by the measurement density,
     resamples it systematically and zeroes the accumulators.  The hooks let
     iterated filtering ride on the same loop: ``perturb()`` runs before each
-    advance and returns the parameters for that step; ``observe(n, w_norm,
-    idx)`` sees the normalized weights and the resampling indices (None after
-    a tolerated failure, when the swarm stays unresampled under uniform
-    weights).  ``final_particles`` holds the swarm after the last step.
+    advance and returns the parameters for that step; ``on_resample(idx)``
+    receives each step's resampling indices (no call after a tolerated
+    failure, which leaves the swarm unresampled).  ``final_particles`` holds
+    the swarm after the last step.
     """
     data = model.data
     J = x.shape[0]
@@ -182,7 +183,6 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
             cond_logliks[n] = -np.inf
             ess_vec[n] = J
             filter_means[n] = x.mean(axis=0)
-            w_norm, idx = np.full(J, 1.0 / J), None
         else:
             w = np.exp(logw - max_logw)
             sum_w = w.sum()
@@ -193,8 +193,8 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
             # exp() of finite-max log weights: finite, non-negative, max term 1
             idx = _systematic_resample(w_norm, rng, grid)
             x = x[idx]
-        if observe is not None:
-            observe(n, w_norm, idx)
+            if on_resample is not None:
+                on_resample(idx)
         core._reset_accumulators(model, x)
         t_prev = t
 

@@ -82,6 +82,20 @@ def test_covariate_table_rejects_non_finite_times(times):
         CovariateTable(times=times, values=np.zeros((len(times), 1)), names=("c",))
 
 
+def test_covariate_table_holds_read_only_copies():
+    # lookup answers from copies made at construction, so an in-place write
+    # must fail rather than be silently ignored
+    times, values = np.array([0.0, 1.0]), np.array([[1.0], [3.0]])
+    table = CovariateTable(times=times, values=values, names=("c",))
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[1, 0] = 100.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.times[0] = -1.0
+    values[1, 0] = 100.0  # the caller's array stays writable and is not shared
+    assert table.values[1, 0] == 3.0
+    assert table.lookup(0.5) == {"c": 2.0}
+
+
 # ---------------------------------------------------------------------------
 # covariate interpolation
 
@@ -413,6 +427,20 @@ def test_simulate_paths_divergence_names_first_time_and_states(rmeasure):
         pk.simulate_paths(model, None, 0, 4)
     assert err.value.time == 3.0
     assert err.value.state_names == ("z",)
+
+
+@pytest.mark.parametrize("times, t0", [
+    ([3.0, 2.0, 1.0], 0.0),      # decreasing: the states would stay put
+    ([1.0, 1.0, 2.0], 0.0),
+    ([1.0, 2.0], 1.5),           # starts before t0
+    (None, 5.0),                 # t0 alone, after the dataset's first time
+    ([1.0, np.nan], 0.0),
+    ([1.0, 2.0], -np.inf),
+    ([], 0.0),
+])
+def test_simulate_paths_rejects_bad_times(times, t0):
+    with pytest.raises(DomainError):
+        pk.simulate_paths(pk.gompertz_model(), None, 1, 1, times=times, t0=t0)
 
 
 def test_discrete_time_process_rejects_a_fractional_interval_on_every_call():

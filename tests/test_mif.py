@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,52 @@ def test_mif_runs_on_seasonal_sir():
     assert out.trace.shape == (1, len(model.params))
     assert np.all(np.isfinite(out.trace))
     assert out.final_filter is not None
+
+
+def test_ivp_is_perturbed_at_time_zero_only(gompertz_fitted):
+    # rprocess records the per-particle parameters of every advance.  Within
+    # one pass an IVP only loses values to resampling, while the walked
+    # parameters take new values at every step.
+    seen = []
+    rprocess = gompertz_fitted.rprocess
+
+    def recording(x, params, t0, t1, rng, covars=None):
+        seen.append((t0, params["X.0"].copy(), params["r"].copy()))
+        return rprocess(x, params, t0, t1, rng, covars)
+
+    model = dataclasses.replace(gompertz_fitted, rprocess=recording)
+    s = settings(model.params, n_iterations=2, rw_sd={"r": 0.02, "X.0": 0.1},
+                 ivp_names=("X.0",))
+    pk.mif(model, s, seed=17, run_final_filter=False)
+    starts = [i for i, (t0, _, _) in enumerate(seen) if t0 == model.data.t0]
+    assert len(starts) == 2
+    passes = [seen[starts[0]:starts[1]], seen[starts[1]:]]
+    for steps in passes:
+        assert len(steps) == model.data.n_obs
+        ivp_at_t0 = set(steps[0][1])
+        for (_, ivp, r), (_, _, r_before) in zip(steps[1:], steps):
+            assert set(ivp) <= ivp_at_t0
+            assert not set(r) & set(r_before)
+    # the second pass perturbs the IVP values that the first pass ended with
+    assert not set(passes[1][0][1]) & set(passes[0][-1][1])
+
+
+def test_ic_lag_has_no_effect(gompertz_fitted):
+    kw = dict(n_iterations=2, rw_sd={"r": 0.02, "X.0": 0.1}, ivp_names=("X.0",))
+    a = pk.mif(gompertz_fitted, settings(gompertz_fitted.params, ic_lag=3, **kw),
+               seed=18, run_final_filter=False)
+    b = pk.mif(gompertz_fitted, settings(gompertz_fitted.params, ic_lag=10, **kw),
+               seed=18, run_final_filter=False)
+    assert np.array_equal(a.trace, b.trace)
+
+
+def test_mif_walks_seasonal_sir_on_the_estimation_scale():
+    # on the natural scale this walk took rho below zero and the measurement
+    # density raised; the log and logit transforms keep it inside the domain
+    model = pk.sir_seasonal_model(years=0.5)
+    model = pk.attach_data(model, pk.simulate(model, seed=8)[0])
+    s = MifSettings(start=model.params, n_iterations=2, num_particles=40,
+                    rw_sd={"b1": 0.02, "rho": 0.02, "sigma": 0.02})
+    out = pk.mif(model, s, seed=5)
+    assert 0 < out.theta_hat["rho"] < 1 and out.theta_hat["sigma"] > 0
+    assert np.isfinite(out.final_filter.loglik)

@@ -220,6 +220,23 @@ def test_sir_initializers_take_per_particle_parameters(factory):
             assert batch[name][j] == one[name][0]
 
 
+@pytest.mark.parametrize("factory", [pk.sir_model, pk.sir_seasonal_model])
+def test_sir_transforms_map_parameters_onto_the_real_line(factory):
+    model = factory(years=0.1)
+    natural = model.params.as_dict()
+    work = pk.transform_params(model, natural, "to-estimation")
+    assert work["rho"] == pytest.approx(np.log(natural["rho"] / (1 - natural["rho"])))
+    assert work["gamma"] == pytest.approx(np.log(natural["gamma"]))
+    for name in ("b1", "b2", "b3"):
+        if name in natural:
+            assert work[name] == natural[name]
+    back = pk.transform_params(model, work, "from-estimation")
+    assert back == pytest.approx(natural, rel=1e-12)
+    # any real value on the estimation scale lands inside the domain
+    far = pk.transform_params(model, {k: -30.0 for k in work}, "from-estimation")
+    assert 0 < far["rho"] < 1 and far["popsize"] > 0
+
+
 def test_registry_knows_all_builtins():
     assert set(models.BUILTIN_MODELS) == {"gompertz", "ricker", "sir", "sir-seasonal"}
     with pytest.raises(KeyError, match="unknown model"):

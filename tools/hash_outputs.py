@@ -11,7 +11,7 @@ tolerated filtering failure) and on Ricker, ``simulate_paths`` on SIR,
 seasonal SIR, Ricker, Gompertz (also without measurements) and a toy model
 whose ``rprocess`` returns its input, ``mif`` on
 Gompertz (with and without IVPs and ``transform``, and with a tolerated
-failure) and on seasonal SIR, ``pmcmc`` on Gompertz (plain, and with
+failure) and on seasonal SIR (small and realistic walks), ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure), ``abc`` on
 Gompertz and on the toy model, ``probe_match``, ``nlf_quasi_loglik``,
 ``nlf_fit``, and the CLI's ``result.json`` (minus
@@ -156,6 +156,12 @@ def library_hashes():
     res = pk.mif(seasonal, settings, seed=5)
     out["mif/sir-seasonal"] = digest(res.trace, res.theta_hat.values, res.n_failures,
                                      *filter_parts(res.final_filter))
+    settings = pk.MifSettings(start=seasonal.params, n_iterations=2, num_particles=40,
+                              rw_sd={"b1": 0.02, "rho": 0.02, "sigma": 0.02})
+    res = pk.mif(seasonal, settings, seed=5)
+    out["mif/sir-seasonal/realistic"] = digest(res.trace, res.theta_hat.values,
+                                               res.n_failures,
+                                               *filter_parts(res.final_filter))
 
     wide = with_box_prior(gomp, {n: (0.01, 1.0) for n in ("r", "sigma", "tau")})
     chain = pk.pmcmc(wide, gomp.params, n_steps=30, num_particles=40,
