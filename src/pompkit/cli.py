@@ -7,7 +7,9 @@ priors) comes from a JSON config document, with flags overriding config
 values.  Every run requires an explicit seed: results are byte-reproducible
 given (config, seed).  Runs are serial: their loops hold the interpreter
 lock, so ``threads`` (config field or ``--threads``) is accepted and recorded
-in ``result.json`` but has no effect.
+in ``result.json`` but has no effect.  Repeated filters run batched instead:
+pfilter replicates, mif starts and mif evaluations each run as the blocks of
+one particle swarm.
 
 Exit status: 0 success, 2 validation error, 3 algorithm failure.
 """
@@ -28,7 +30,8 @@ import jsonschema
 from . import core, dataio, models, nlf, oracle, probes, smc
 from .abc import AbcSettings, abc as run_abc, compute_probe_scales
 from .exceptions import ConfigError, DomainError, PompKitError
-from .mif import MifSettings, mif as run_mif
+from .mif import MifSettings, _mif_blocks
+from .mif import mif as run_mif  # noqa: F401  (perfbench's tracer patches cli.run_mif)
 from .pmcmc import (
     effective_sample_size,
     mvn_diag_rw,
@@ -320,10 +323,10 @@ def _run_simulate(model, config, settings, outdir):
 def _run_pfilter(model, config, settings, outdir):
     np_particles = settings.get("np", 1000)
     reps = settings.get("replicates", 1)
-    seeds = child_seeds(config["seed"], "pfilter-reps", reps)
-    results = [smc.pfilter(model, num_particles=np_particles, seed=s,
-                           max_fail=settings.get("max_fail", 0))
-               for s in seeds]
+    # all replicates run as the blocks of one pass, on the seed of replicate 0
+    seed = child_seeds(config["seed"], "pfilter-reps", 1)[0]
+    results = smc._pfilter_blocks(model, [None] * reps, np_particles, seed,
+                                  settings.get("max_fail", 0))
     primary = results[0]
     out = {
         "loglik": primary.loglik,
@@ -362,36 +365,38 @@ def _run_mif(model, config, settings, outdir):
     jitter = settings.get("start_jitter_sdlog", 1.0)
     rw_sd = settings["rw_sd"]
     est_names = [n for n, v in rw_sd.items() if v > 0]
-    seeds = child_seeds(config["seed"], "mif-starts", starts)
-    jitter_seeds = child_seeds(config["seed"], "mif-jitter", starts)
-
-    runs = []
-    for seed, jitter_seed in zip(seeds, jitter_seeds):
+    theta0s = []
+    for jitter_seed in child_seeds(config["seed"], "mif-jitter", starts):
         theta0 = model.params.as_dict()
         if starts > 1 and jitter > 0:
             g = np.random.default_rng(jitter_seed)
             for n in est_names:
                 theta0[n] = float(np.exp(np.log(theta0[n]) + jitter * g.standard_normal()))
-        mset = MifSettings(
-            start=core.ParamVector(theta0),
-            n_iterations=settings.get("iterations", 50),
-            num_particles=settings.get("np", 1000),
-            rw_sd=rw_sd,
-            ivp_names=tuple(settings.get("ivp_names", ())),
-            var_factor=settings.get("var_factor", 2.0),
-            cooling_factor=settings.get("cooling_factor"),
-            cooling_fraction=settings.get("cooling_fraction"),
-            transform=settings.get("transform", True),
-            max_fail=settings.get("max_fail", 0),
-        )
-        result = run_mif(model, mset, seed=seed, run_final_filter=False)
-        eval_seeds = child_seeds(seed, "mif-eval", settings.get("eval_replicates", 10))
-        lls = np.array([
-            smc.pfilter(model, result.theta_hat,
-                        num_particles=settings.get("eval_np", settings.get("np", 1000)),
-                        seed=s, max_fail=settings.get("max_fail", 0)).loglik
-            for s in eval_seeds
-        ])
+        theta0s.append(core.ParamVector(theta0))
+    mset = MifSettings(
+        start=theta0s[0],
+        n_iterations=settings.get("iterations", 50),
+        num_particles=settings.get("np", 1000),
+        rw_sd=rw_sd,
+        ivp_names=tuple(settings.get("ivp_names", ())),
+        var_factor=settings.get("var_factor", 2.0),
+        cooling_factor=settings.get("cooling_factor"),
+        cooling_fraction=settings.get("cooling_fraction"),
+        transform=settings.get("transform", True),
+        max_fail=settings.get("max_fail", 0),
+    )
+    # the starts run as the blocks of one swarm, and then every start's
+    # evaluation replicates as the blocks of one filter, on the seeds of start 0
+    seed = child_seeds(config["seed"], "mif-starts", 1)[0]
+    results = _mif_blocks(model, mset, theta0s, seed)
+    n_evals = settings.get("eval_replicates", 10)
+    evals = smc._pfilter_blocks(
+        model, [r.theta_hat for r in results for _ in range(n_evals)],
+        settings.get("eval_np", settings.get("np", 1000)),
+        child_seeds(seed, "mif-eval", 1)[0], settings.get("max_fail", 0))
+    runs = []
+    for k, result in enumerate(results):
+        lls = np.array([f.loglik for f in evals[k * n_evals:(k + 1) * n_evals]])
         runs.append((result, *smc.logmeanexp(lls, with_se=True)))
     best_idx = int(np.argmax([lme for _, lme, _ in runs]))
     best, best_lme, best_se = runs[best_idx]
@@ -517,6 +522,7 @@ class _JsonEncoder(json.JSONEncoder):
         return super().default(o)
 
 
+@core.one_run
 def run(config: dict) -> int:
     """Validate and execute one run; returns the process exit status."""
     try:

@@ -49,7 +49,9 @@ be one it returned on an earlier call.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -84,6 +86,30 @@ __all__ = [
 logger = logging.getLogger("pompkit")
 
 INIT_SUFFIX = ".0"
+
+# ``warned`` holds the (table id, side) of each covariate extrapolation
+# already warned about in the run in progress on this thread; it is None
+# outside a run (see one_run).  A thread-local rather than a ContextVar:
+# setting a ContextVar slows every numpy ufunc call made while it is set.
+_run_state = threading.local()
+
+
+def one_run(fn):
+    """Decorator: a call of ``fn`` is one run, which warns once per covariate
+    table and side about extrapolation.  A call made inside another run
+    belongs to that run, so a pmcmc chain or a CLI run warns once in all."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if getattr(_run_state, "warned", None) is not None:
+            return fn(*args, **kwargs)
+        _run_state.warned = set()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _run_state.warned = None
+
+    return run
 
 
 class ParamVector(Mapping):
@@ -253,7 +279,6 @@ class CovariateTable:
                 f"covariate values shape {values.shape} does not match "
                 f"(n_times={times.size}, n_names={len(self.names)})"
             )
-        object.__setattr__(self, "_warned", set())
         # plain-float copies: lookup runs once per simulator step, and Python
         # float arithmetic gives the same IEEE results as numpy scalars
         object.__setattr__(self, "_time_list", times.tolist())
@@ -263,7 +288,8 @@ class CovariateTable:
         """Covariate values at time ``t``: exact at nodes, linear between them.
 
         Outside the table range the nearest two nodes are extrapolated
-        linearly and a warning is logged once per side.
+        linearly and a warning is logged once per side and run (every time
+        outside a run; see :func:`one_run`).
         """
         times, rows = self._time_list, self._value_rows
         t = float(t)
@@ -271,8 +297,10 @@ class CovariateTable:
             return dict(zip(self.names, rows[0]))
         if t < times[0] or t > times[-1]:
             side = "before" if t < times[0] else "after"
-            if side not in self._warned:
-                self._warned.add(side)
+            warned = getattr(_run_state, "warned", None)
+            if warned is None or (id(self), side) not in warned:
+                if warned is not None:
+                    warned.add((id(self), side))
                 logger.warning(
                     "covariate lookup at t=%g extrapolates %s the table range [%g, %g]",
                     t,
@@ -623,6 +651,7 @@ def _reset_accumulators(model: ModelSpec, state_mat: np.ndarray):
 # Simulation
 
 
+@one_run
 def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
                    with_obs=True):
     """Simulate ``nsim`` realizations, vectorized over the batch axis.

@@ -146,12 +146,14 @@ def write_simulations_csv(path, records, include_states=True):
 
 
 def write_trace_csv(path, result):
-    """Write a parameter-search trace (one row per iteration)."""
+    """Write a parameter-search trace: one row per iteration, holding the
+    estimate and the log likelihood of that iteration's perturbed filter."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration"] + list(result.param_names))
+        writer.writerow(["iteration"] + list(result.param_names) + ["loglik"])
         for m in range(result.trace.shape[0]):
-            writer.writerow([m + 1] + [_fmt(v) for v in result.trace[m]])
+            writer.writerow([m + 1] + [_fmt(v) for v in result.trace[m]]
+                            + [_fmt(result.logliks[m])])
 
 
 def write_chain_csv(path, chain: Chain):

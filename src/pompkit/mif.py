@@ -13,6 +13,15 @@ only.  The estimate after each pass is the mean of the parameter swarm.
 The filter is the shared step loop of :mod:`pompkit.smc`.  This module adds
 only the parameter swarm, through the loop's two hooks: one perturbs the
 swarm before each advance, the other re-indexes it after each resampling.
+The swarm holds the walked parameters only; each fixed one enters every
+step as a single estimation-scale value.
+
+Several starts run together as the blocks of one swarm (the private
+``_mif_blocks``, which the CLI's multi-start search uses): block k's
+particles carry the parameters walked from start k, one perturbation draw
+and one re-indexing per step serve every block, and the loop weights and
+resamples each block on its own.  Each block yields its own estimate, trace
+and per-iteration log likelihoods.  :func:`mif` is the one-block case.
 """
 
 from __future__ import annotations
@@ -118,6 +127,7 @@ class MifResult:
     n_failures: int = 0
 
 
+@core.one_run
 def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
         run_final_filter=True) -> MifResult:
     """Iterated-filtering maximum-likelihood search.
@@ -127,78 +137,108 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     at the estimate.  Parameters with zero ``rw_sd`` come back bit-identical
     to their starting values.
     """
-    model.require("iterated filtering", "rprocess", "dmeasure")
-    if not settings.transform:
-        model = replace(model, to_estimation=None, from_estimation=None)
-    names = settings.start.names
-    p = len(names)
-    J = settings.num_particles
-    M = settings.n_iterations
-    C = settings.var_factor
-
-    sigma = np.array([float(settings.rw_sd.get(n, 0.0)) for n in names])
-    ivp = (sigma > 0) & np.array([n in settings.ivp_names for n in names])  # t0 only
-    est = (sigma > 0) & ~ivp             # walked before every advance
-    n_est, n_ivp = int(est.sum()), int(ivp.sum())
-    start_nat = settings.start.as_dict()
-    start_work = core.transform_params(model, start_nat, "to-estimation")
-    theta = np.array([start_work[n] for n in names])
-
-    # the parameter swarm is held as a (p, J) array, one contiguous row per
-    # parameter, so the hooks read and write whole rows
-    def natural(swarm):
-        return core.transform_params(model, dict(zip(names, swarm)), "from-estimation")
-
-    rng = stream(seed, "mif")
-    trace = np.empty((M, p))
-    logliks = np.empty(M)
-    n_failures_total = 0
-    swarm = theta[:, None] + (C * sigma)[:, None] * rng.standard_normal((p, J))
-
-    for m in range(1, M + 1):
-        walk_sd = perturbation_sd(settings, m)
-        sd = np.array([[walk_sd.get(nm, 0.0)] for nm in names])  # (p, 1)
-        if m > 1:
-            swarm[ivp] += C * sd[ivp] * rng.standard_normal((n_ivp, J))
-        x = core._init_states(model, natural(swarm), model.data.t0, rng, J)
-        step_sd = sd[est]
-
-        def perturb():
-            swarm[est] += step_sd * rng.standard_normal((n_est, J))
-            return natural(swarm)
-
-        def on_resample(idx):
-            nonlocal swarm
-            swarm = swarm.take(idx, axis=1)  # unlike swarm[:, idx], keeps rows contiguous
-
-        result = smc._filter_pass(model, x, None, rng, settings.max_fail, perturb,
-                                  on_resample)
-        n_failures_total += result.n_failures
-        logliks[m - 1] = result.loglik
-
-        nat = natural(swarm.mean(axis=1))
-        trace[m - 1] = [start_nat[nm] if sigma[i] == 0 else nat[nm]
-                        for i, nm in enumerate(names)]
-
-    if M > 0:
-        theta_hat = core.ParamVector({nm: trace[-1, i] for i, nm in enumerate(names)})
-    else:
-        theta_hat = settings.start
-
+    (result,) = _mif_blocks(model, settings, [settings.start], seed)
     final = None
     if run_final_filter and model.dmeasure is not None:
         try:
-            final = smc.pfilter(model, theta_hat, num_particles=J,
+            final = smc.pfilter(model, result.theta_hat, num_particles=settings.num_particles,
                                 seed=stream(seed, "mif-final"),
                                 max_fail=settings.max_fail)
         except FilteringFailureError:
             logger.warning("final filtering pass at the mif estimate failed; "
                            "no FilterResult attached")
-    return MifResult(
-        theta_hat=theta_hat,
-        trace=trace,
-        logliks=logliks,
-        param_names=names,
-        final_filter=final,
-        n_failures=n_failures_total,
-    )
+    return replace(result, final_filter=final)
+
+
+@core.one_run
+def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> list:
+    """IF2 from each of K starting points, run as the K blocks of one swarm.
+
+    ``starts`` are K parameter vectors over the names of ``settings.start``;
+    every other setting is shared.  Block k holds J particles, columns
+    k*J..(k+1)*J-1 of the (p_walked, K*J) parameter swarm, so each step
+    perturbs the whole swarm once and re-indexes it with one ``take``.
+    Returns one :class:`MifResult` per start, without a final filter; K = 1
+    is :func:`mif`.
+    """
+    model.require("iterated filtering", "rprocess", "dmeasure")
+    if not settings.transform:
+        model = replace(model, to_estimation=None, from_estimation=None)
+    names = settings.start.names
+    p = len(names)
+    K = len(starts)
+    J = settings.num_particles
+    M = settings.n_iterations
+    C = settings.var_factor
+
+    sigma = np.array([float(settings.rw_sd.get(n, 0.0)) for n in names])
+    is_ivp = np.array([n in settings.ivp_names for n in names])
+    # the swarm holds the walked parameters only: the estimated ones, walked
+    # before every advance, then the IVPs, walked at t0 only
+    est = np.flatnonzero((sigma > 0) & ~is_ivp)
+    ivp = np.flatnonzero((sigma > 0) & is_ivp)
+    walked = np.concatenate((est, ivp))
+    n_est = est.size
+    walked_names = [names[i] for i in walked]
+    fixed_names = [nm for i, nm in enumerate(names) if sigma[i] == 0]
+    starts_nat = [{nm: start[nm] for nm in names} for start in starts]
+    starts_work = [core.transform_params(model, nat, "to-estimation") for nat in starts_nat]
+    # each fixed parameter enters every step as one estimation-scale value per block
+    fixed = [{nm: work[nm] for nm in fixed_names} for work in starts_work]
+    fixed_swarm = smc._block_params(fixed, J)
+
+    def natural(rows, fixed_values):
+        params = dict.fromkeys(names)
+        params.update(fixed_values)
+        params.update(zip(walked_names, rows))
+        return core.transform_params(model, params, "from-estimation")
+
+    rng = stream(seed, "mif")
+    traces = np.empty((K, M, p))
+    logliks = np.empty((K, M))
+    n_failures = [0] * K
+    theta = np.array([[work[names[i]] for work in starts_work] for i in walked]).reshape(-1, K)
+    # one contiguous row per walked parameter, so the hooks read and write
+    # whole rows; normals are drawn for every parameter, fixed ones included,
+    # which keeps mif's fixed-seed outputs, and only the walked rows are kept
+    swarm = (np.repeat(theta, J, axis=1)
+             + (C * sigma[walked])[:, None] * rng.standard_normal((p, K * J))[walked])
+    blocks = [(k, k * J, (k + 1) * J) for k in range(K)]
+
+    for m in range(1, M + 1):
+        walk_sd = perturbation_sd(settings, m)
+        sd = np.array([walk_sd.get(names[i], 0.0) for i in walked])[:, None]
+        if m > 1:
+            swarm[n_est:] += C * sd[n_est:] * rng.standard_normal((ivp.size, K * J))
+        x = core._init_states(model, natural(swarm, fixed_swarm), model.data.t0, rng, K * J)
+        step_sd = sd[:n_est]
+
+        def perturb():
+            swarm[:n_est] += step_sd * rng.standard_normal((n_est, K * J))
+            return natural(swarm, fixed_swarm)
+
+        def on_resample(idx):
+            nonlocal swarm
+            swarm = swarm.take(idx, axis=1)  # unlike swarm[:, idx], keeps rows contiguous
+
+        results = smc._filter_pass(model, x, None, rng, settings.max_fail, perturb,
+                                   on_resample, blocks=K)
+        for k, lo, hi in blocks:
+            n_failures[k] += results[k].n_failures
+            logliks[k, m - 1] = results[k].loglik
+            nat = natural(swarm[:, lo:hi].mean(axis=1), fixed[k])
+            traces[k, m - 1] = [starts_nat[k][nm] if sigma[i] == 0 else nat[nm]
+                                for i, nm in enumerate(names)]
+
+    return [
+        MifResult(
+            theta_hat=(core.ParamVector({nm: traces[k, -1, i] for i, nm in enumerate(names)})
+                       if M > 0 else starts[k]),
+            trace=traces[k],
+            logliks=logliks[k],
+            param_names=names,
+            final_filter=None,
+            n_failures=n_failures[k],
+        )
+        for k in range(K)
+    ]

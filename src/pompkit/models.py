@@ -184,9 +184,15 @@ def _sir_step(x, params, t, dt, rng, covars):
     }
 
 
+def _initial_fractions(params):
+    """S.0, I.0 and R.0 stacked along axis 0.  Per-particle parameters add a
+    particle axis, to which scalar ones (say, those mif holds fixed) broadcast."""
+    return np.array(np.broadcast_arrays(params["S.0"], params["I.0"], params["R.0"]),
+                    dtype=float)
+
+
 def _sir_initializer(params, t0, rng, n):
-    # axis 0 runs over S, I, R; per-particle parameters add a particle axis
-    fracs = np.array([params["S.0"], params["I.0"], params["R.0"]], dtype=float)
+    fracs = _initial_fractions(params)
     counts = np.round(params["popsize"] * fracs / fracs.sum(axis=0))
     return {
         "S": np.full(n, counts[0]),
@@ -272,7 +278,7 @@ def _sir_seasonal_step(x, params, t, dt, rng, covars):
 
 
 def _sir_seasonal_initializer(params, t0, rng, n):
-    fracs = np.array([params["S.0"], params["I.0"], params["R.0"]], dtype=float)
+    fracs = _initial_fractions(params)
     counts = np.round(params["popsize"] * (fracs / fracs.sum(axis=0)))
     return {
         "S": np.full(n, counts[0]), "I": np.full(n, counts[1]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParamVector, TimeSeriesData, transform_params
+from .core import ParamVector, TimeSeriesData, one_run, transform_params
 from .exceptions import DomainError, SingularCovarianceError
 
 __all__ = [
@@ -248,6 +248,7 @@ class FitResult:
     n_evals: int
 
 
+@one_run
 def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform=True,
                             maxit=400, reltol=1e-6) -> FitResult:
     """Maximize ``objective(theta)`` over the parameters named in ``est``.

@@ -160,6 +160,7 @@ def effective_sample_size(samples, with_flag=False):
     return (ess_value, capped) if with_flag else ess_value
 
 
+@core.one_run
 def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Proposal,
                 n_steps: int, rng, log_target, operation: str):
     """Random-walk Metropolis chain of ``n_steps`` steps from ``start``.

@@ -14,6 +14,16 @@ the never-NaN ``dmeasure`` contract: the maximum log weight it takes at every
 step propagates NaN from any particle, so one comparison on that maximum
 raises :class:`~pompkit.exceptions.DomainError` without a separate scan.
 
+The kernel also runs K independent filters as the K blocks of one swarm of
+K*J particles, whose parameters may differ per block (per-particle arrays,
+the form mif uses).  The simulator and the measurement density run once per
+step on the whole swarm; each block is then weighted and resampled on its
+own, by the same operations as a one-block pass, and counts its own
+filtering failures.  The private ``_pfilter_blocks`` runs replicate filters
+this way, for the CLI's ``replicates`` and mif evaluations; :func:`pfilter`
+is its one-block case.  A batched replicate draws from the shared stream, so
+it is not the standalone :func:`pfilter` run on any seed.
+
 The estimator is unbiased for the likelihood (not the log likelihood), which
 is why replicate estimates are combined with :func:`logmeanexp`.
 """
@@ -129,81 +139,137 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
 
     Deterministic given ``(seed, num_particles)``, independent of worker count.
     """
-    model.require("particle filtering", "rprocess", "dmeasure")
-    num_particles = require_integer("num_particles", num_particles, 1)
-    p = core.params_to_dict(model.default_params(params))
-    rng = stream(seed, "pfilter")
-    x = core._init_states(model, p, model.data.t0, rng, num_particles)
-    result = _filter_pass(model, x, p, rng, max_fail)
+    (result,) = _pfilter_blocks(model, [params], num_particles, seed, max_fail)
     return result if save_final_particles else replace(result, final_particles=None)
 
 
+def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles, seed,
+                    max_fail) -> list:
+    """K independent filters at fixed parameters, run as the K blocks of one swarm.
+
+    Block k has ``num_particles`` particles at ``params_per_block[k]`` (``None``
+    for the model's defaults).  Every block counts its own failures against
+    ``max_fail``.  Returns one :class:`FilterResult` per block, with its final
+    particles; K = 1 is :func:`pfilter`.
+    """
+    model.require("particle filtering", "rprocess", "dmeasure")
+    num_particles = require_integer("num_particles", num_particles, 1)
+    p = _block_params([core.params_to_dict(model.default_params(b))
+                       for b in params_per_block], num_particles)
+    rng = stream(seed, "pfilter")
+    K = len(params_per_block)
+    x = core._init_states(model, p, model.data.t0, rng, K * num_particles)
+    return _filter_pass(model, x, p, rng, max_fail, blocks=K)
+
+
+def _block_params(dicts, J) -> dict:
+    """One parameter dict for K blocks of J particles, from the K blocks' dicts.
+
+    A parameter with the same value in every block stays a scalar; any other
+    becomes a per-particle (K*J,) array holding block k's value in rows
+    k*J..(k+1)*J-1.
+    """
+    if len(dicts) == 1:
+        return dicts[0]
+    out = {}
+    for name in dicts[0]:
+        values = [d[name] for d in dicts]
+        same = all(v == values[0] for v in values)
+        out[name] = values[0] if same else np.repeat(np.asarray(values, dtype=float), J)
+    return out
+
+
+@core.one_run
 def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
-                 on_resample=None) -> FilterResult:
-    """One filtering pass of the (J, q) swarm ``x`` over every observation.
+                 on_resample=None, blocks=1) -> list:
+    """One filtering pass of the (K*J, q) swarm ``x`` over every observation.
 
     Each step advances the swarm, weights it by the measurement density,
     resamples it systematically and zeroes the accumulators.  The hooks let
     iterated filtering ride on the same loop: ``perturb()`` runs before each
     advance and returns the parameters for that step; ``on_resample(idx)``
-    receives each step's resampling indices (no call after a tolerated
-    failure, which leaves the swarm unresampled).  ``final_particles`` holds
-    the swarm after the last step.
+    receives each step's resampling indices (no call after a step where every
+    block failed, which leaves the swarm unresampled).
+
+    ``blocks`` = K splits the swarm into K independent filters of J
+    particles, rows k*J..(k+1)*J-1 for block k.  Advance and measurement
+    density run once per step on the whole swarm; each block is then
+    weighted and resampled on its own, by the same operations as a one-block
+    pass, and counts its own failures against ``max_fail``.  A failed block
+    stays unresampled and draws no uniform.  Returns one
+    :class:`FilterResult` per block; ``final_particles`` holds the block's
+    swarm after the last step.
     """
     data = model.data
-    J = x.shape[0]
+    K = blocks
+    J = x.shape[0] // K
     N = data.n_obs
-    cond_logliks = np.empty(N)
-    ess_vec = np.empty(N)
-    filter_means = np.empty((N, model.n_states))
-    n_failures = 0
+    cond_logliks = np.empty((K, N))
+    ess_vec = np.empty((K, N))
+    filter_means = np.empty((K, N, model.n_states))
+    n_failures = [0] * K
     records, all_missing = data._records, data._all_missing
     grid = np.arange(J)
+    # per block: its rows of the swarm and its rows of the outputs
+    spans = [(k, k * J, (k + 1) * J, cond_logliks[k], ess_vec[k], filter_means[k])
+             for k in range(K)]
 
     t_prev = data.t0
-    for n in range(N):
-        t = float(data.times[n])
+    for n, t in enumerate(data.times.tolist()):
         if perturb is not None:
             params = perturb()
         x = core.advance(model, x, params, t_prev, t, rng)
         if all_missing[n]:
-            logw = np.zeros(J)
+            logw = np.zeros(K * J)
         else:
             logw = core.measurement_logdensity(model, records[n], x, params, t)
-        max_logw = logw.max()
-        if max_logw != max_logw:  # the maximum propagates NaN from any particle
-            raise DomainError(f"dmeasure returned NaN at t={t}; "
-                              "it must return finite values or -inf")
-        if not math.isfinite(max_logw):
-            n_failures += 1
-            if n_failures > max_fail:
-                raise FilteringFailureError(n + 1, t)
-            logger.warning("filtering failure at step %d (t=%g): zero weights tolerated "
-                           "(%d of %s)", n + 1, t, n_failures, max_fail)
-            cond_logliks[n] = -np.inf
-            ess_vec[n] = J
-            filter_means[n] = x.mean(axis=0)
-        else:
-            w = np.exp(logw - max_logw)
-            sum_w = w.sum()
-            cond_logliks[n] = max_logw + np.log(sum_w / J)
-            w_norm = w / sum_w
-            ess_vec[n] = 1.0 / (w_norm * w_norm).sum()
-            filter_means[n] = w_norm @ x
-            # exp() of finite-max log weights: finite, non-negative, max term 1
-            idx = _systematic_resample(w_norm, rng, grid)
+        parts = []  # each block's resampling indices into the whole swarm
+        resampled = False
+        for k, lo, hi, block_ll, block_ess, block_means in spans:
+            logw_k, x_k = (logw, x) if K == 1 else (logw[lo:hi], x[lo:hi])
+            max_logw = logw_k.max()
+            if max_logw != max_logw:  # the maximum propagates NaN from any particle
+                raise DomainError(f"dmeasure returned NaN at t={t}; "
+                                  "it must return finite values or -inf")
+            if not math.isfinite(max_logw):
+                n_failures[k] += 1
+                if n_failures[k] > max_fail:
+                    raise FilteringFailureError(n + 1, t)
+                logger.warning("filtering failure at step %d (t=%g): zero weights "
+                               "tolerated (%d of %s)", n + 1, t, n_failures[k], max_fail)
+                block_ll[n] = -np.inf
+                block_ess[n] = J
+                block_means[n] = x_k.mean(axis=0)
+                parts.append(grid + lo)
+            else:
+                w = np.exp(logw_k - max_logw)
+                sum_w = w.sum()
+                block_ll[n] = max_logw + np.log(sum_w / J)
+                w_norm = w / sum_w
+                block_ess[n] = 1.0 / (w_norm * w_norm).sum()
+                block_means[n] = w_norm @ x_k
+                # exp() of finite-max log weights: finite, non-negative, max term 1
+                idx = _systematic_resample(w_norm, rng, grid)
+                parts.append(idx + lo if lo else idx)
+                resampled = True
+        if resampled:
+            idx = parts[0] if K == 1 else np.concatenate(parts)
             x = x[idx]
             if on_resample is not None:
                 on_resample(idx)
-        core._reset_accumulators(model, x)
+        if model.accumulators:
+            core._reset_accumulators(model, x)
         t_prev = t
 
-    return FilterResult(
-        loglik=float(cond_logliks.sum()),
-        cond_logliks=cond_logliks,
-        ess=ess_vec,
-        filter_means=filter_means,
-        num_particles=J,
-        n_failures=n_failures,
-        final_particles=x,
-    )
+    return [
+        FilterResult(
+            loglik=float(block_ll.sum()),
+            cond_logliks=block_ll,
+            ess=block_ess,
+            filter_means=block_means,
+            num_particles=J,
+            n_failures=n_failures[k],
+            final_particles=x[lo:hi],
+        )
+        for k, lo, hi, block_ll, block_ess, block_means in spans
+    ]

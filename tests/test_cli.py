@@ -7,6 +7,7 @@ import pytest
 
 import pompkit as pk
 from pompkit import cli, dataio
+from pompkit.mif import MifSettings
 
 
 def run_cli(argv):
@@ -202,6 +203,53 @@ def test_mif_multi_start_workflow(tmp_path):
     assert set(result["theta_hat"]) == {"r", "K", "sigma", "tau", "X.0"}
     assert result["loglik_se"] > 0
     assert os.path.exists(os.path.join(out, "trace.csv"))
+
+
+# ---------------------------------------------------------------------------
+# batched replicates: one replicate, or one start with one evaluation, is a
+# direct library call on the derived seed
+
+
+def test_single_replicate_pfilter_is_a_direct_pfilter(tmp_path):
+    out = str(tmp_path / "pf")
+    config = {"schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": 31,
+              "output": out, "settings": {"np": 80, "replicates": 1}}
+    assert run_cli(["pfilter", "--config", write_config(tmp_path, "pf.json", config)]) == 0
+    result = load_result(out)["results"]
+    direct = pk.pfilter(cli._build_model(config), num_particles=80,
+                        seed=pk.child_seeds(31, "pfilter-reps", 1)[0])
+    assert result["loglik"] == direct.loglik
+    assert result["cond_logliks"] == direct.cond_logliks.tolist()
+    assert result["ess"] == direct.ess.tolist()
+
+
+def test_single_start_mif_is_a_direct_mif_and_pfilter(tmp_path):
+    out = str(tmp_path / "mif")
+    rw_sd = {"r": 0.02, "sigma": 0.02, "tau": 0.02}
+    config = {"schema": 1, "algorithm": "mif", "model": "gompertz", "seed": 32,
+              "output": out,
+              "settings": {"iterations": 2, "np": 60, "starts": 1, "eval_replicates": 1,
+                           "rw_sd": rw_sd, "cooling_fraction": 0.5}}
+    assert run_cli(["mif", "--config", write_config(tmp_path, "mif.json", config)]) == 0
+    result = load_result(out)["results"]
+
+    model = cli._build_model(config)
+    seed = pk.child_seeds(32, "mif-starts", 1)[0]
+    mset = MifSettings(start=model.params, n_iterations=2, num_particles=60, rw_sd=rw_sd,
+                       cooling_fraction=0.5)
+    direct = pk.mif(model, mset, seed=seed, run_final_filter=False)
+    evaluation = pk.pfilter(model, direct.theta_hat, num_particles=60,
+                            seed=pk.child_seeds(seed, "mif-eval", 1)[0])
+    assert result["theta_hat"] == direct.theta_hat.as_dict()
+    assert result["loglik"] == evaluation.loglik
+    expected = str(tmp_path / "trace.csv")
+    dataio.write_trace_csv(expected, direct)
+    with open(os.path.join(out, "trace.csv"), "rb") as got, open(expected, "rb") as want:
+        assert got.read() == want.read()
+    with open(expected, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "loglik"
+    assert [float(row[-1]) for row in rows[1:]] == direct.logliks.tolist()
 
 
 # ---------------------------------------------------------------------------

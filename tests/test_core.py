@@ -124,6 +124,24 @@ def test_covariate_extrapolation_is_linear_and_warns(caplog):
     assert any("extrapolates" in r.message for r in caplog.records)
 
 
+def test_covariate_warning_is_given_once_in_every_run(caplog):
+    # observations at t = 1..5, covariates up to t = 2
+    model = core.ModelSpec(
+        data=TimeSeriesData(t0=0.0, times=np.arange(1.0, 6.0), observations=np.ones((5, 1)),
+                            obs_names=("y",)),
+        state_names=("x",),
+        rprocess=lambda x, p, t0, t1, rng, cv: x,
+        dmeasure=lambda y, x, p, t, log, cv: np.zeros_like(x["x"]),
+        covariates=CovariateTable(times=[0.0, 2.0], values=[[0.0], [1.0]], names=("v",)),
+        params=ParamVector({"x.0": 0.0}),
+    )
+    for seed in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="pompkit"):
+            pk.pfilter(model, num_particles=5, seed=seed)
+        assert sum("extrapolates after" in r.message for r in caplog.records) == 1
+
+
 def test_stream_and_simulate_reject_bad_integers():
     with pytest.raises(DomainError, match="seed"):
         pk.stream(-1)

@@ -5,7 +5,7 @@ import pytest
 
 import pompkit as pk
 from pompkit.exceptions import DomainError
-from pompkit.mif import MifSettings, perturbation_sd
+from pompkit.mif import MifSettings, _mif_blocks, perturbation_sd
 
 
 def settings(start, **kw):
@@ -210,3 +210,33 @@ def test_mif_walks_seasonal_sir_on_the_estimation_scale():
     out = pk.mif(model, s, seed=5)
     assert 0 < out.theta_hat["rho"] < 1 and out.theta_hat["sigma"] > 0
     assert np.isfinite(out.final_filter.loglik)
+
+
+# ---------------------------------------------------------------------------
+# starts run as the blocks of one swarm
+
+
+def test_one_block_is_mif(gompertz_fitted):
+    s = settings(gompertz_fitted.params, n_iterations=2, rw_sd={"r": 0.02, "X.0": 0.1},
+                 ivp_names=("X.0",))
+    (block,) = _mif_blocks(gompertz_fitted, s, [s.start], 4)
+    out = pk.mif(gompertz_fitted, s, seed=4, run_final_filter=False)
+    assert np.array_equal(block.trace, out.trace)
+    assert np.array_equal(block.logliks, out.logliks)
+    assert block.theta_hat == out.theta_hat and block.n_failures == out.n_failures
+
+
+def test_blocks_walk_from_their_own_starts(gompertz_fitted):
+    # K is not walked: each block must filter at its own start's K all along
+    truth = gompertz_fitted.params
+    far = truth.replace(K=3.0, tau=0.3)
+    s = settings(truth, n_iterations=2, num_particles=200)
+    near_out, far_out = _mif_blocks(gompertz_fitted, s, [truth, far], 6)
+    k = truth.names.index("K")
+    assert np.all(near_out.trace[:, k] == 1.0) and np.all(far_out.trace[:, k] == 3.0)
+    assert near_out.theta_hat["K"] == 1.0 and far_out.theta_hat["K"] == 3.0
+    # a block filtering at the other block's K, or walking from its tau,
+    # would score and move like it
+    assert np.all(far_out.logliks < near_out.logliks - 10)
+    tau = truth.names.index("tau")
+    assert far_out.trace[0, tau] > 0.15 > near_out.trace[0, tau]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pompkit as pk
+from pompkit import core, smc
 from pompkit.core import ModelSpec, ParamVector, TimeSeriesData
 from pompkit.exceptions import DomainError, FilteringFailureError
 
@@ -146,6 +147,115 @@ def test_nan_log_density_is_domain_error_naming_t(gompertz_fitted, every_particl
                        rw_sd={"r": 0.02, "sigma": 0.02, "tau": 0.02}, max_fail=5)
     with pytest.raises(DomainError, match=match):
         pk.mif(broken, s, seed=1, run_final_filter=False)
+
+
+# ---------------------------------------------------------------------------
+# filters run as the blocks of one swarm
+
+
+def plain_filter(model, num_particles, seed):
+    """The particle filter written out step by step: (cond_logliks, final swarm)."""
+    p = core.params_to_dict(model.params)
+    rng = pk.stream(seed, "pfilter")
+    grid = np.arange(num_particles)
+    x = core._init_states(model, p, model.data.t0, rng, num_particles)
+    cond_logliks, t_prev = [], model.data.t0
+    for n, t in enumerate(model.data.times.tolist()):
+        x = core.advance(model, x, p, t_prev, t, rng)
+        logw = core.measurement_logdensity(model, model.data._records[n], x, p, t)
+        w = np.exp(logw - logw.max())
+        cond_logliks.append(logw.max() + np.log(w.sum() / num_particles))
+        x = x[smc._systematic_resample(w / w.sum(), rng, grid)]
+        t_prev = t
+    return np.array(cond_logliks), x
+
+
+def test_one_block_is_pfilter_and_the_plain_filter_loop(gompertz_fitted):
+    out = pk.pfilter(gompertz_fitted, num_particles=50, seed=9, save_final_particles=True)
+    (block,) = smc._pfilter_blocks(gompertz_fitted, [None], 50, 9, 0)
+    for field in ("cond_logliks", "ess", "filter_means", "final_particles"):
+        assert np.array_equal(getattr(out, field), getattr(block, field))
+    assert (out.loglik, out.n_failures) == (block.loglik, block.n_failures)
+    cond_logliks, final = plain_filter(gompertz_fitted, 50, 9)
+    assert np.array_equal(out.cond_logliks, cond_logliks)
+    assert np.array_equal(out.final_particles, final)
+
+
+def kalman_filtered_mean(params, y_log):
+    """Mean of log X given every observation, from the Kalman filter."""
+    ssm = pk.gompertz_ssm(params.as_dict())
+    mean, var = ssm.x0_mean, ssm.x0_var
+    for z in y_log:
+        mean, var = ssm.a * mean + ssm.b, ssm.a * ssm.a * var + ssm.q
+        gain = var / (var + ssm.r_obs)
+        mean, var = mean + gain * (z - mean - ssm.c), (1.0 - gain) * var
+    return mean
+
+
+def test_blocks_do_not_mix(gompertz_fitted):
+    # two parameter sets 125 log-likelihood units apart, 12 blocks each, interleaved
+    near = gompertz_fitted.params
+    far = near.replace(K=3.0, tau=0.5, **{"X.0": 3.0})
+    results = smc._pfilter_blocks(gompertz_fitted, [near, far] * 12, 400, 7, 0)
+    y_log = np.log(gompertz_fitted.data.observations[:, 0])
+    for params, blocks in ((near, results[0::2]), (far, results[1::2])):
+        exact = pk.kalman_loglik(pk.gompertz_ssm(params.as_dict()), y_log)
+        est, se = pk.logmeanexp(np.array([r.loglik for r in blocks]), with_se=True)
+        assert abs(est - exact) < 3 * se
+        # the filtered means of the two sets lie 0.27 apart
+        mean = kalman_filtered_mean(params, y_log)
+        for r in blocks:
+            assert r.final_particles.shape == (400, 1)
+            assert abs(np.log(r.final_particles).mean() - mean) < 0.1
+
+
+def fails_for_large_tau(model, t_fail):
+    """The model with zero weight at ``t_fail`` for every particle whose tau exceeds 0.11."""
+    dmeasure = model.dmeasure
+
+    def broken(y, x, p, t, log, cv):
+        out = dmeasure(y, x, p, t, log, cv)
+        return np.where(p["tau"] > 0.11, -np.inf, out) if t == t_fail else out
+
+    return dataclasses.replace(model, dmeasure=broken)
+
+
+def test_each_block_counts_its_own_failures(gompertz_fitted):
+    J = 40
+    broken = fails_for_large_tau(gompertz_fitted, float(gompertz_fitted.data.times[5]))
+    blocks = [gompertz_fitted.params, gompertz_fitted.params.replace(tau=0.15)]
+    with pytest.raises(FilteringFailureError, match="step 6"):
+        smc._pfilter_blocks(broken, blocks, J, 2, 0)
+
+    p = smc._block_params([b.as_dict() for b in blocks], J)
+    rng = pk.stream(2, "pfilter")
+    x = core._init_states(broken, p, broken.data.t0, rng, 2 * J)
+    seen = []
+    ok, failed = smc._filter_pass(broken, x, p, rng, 1, on_resample=seen.append, blocks=2)
+    assert (ok.n_failures, failed.n_failures) == (0, 1)
+    assert failed.cond_logliks[5] == -np.inf and failed.ess[5] == J
+    assert np.isfinite(np.delete(failed.cond_logliks, 5)).all() and np.isfinite(ok.loglik)
+    # at the failed step the failed block keeps its rows, while the other
+    # block resamples among its own
+    idx = seen[5]
+    assert np.array_equal(idx[J:], np.arange(J, 2 * J))
+    assert idx[:J].max() < J and not np.array_equal(idx[:J], np.arange(J))
+    assert all(not np.array_equal(i[J:], np.arange(J, 2 * J)) for i in seen[:5])
+
+
+def test_nan_in_any_block_is_domain_error(gompertz_fitted):
+    J, t_nan = 20, float(gompertz_fitted.data.times[4])
+    dmeasure = gompertz_fitted.dmeasure
+
+    def broken(y, x, p, t, log, cv):
+        out = np.array(dmeasure(y, x, p, t, log, cv), dtype=float)
+        if t == t_nan:
+            out[J + 3] = np.nan  # one particle of the second block
+        return out
+
+    with pytest.raises(DomainError, match=rf"dmeasure returned NaN at t={t_nan}"):
+        smc._pfilter_blocks(dataclasses.replace(gompertz_fitted, dmeasure=broken),
+                            [None, None], J, 1, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ bit-identical:
     PYTHONPATH=<checkout>/src python3 tools/hash_outputs.py > hashes.txt
 
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
-tolerated filtering failure) and on Ricker, ``simulate_paths`` on SIR,
-seasonal SIR, Ricker, Gompertz (also without measurements) and a toy model
-whose ``rprocess`` returns its input, ``mif`` on
-Gompertz (with and without IVPs and ``transform``, and with a tolerated
-failure) and on seasonal SIR (small and realistic walks), ``pmcmc`` on Gompertz (plain, and with
-prior-zero proposals and an auto-rejected filtering failure), ``abc`` on
-Gompertz and on the toy model, ``probe_match``, ``nlf_quasi_loglik``,
-``nlf_fit``, and the CLI's ``result.json`` (minus
-``generated_at``) and CSV files for ``pfilter``, ``mif``, ``pmcmc``, ``probe``
-and ``abc``.  All runs are small; the whole script takes well under a minute.
+tolerated filtering failure) and on Ricker; three Gompertz filters run as the
+blocks of one swarm (one block with a tolerated failure); ``simulate_paths``
+on SIR, seasonal SIR, Ricker, Gompertz (also without measurements) and a toy
+model whose ``rprocess`` returns its input; ``mif`` on Gompertz (with and
+without IVPs and ``transform``, and with a tolerated failure) and on seasonal
+SIR (small and realistic walks); ``pmcmc`` on Gompertz (plain, and with
+prior-zero proposals and an auto-rejected filtering failure); ``abc`` on
+Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
+``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
+files for ``pfilter`` (with three replicates and with one), ``mif``,
+``pmcmc``, ``probe`` and ``abc``.  All runs are small; the whole script takes
+well under a minute.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import tempfile
 import numpy as np
 
 import pompkit as pk
-from pompkit import cli
+from pompkit import cli, smc
 
 
 def digest(*parts) -> str:
@@ -62,12 +64,13 @@ def chain_parts(chain):
 
 def fails_at(model, t_fail, when=lambda params: True):
     """The model with every particle weight zero at observation time ``t_fail``,
-    for the parameters where ``when(params)`` holds."""
+    for the parameters where ``when(params)`` holds (per particle, when the
+    parameters are per-particle arrays)."""
     dmeasure = model.dmeasure
 
     def broken(y, x, params, t, log, covars):
         out = dmeasure(y, x, params, t, log, covars)
-        return np.full(np.shape(out), -np.inf) if t == t_fail and when(params) else out
+        return np.where(when(params), -np.inf, out) if t == t_fail else out
 
     return dataclasses.replace(model, dmeasure=broken)
 
@@ -116,6 +119,13 @@ def library_hashes():
 
     res = pk.pfilter(ricker, num_particles=300, seed=11, save_final_particles=True)
     out["pfilter/ricker"] = digest(*filter_parts(res))
+
+    # three filters as the blocks of one swarm; the middle one fails once
+    blocks = [gomp.params, gomp.params.replace(tau=0.15), gomp.params.replace(r=0.2)]
+    broken = fails_at(gomp, float(gomp.data.times[3]), lambda params: params["tau"] > 0.11)
+    results = smc._pfilter_blocks(broken, blocks, 100, 11, 1)
+    out["pfilter-blocks/gompertz/max_fail"] = digest(*(part for res in results
+                                                       for part in filter_parts(res)))
 
     states, obs = pk.simulate_paths(pk.sir_seasonal_model(years=2.0), None, 13, 4)
     out["simulate_paths/sir-seasonal"] = digest(states, obs)
@@ -198,28 +208,30 @@ def library_hashes():
 
 
 PRIOR = {"r": [0.01, 1.0], "sigma": [0.01, 1.0], "tau": [0.01, 1.0]}
-CLI_RUNS = {
-    "pfilter": {"np": 200, "replicates": 3, "max_fail": 1},
-    "mif": {"iterations": 3, "np": 100, "starts": 2, "eval_replicates": 2,
-            "rw_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02, "X.0": 0.1},
-            "ivp_names": ["X.0"]},
-    "pmcmc": {"steps": 30, "np": 40, "proposal_sd": {"r": 0.01, "sigma": 0.01, "tau": 0.01},
-              "prior": PRIOR},
-    "probe": {"nsim": 50, "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
-                                     {"type": "acf", "var": "Y", "lags": [1, 2]},
-                                     {"type": "marginal", "var": "Y"}]},
-    "abc": {"steps": 40, "scale_nsim": 50, "epsilon": 2.0, "prior": PRIOR,
-            "proposal_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02},
-            "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
-                       {"type": "acf", "var": "Y", "lags": [1, 2]}]},
+CLI_RUNS = {  # name: (subcommand, settings)
+    "pfilter": ("pfilter", {"np": 200, "replicates": 3, "max_fail": 1}),
+    "pfilter-replicates-1": ("pfilter", {"np": 200, "replicates": 1, "max_fail": 1}),
+    "mif": ("mif", {"iterations": 3, "np": 100, "starts": 2, "eval_replicates": 2,
+                    "rw_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02, "X.0": 0.1},
+                    "ivp_names": ["X.0"]}),
+    "pmcmc": ("pmcmc", {"steps": 30, "np": 40, "prior": PRIOR,
+                        "proposal_sd": {"r": 0.01, "sigma": 0.01, "tau": 0.01}}),
+    "probe": ("probe", {"nsim": 50,
+                        "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
+                                   {"type": "acf", "var": "Y", "lags": [1, 2]},
+                                   {"type": "marginal", "var": "Y"}]}),
+    "abc": ("abc", {"steps": 40, "scale_nsim": 50, "epsilon": 2.0, "prior": PRIOR,
+                    "proposal_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02},
+                    "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
+                               {"type": "acf", "var": "Y", "lags": [1, 2]}]}),
 }
 
 
 def cli_hashes(workdir):
     out = {}
-    for algorithm, settings in CLI_RUNS.items():
-        outdir = os.path.join(workdir, algorithm)
-        config = os.path.join(workdir, f"{algorithm}.json")
+    for name, (algorithm, settings) in CLI_RUNS.items():
+        outdir = os.path.join(workdir, name)
+        config = os.path.join(workdir, f"{name}.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump({"schema": 1, "algorithm": algorithm, "model": "gompertz",
                        "seed": 2024, "output": outdir, "settings": settings}, fh)
@@ -230,11 +242,11 @@ def cli_hashes(workdir):
         with open(os.path.join(outdir, "result.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         payload.pop("generated_at")
-        out[f"cli/{algorithm}/result.json"] = digest(json.dumps(payload, sort_keys=True))
-        for name in sorted(os.listdir(outdir)):
-            if name.endswith(".csv"):
-                with open(os.path.join(outdir, name), "rb") as fh:
-                    out[f"cli/{algorithm}/{name}"] = digest(fh.read())
+        out[f"cli/{name}/result.json"] = digest(json.dumps(payload, sort_keys=True))
+        for file in sorted(os.listdir(outdir)):
+            if file.endswith(".csv"):
+                with open(os.path.join(outdir, file), "rb") as fh:
+                    out[f"cli/{name}/{file}"] = digest(fh.read())
     return out
 
 
