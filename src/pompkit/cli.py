@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import logging
 import os
@@ -188,13 +189,19 @@ CONFIG_SCHEMA = {
 }
 
 
+# built once: both schemas are constants, checked against the metaschema by the
+# test suite rather than on every run
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_SETTINGS_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
+                        for name, schema in SETTINGS_SCHEMAS.items()}
+
+
 def validate_config(config: dict) -> dict:
     """Schema-validate a run configuration; raises ConfigError with the
     offending field path."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"config{err.json_path[1:]}: {err.message}") from None
+    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if err is not None:
+        raise ConfigError(f"config{err.json_path[1:]}: {err.message}")
     if config["model"] not in models.BUILTIN_MODELS:
         raise ConfigError(
             f"config.model: unknown model {config['model']!r}; "
@@ -202,8 +209,7 @@ def validate_config(config: dict) -> dict:
         )
     algorithm = config["algorithm"]
     settings = config.get("settings", {})
-    schema = SETTINGS_SCHEMAS[algorithm]
-    errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(settings),
+    errors = sorted(_SETTINGS_VALIDATORS[algorithm].iter_errors(settings),
                     key=lambda e: e.json_path)
     if errors:
         detail = "; ".join(f"settings{e.json_path[1:]}: {e.message}"
@@ -576,7 +582,9 @@ def _add_common(sub):
     sub.add_argument("-o", "--output", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pomp-kit`` argument parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="pomp-kit",
         description="Simulation-based inference for partially observed Markov processes",

@@ -8,7 +8,6 @@ columns.  Floats are written with ``repr`` so files round-trip exactly.
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
@@ -25,13 +24,6 @@ __all__ = [
     "write_chain_csv",
     "write_probes_csv",
 ]
-
-
-def _fmt(value) -> str:
-    v = float(value)
-    if math.isnan(v):
-        return "NA"
-    return repr(v)
 
 
 def _parse(cell: str, where: str) -> float:
@@ -120,64 +112,94 @@ def load_covariates(path, time_col="time") -> CovariateTable:
         raise DomainError(f"{path}: {err}") from None
 
 
+def _fmt_column(values) -> list:
+    """CSV cells of a float column: shortest round-trip ``repr``, ``NA`` for NaN."""
+    col = np.asarray(values, dtype=float)
+    cells = list(map(repr, col.tolist()))
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        cells[i] = "NA"
+    return cells
+
+
+def _write_csv(path, header, columns):
+    """Write the header row and then the rows of the equal-length cell columns,
+    with the CRLF row ends of :mod:`csv`'s default dialect."""
+    lengths = sorted(set(map(len, columns)))
+    if len(lengths) > 1:  # zip would silently drop the rows past the shortest
+        raise DomainError(f"{path}: columns of unequal lengths {lengths}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        rows = "\r\n".join(map(",".join, zip(*columns)))
+        if rows:
+            fh.write(rows + "\r\n")
+
+
 def write_simulations_csv(path, records, include_states=True):
     """Write simulation records; one row per (realization, observation time).
 
     Single realizations omit the ``sim`` column so the file feeds straight
-    back into :func:`load_time_series`.
+    back into :func:`load_time_series`.  Every record must carry the first
+    one's observable names (and state names, when they are written).
     """
     records = list(records)
-    many = len(records) > 1
+    if not records:
+        raise DomainError("write_simulations_csv: no records to write")
     first = records[0]
+    for attr in ("obs_names", "state_names") if include_states else ("obs_names",):
+        for j, rec in enumerate(records):
+            if tuple(getattr(rec, attr)) != tuple(getattr(first, attr)):
+                raise DomainError(f"write_simulations_csv: record {j} has {attr} "
+                                  f"{getattr(rec, attr)}, record 0 has {getattr(first, attr)}")
+    many = len(records) > 1
     header = (["sim"] if many else []) + ["time"]
     if include_states:
         header += list(first.state_names)
     header += list(first.obs_names)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j, rec in enumerate(records):
-            for n in range(rec.observations.shape[0]):
-                row = ([j] if many else []) + [_fmt(rec.times[n + 1])]
-                if include_states:
-                    row += [_fmt(v) for v in rec.states[n + 1]]
-                row += [_fmt(v) for v in rec.observations[n]]
-                writer.writerow(row)
+    counts = [rec.observations.shape[0] for rec in records]
+    columns = []
+    if many:
+        columns.append([cell for j, n in enumerate(counts) for cell in [str(j)] * n])
+    if all(rec.times is first.times for rec in records) and len(set(counts)) == 1:
+        columns.append(_fmt_column(first.times[1:counts[0] + 1]) * len(records))
+    else:
+        columns.append(_fmt_column(np.concatenate(
+            [rec.times[1:n + 1] for rec, n in zip(records, counts)])))
+    table = np.concatenate([rec.observations for rec in records])
+    if include_states:
+        table = np.hstack([np.concatenate([rec.states[1:n + 1]
+                                           for rec, n in zip(records, counts)]), table])
+    columns += [_fmt_column(col) for col in table.T]
+    _write_csv(path, header, columns)
 
 
 def write_trace_csv(path, result):
     """Write a parameter-search trace: one row per iteration, holding the
     estimate and the log likelihood of that iteration's perturbed filter."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration"] + list(result.param_names) + ["loglik"])
-        for m in range(result.trace.shape[0]):
-            writer.writerow([m + 1] + [_fmt(v) for v in result.trace[m]]
-                            + [_fmt(result.logliks[m])])
+    M = result.trace.shape[0]
+    columns = [list(map(str, range(1, M + 1)))]
+    columns += [_fmt_column(col) for col in result.trace.T]
+    columns.append(_fmt_column(result.logliks[:M]))
+    _write_csv(path, ["iteration"] + list(result.param_names) + ["loglik"], columns)
 
 
 def write_chain_csv(path, chain: Chain):
     """Write an MCMC chain: params, loglik, logprior, accepted, plus any
     per-step extras (e.g. the ABC scaled distance)."""
+    M = chain.n_steps
     extra_cols = [k for k, v in chain.extras.items()
-                  if isinstance(v, np.ndarray) and v.ndim == 1 and v.size == chain.n_steps]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + list(chain.param_names)
-                        + ["loglik", "logprior", "accepted"] + extra_cols)
-        for m in range(chain.n_steps):
-            row = [m + 1] + [_fmt(v) for v in chain.samples[m]]
-            row += [_fmt(chain.logliks[m]), _fmt(chain.log_priors[m]),
-                    int(chain.accepted[m])]
-            row += [_fmt(chain.extras[k][m]) for k in extra_cols]
-            writer.writerow(row)
+                  if isinstance(v, np.ndarray) and v.ndim == 1 and v.size == M]
+    columns = [list(map(str, range(1, M + 1)))]
+    columns += [_fmt_column(col) for col in chain.samples.T]
+    columns += [_fmt_column(chain.logliks[:M]), _fmt_column(chain.log_priors[:M]),
+                [str(int(a)) for a in chain.accepted[:M]]]
+    columns += [_fmt_column(chain.extras[k]) for k in extra_cols]
+    _write_csv(path, ["step"] + list(chain.param_names)
+               + ["loglik", "logprior", "accepted"] + extra_cols, columns)
 
 
 def write_probes_csv(path, result: ProbeResult):
     """Write probe values: the observed row followed by one row per simulation."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["which"] + list(result.labels))
-        writer.writerow(["observed"] + [_fmt(v) for v in result.observed])
-        for j in range(result.n_sim):
-            writer.writerow([f"sim{j}"] + [_fmt(v) for v in result.simulated[j]])
+    table = np.vstack([result.observed, result.simulated])
+    columns = [["observed"] + [f"sim{j}" for j in range(result.n_sim)]]
+    columns += [_fmt_column(col) for col in table.T]
+    _write_csv(path, ["which"] + list(result.labels), columns)

@@ -235,8 +235,9 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
                 n_failures[k] += 1
                 if n_failures[k] > max_fail:
                     raise FilteringFailureError(n + 1, t)
-                logger.warning("filtering failure at step %d (t=%g): zero weights "
-                               "tolerated (%d of %s)", n + 1, t, n_failures[k], max_fail)
+                logger.warning("filtering failure%s at step %d (t=%g): zero weights "
+                               "tolerated (%d of %s)", f" in block {k}" if K > 1 else "",
+                               n + 1, t, n_failures[k], max_fail)
                 block_ll[n] = -np.inf
                 block_ess[n] = J
                 block_means[n] = x_k.mean(axis=0)

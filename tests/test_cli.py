@@ -318,3 +318,46 @@ def test_thread_count_does_not_change_results(tmp_path):
             payloads.append(fh.read())
     assert payloads[0] == payloads[2]
     assert payloads[1] == payloads[3]
+
+
+# ---------------------------------------------------------------------------
+# schemas and the parser, which the CLI builds once
+
+
+def test_config_and_settings_schemas_are_valid():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    for name, schema in cli.SETTINGS_SCHEMAS.items():
+        jsonschema.Draft202012Validator.check_schema(schema)
+    assert set(cli.SETTINGS_SCHEMAS) == set(cli.ALGORITHMS)
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"schema": 2, "algorithm": "pfilter", "model": "gompertz", "seed": 1},
+    {"schema": 1, "algorithm": "smc", "model": "gompertz", "seed": 1},
+    {"schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": -1},
+    {"schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": 1, "extra": 0},
+    {"schema": 1, "algorithm": "pfilter", "model": 3, "seed": "x",
+     "params": {"r": "fast"}},
+    [],
+])
+def test_config_errors_are_those_of_a_full_schema_validation(config):
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+    err = expected.value
+    with pytest.raises(pk.ConfigError) as got:
+        cli.validate_config(config)
+    assert str(got.value) == f"config{err.json_path[1:]}: {err.message}"
+
+
+def test_parser_is_built_once_and_help_still_exits_0(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["probe", "--help"])
+    assert exit_info.value.code == 0
+    assert "--nsim" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["no-such-command"])
+    assert exit_info.value.code == 2

@@ -243,6 +243,24 @@ def test_each_block_counts_its_own_failures(gompertz_fitted):
     assert all(not np.array_equal(i[J:], np.arange(J, 2 * J)) for i in seen[:5])
 
 
+def test_tolerated_failure_log_names_the_block(gompertz_fitted, caplog):
+    broken = fails_for_large_tau(gompertz_fitted, float(gompertz_fitted.data.times[3]))
+    params = gompertz_fitted.params
+    blocks = [params, params.replace(tau=0.15), params.replace(r=0.2)]
+    with caplog.at_level(logging.WARNING, logger="pompkit"):
+        results = smc._pfilter_blocks(broken, blocks, 30, 4, 1)
+    assert [r.n_failures for r in results] == [0, 1, 0]
+    messages = [r.message for r in caplog.records if "filtering failure" in r.message]
+    assert messages == ["filtering failure in block 1 at step 4 (t=4): zero weights "
+                        "tolerated (1 of 1)"]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="pompkit"):
+        smc._pfilter_blocks(broken, blocks[1:2], 30, 4, 1)
+    messages = [r.message for r in caplog.records if "filtering failure" in r.message]
+    assert messages == ["filtering failure at step 4 (t=4): zero weights tolerated (1 of 1)"]
+
+
 def test_nan_in_any_block_is_domain_error(gompertz_fitted):
     J, t_nan = 20, float(gompertz_fitted.data.times[4])
     dmeasure = gompertz_fitted.dmeasure

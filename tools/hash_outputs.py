@@ -16,9 +16,10 @@ SIR (small and realistic walks); ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure); ``abc`` on
 Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
-files for ``pfilter`` (with three replicates and with one), ``mif``,
-``pmcmc``, ``probe`` and ``abc``.  All runs are small; the whole script takes
-well under a minute.
+files for ``simulate`` (three realizations with states, and one without),
+``pfilter`` (with three replicates and with one), ``mif``, ``pmcmc``,
+``probe`` and ``abc``.  All runs are small; the whole script takes well under
+a minute.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def library_hashes():
 
 PRIOR = {"r": [0.01, 1.0], "sigma": [0.01, 1.0], "tau": [0.01, 1.0]}
 CLI_RUNS = {  # name: (subcommand, settings)
+    "simulate": ("simulate", {"nsim": 3}),
+    "simulate-no-states": ("simulate", {"nsim": 1, "include_states": False}),
     "pfilter": ("pfilter", {"np": 200, "replicates": 3, "max_fail": 1}),
     "pfilter-replicates-1": ("pfilter", {"np": 200, "replicates": 1, "max_fail": 1}),
     "mif": ("mif", {"iterations": 3, "np": 100, "starts": 2, "eval_replicates": 2,
