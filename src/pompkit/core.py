@@ -466,54 +466,23 @@ def log_exp_transforms(names, logit_names=()):
 _PLAN_CACHE_SIZE = 64
 
 
-def discrete_time_process(step_fn, delta_t):
-    """Wrap a one-step map into an rprocess advancing in fixed steps of ``delta_t``.
+def _planned_process(step_fn, delta_t, plan):
+    """An rprocess applying ``step_fn`` ``nstep`` times in steps of ``dt``,
+    where ``(nstep, dt) = plan(t0, t1)`` depends on ``t1 - t0`` alone."""
 
-    ``step_fn(x, params, t, delta_t, rng, covars_t) -> x`` is applied
-    round((t1 - t0) / delta_t) times; the gap must be an integral number of
-    steps.
-    """
-
-    # step count per span: a model's observation grid has few distinct gaps.
-    # A span that fails the whole-step check is never stored, so it raises on
-    # every call; threads racing on a new span can only store the same count.
+    # step plan per span: a model's observation grid has few distinct gaps.
+    # A span whose plan raises is never stored, so it raises on every call;
+    # threads racing on a new span can only store the same plan.
     plans = {}
 
     def rprocess(x, params, t0, t1, rng, covars=None):
         span = t1 - t0
-        nstep = plans.get(span)
-        if nstep is None:
-            nstep = int(round(span / delta_t))
-            if abs(span - nstep * delta_t) > 1e-8 * max(1.0, abs(span)):
-                raise DomainError(
-                    f"interval [{t0}, {t1}] is not a whole number of steps of {delta_t}"
-                )
+        step_plan = plans.get(span)
+        if step_plan is None:
+            step_plan = plan(t0, t1)
             if len(plans) < _PLAN_CACHE_SIZE:
-                plans[span] = nstep
-        t = t0
-        for _ in range(nstep):
-            cv = covars.lookup(t) if covars is not None else None
-            x = step_fn(x, params, t, delta_t, rng, cv)
-            t += delta_t
-        return x
-
-    rprocess.delta_t = delta_t
-    return rprocess
-
-
-def euler_process(step_fn, delta_t):
-    """Wrap a step function into an rprocess using Euler sub-steps of at most ``delta_t``.
-
-    The interval [t0, t1] is divided into ceil((t1-t0)/delta_t) equal sub-steps,
-    so the step size actually used never exceeds ``delta_t``.
-    """
-
-    def rprocess(x, params, t0, t1, rng, covars=None):
-        span = t1 - t0
-        if span <= 0:
-            return x
-        nstep = max(1, int(np.ceil(span / delta_t - 1e-9)))
-        dt = span / nstep
+                plans[span] = step_plan
+        nstep, dt = step_plan
         t = t0
         for _ in range(nstep):
             cv = covars.lookup(t) if covars is not None else None
@@ -523,6 +492,43 @@ def euler_process(step_fn, delta_t):
 
     rprocess.delta_t = delta_t
     return rprocess
+
+
+def discrete_time_process(step_fn, delta_t):
+    """Wrap a one-step map into an rprocess advancing in fixed steps of ``delta_t``.
+
+    ``step_fn(x, params, t, delta_t, rng, covars_t) -> x`` is applied
+    round((t1 - t0) / delta_t) times; the gap must be an integral number of
+    steps.
+    """
+
+    def plan(t0, t1):
+        span = t1 - t0
+        nstep = int(round(span / delta_t))
+        if abs(span - nstep * delta_t) > 1e-8 * max(1.0, abs(span)):
+            raise DomainError(
+                f"interval [{t0}, {t1}] is not a whole number of steps of {delta_t}"
+            )
+        return nstep, delta_t
+
+    return _planned_process(step_fn, delta_t, plan)
+
+
+def euler_process(step_fn, delta_t):
+    """Wrap a step function into an rprocess using Euler sub-steps of at most ``delta_t``.
+
+    The interval [t0, t1] is divided into ceil((t1-t0)/delta_t) equal sub-steps,
+    so the step size actually used never exceeds ``delta_t``.
+    """
+
+    def plan(t0, t1):
+        span = t1 - t0
+        if span <= 0:
+            return 0, 0.0
+        nstep = max(1, int(np.ceil(span / delta_t - 1e-9)))
+        return nstep, span / nstep
+
+    return _planned_process(step_fn, delta_t, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,17 @@ def _read_table(path, time_col):
             for row in reader:
                 if not row:
                     continue
-                where = f"{path}:{reader.line_num}"
                 if len(row) != len(header):
-                    raise DomainError(f"{where}: {len(row)} cells, but the header has "
-                                      f"{len(header)}")
-                rows.append([_parse(c, where) for c in row])
+                    raise DomainError(f"{path}:{reader.line_num}: {len(row)} cells, but the "
+                                      f"header has {len(header)}")
+                # float() strips the cell as _parse does, so the fast path accepts
+                # exactly what _parse would, with the same values; any other row
+                # (missing values, bad cells) goes through _parse
+                try:
+                    rows.append([float(c) for c in row])
+                except ValueError:
+                    where = f"{path}:{reader.line_num}"
+                    rows.append([_parse(c, where) for c in row])
         except (UnicodeDecodeError, csv.Error) as err:
             raise DomainError(f"{path}: unreadable CSV: {err}") from None
     if not rows:

@@ -20,13 +20,18 @@ NaN too; an integer-dtype size needs no whole-number test.  The samplers run
 once per particle step, so nothing else is re-checked per call, and the
 particle filter's kernel does not re-check the weights it has made itself
 (:func:`pompkit.smc.systematic_resample` checks weights handed in from
-outside).
+outside).  A tau-leap sub-step that draws several compartments' exits
+(:func:`pompkit.models.sir_step_flows`) validates once: all its rates, all its
+compartment sizes and its ``dt``, one reduction each, with the messages of
+:func:`reulermultinom`.
+
+scipy is imported inside the densities that use it, which keeps it out of
+``import pompkit``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .exceptions import DomainError
 
@@ -44,24 +49,60 @@ __all__ = [
 _HALF_LOG_2PI = 0.5 * np.log(2 * np.pi)
 
 
+def _check_step(sizes, rates, dt):
+    """Raise :class:`DomainError` unless ``rates`` are finite and non-negative,
+    ``sizes`` are non-negative integers and ``dt`` is a positive scalar."""
+    if not (rates.min(initial=0.0) >= 0 and rates.max(initial=0.0) < np.inf):
+        raise DomainError("rates must be finite and non-negative")
+    if sizes.dtype.kind in "iu":
+        whole = sizes.min(initial=0) >= 0
+    else:
+        whole = (sizes.min(initial=0.0) >= 0 and sizes.max(initial=0.0) < np.inf
+                 and (sizes == np.floor(sizes)).all())
+    if not whole:
+        raise DomainError("size must be a non-negative integer")
+    if not (isinstance(dt, float) or np.ndim(dt) == 0) or not dt > 0:
+        raise DomainError("dt must be a positive scalar")
+
+
 def _validate_spec(size, rates, dt):
     """Checked (size, rates) as arrays, rates 2-D; see the module docstring."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim == 1:
         rates = rates[None, :]
-    if not (rates.min(initial=0.0) >= 0 and rates.max(initial=0.0) < np.inf):
-        raise DomainError("rates must be finite and non-negative")
     size_arr = np.asarray(size)
     if size_arr.dtype.kind not in "iu":
         size_arr = size_arr.astype(float, copy=False)
-        if not (size_arr.min(initial=0.0) >= 0 and size_arr.max(initial=0.0) < np.inf
-                and (size_arr == np.floor(size_arr)).all()):
-            raise DomainError("size must be a non-negative integer")
-    elif not size_arr.min(initial=0) >= 0:
-        raise DomainError("size must be a non-negative integer")
-    if not (isinstance(dt, float) or np.ndim(dt) == 0) or not dt > 0:
-        raise DomainError("dt must be a positive scalar")
+    _check_step(size_arr, rates, dt)
     return size_arr, rates
+
+
+def _exit_probs(rates, dt):
+    """:func:`euler_multinomial_probs` of ``rates`` holding the k routes on
+    axis 0: (k, ...) rates give (k, ...) probabilities."""
+    # for two routes one addition equals the row reduction bit for bit, and is
+    # several times cheaper
+    total = rates[0] + rates[1] if rates.shape[0] == 2 else rates.sum(axis=0)
+    p = np.divide(rates, total, out=np.zeros(rates.shape), where=total > 0)
+    p *= -np.expm1(-total * float(dt))
+    return p
+
+
+def _binomial_probs(rates, dt):
+    """Stick-breaking probabilities of the Euler-multinomial exits at (k, ...) rates.
+
+    Route ``j`` takes Binomial(left, q[j]) of the ``left`` members that routes
+    ``0..j-1`` did not take, so the k draws are Euler-multinomial.  The axes
+    after the first (compartments, particles) are elementwise.
+    """
+    q = _exit_probs(rates, dt)
+    mass_left = 1.0 - q[0]
+    np.minimum(q[0], 1.0, out=q[0])
+    for j in range(1, q.shape[0]):
+        qj = np.divide(q[j], mass_left, out=np.zeros(mass_left.shape), where=mass_left > 0)
+        mass_left -= q[j]
+        np.minimum(qj, 1.0, out=q[j])
+    return q
 
 
 def euler_multinomial_probs(rates, dt) -> np.ndarray:
@@ -71,14 +112,7 @@ def euler_multinomial_probs(rates, dt) -> np.ndarray:
     zero total rate get all-zero probabilities.
     """
     rates = np.asarray(rates, dtype=float)
-    squeeze = rates.ndim == 1
-    r = rates[None, :] if squeeze else rates
-    # for two routes one addition equals the row reduction bit for bit, and is
-    # several times cheaper
-    total = r[:, :1] + r[:, 1:] if r.shape[1] == 2 else r.sum(axis=1, keepdims=True)
-    p = np.divide(r, total, out=np.zeros(r.shape), where=total > 0)
-    p *= -np.expm1(-total * float(dt))
-    return p[0] if squeeze else p
+    return _exit_probs(rates.T, dt).T
 
 
 def reulermultinom(size, rates, dt, rng) -> np.ndarray:
@@ -92,24 +126,13 @@ def reulermultinom(size, rates, dt, rng) -> np.ndarray:
     size_arr, rates2 = _validate_spec(size, rates, dt)
     scalar = size_arr.ndim == 0 and rates.ndim == 1
     n = max(rates2.shape[0], size_arr.size if size_arr.ndim else 1)
-    if rates2.shape[0] != n:
-        rates2 = np.broadcast_to(rates2, (n, rates2.shape[1]))
-    p = euler_multinomial_probs(rates2, dt)
+    q = _binomial_probs(rates2.T, dt)
     remaining = size_arr.astype(np.int64, copy=False)
     if remaining.shape != (n,):
         remaining = np.broadcast_to(remaining, (n,))
-    counts = np.empty(p.shape, dtype=np.int64)
-    # Stick-breaking multinomial: route j is Binomial(remaining, p_j / mass left).
-    # Route 0 has all the mass left.
-    for j in range(p.shape[1]):
-        if j == 0:
-            q = np.minimum(p[:, 0], 1.0)
-            mass_left = 1.0 - p[:, 0]
-        else:
-            q = np.divide(p[:, j], mass_left, out=np.zeros(n), where=mass_left > 0)
-            np.minimum(q, 1.0, out=q)
-            mass_left -= p[:, j]
-        counts[:, j] = draw = rng.binomial(remaining, q)
+    counts = np.empty((n, len(q)), dtype=np.int64)
+    for j in range(len(q)):
+        counts[:, j] = draw = rng.binomial(remaining, q[j])
         remaining = remaining - draw
     return counts[0] if scalar else counts
 
@@ -121,6 +144,8 @@ def deulermultinom(counts, size, rates, dt, log=False):
     than raising, so density-evaluation loops never abort on impossible
     proposals.
     """
+    from scipy.special import gammaln, xlogy
+
     size_arr, rates2 = _validate_spec(size, rates, dt)
     counts = np.asarray(counts, dtype=float)
     scalar = counts.ndim == 1
@@ -154,6 +179,8 @@ def dnbinom_mu(y, size, mu, log=False):
 
     Mean mu, variance mu + mu**2/size.  ``mu = 0`` is the point mass at zero.
     """
+    from scipy.special import gammaln, xlogy
+
     size = np.asarray(size, dtype=float)
     mu = np.asarray(mu, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -194,6 +221,8 @@ def rnbinom_mu(size, mu, rng, n=None):
 
 def dpois(y, lam, log=False):
     """Poisson pmf; lam = 0 is the point mass at zero."""
+    from scipy.special import gammaln, xlogy
+
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if not lam.min(initial=0.0) >= 0:

@@ -8,6 +8,8 @@ vectorized over the particle axis and draw from the supplied generator only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -19,7 +21,8 @@ from .core import (
     euler_process,
     log_exp_transforms,
 )
-from .distributions import dlnorm, dnbinom_mu, dpois, reulermultinom, rnbinom_mu
+from .distributions import _binomial_probs, _check_step, dlnorm, dnbinom_mu, dpois, rnbinom_mu
+from .distributions import reulermultinom  # noqa: F401  (perfbench's tracer patches it here)
 
 __all__ = [
     "gompertz_model",
@@ -152,23 +155,35 @@ def sir_step_flows(x, params, dt, rng, lam, birth_rate):
     routes; births are Poisson with the given rate.  Returns a dict of counts.
     """
     n = x["S"].shape[0]
+    # rates[route, compartment]: S exits by infection or death, I by recovery
+    # or death, R by death alone.  R's second rate is zero, which leaves its
+    # probabilities those of a one-route compartment, bit for bit.
+    mu = params["mu"]
+    rates = np.zeros((2, 3, n))
+    rates[0, 0] = lam
+    rates[0, 1] = params["gamma"]
+    rates[0, 2] = mu
+    rates[1, :2] = mu
+    sizes = np.empty((3, n), dtype=np.int64)
+    sizes[0] = x["S"]
+    sizes[1] = x["I"]
+    sizes[2] = x["R"]
+    _check_step(sizes, rates, dt)
     births = rng.poisson(np.asarray(birth_rate) * dt, size=n)
-    # one (n, 2) array of exit rates per compartment: (infection, death) for S,
-    # (recovery, death) for I; R has only the death column
-    rates_s = np.empty((n, 2))
-    rates_s[:, 0] = lam
-    rates_s[:, 1] = params["mu"]
-    exits_s = reulermultinom(x["S"].astype(np.int64), rates_s, dt, rng)
-    rates_i = np.empty((n, 2))
-    rates_i[:, 0] = params["gamma"]
-    rates_i[:, 1] = params["mu"]
-    exits_i = reulermultinom(x["I"].astype(np.int64), rates_i, dt, rng)
-    exits_r = reulermultinom(x["R"].astype(np.int64), rates_i[:, 1:], dt, rng)
+    q = _binomial_probs(rates, dt)
+    # numpy draws array arguments element by element in C order, so a call that
+    # stacks two independent routes makes the draws of two calls: the stream
+    # order stays SI, SD, IR, ID, RD
+    si = rng.binomial(sizes[0], q[0, 0])
+    sizes[0] -= si
+    sd_ir = rng.binomial(sizes[:2], q[(1, 0), (0, 1)])
+    sizes[1] -= sd_ir[1]
+    id_rd = rng.binomial(sizes[1:], q[(1, 0), (1, 2)])
     return {
         "births": births,
-        "SI": exits_s[:, 0], "SD": exits_s[:, 1],
-        "IR": exits_i[:, 0], "ID": exits_i[:, 1],
-        "RD": exits_r[:, 0],
+        "SI": si, "SD": sd_ir[0],
+        "IR": sd_ir[1], "ID": id_rd[0],
+        "RD": id_rd[1],
     }
 
 
@@ -176,12 +191,21 @@ def _sir_step(x, params, t, dt, rng, covars):
     pop = x["S"] + x["I"] + x["R"]
     lam = sir_force_of_infection(params["beta"], x["I"], pop)
     flows = sir_step_flows(x, params, dt, rng, lam, params["mu"] * pop)
-    return {
-        "S": x["S"] + flows["births"] - flows["SI"] - flows["SD"],
-        "I": x["I"] + flows["SI"] - flows["IR"] - flows["ID"],
-        "R": x["R"] + flows["IR"] - flows["RD"],
-        "H": x["H"] + flows["SI"],
-    }
+    s_new, i_new, r_new = _after_flows(x, flows)
+    return {"S": s_new, "I": i_new, "R": r_new, "H": x["H"] + flows["SI"]}
+
+
+def _after_flows(x, flows):
+    """S, I and R after one sub-step's flows.
+
+    Each compartment's net flow is summed in int64 and added to the float
+    state once.  Compartments and counts are whole numbers far below 2**53,
+    so this equals the float sum term by term, bit for bit.
+    """
+    si, ir = flows["SI"], flows["IR"]
+    return (x["S"] + (flows["births"] - si - flows["SD"]),
+            x["I"] + (si - ir - flows["ID"]),
+            x["R"] + (ir - flows["RD"]))
 
 
 def _initial_fractions(params):
@@ -263,10 +287,8 @@ def _sir_seasonal_step(x, params, t, dt, rng, covars):
     birth_rate = covars["births"] if covars is not None else params["mu"] * x["P"]
     flows = sir_step_flows(x, params, dt, rng, lam, birth_rate)
     sigma = params["sigma"]
-    dw = rng.normal(dt, sigma * np.sqrt(dt), size=phi.shape)
-    s_new = x["S"] + flows["births"] - flows["SI"] - flows["SD"]
-    i_new = x["I"] + flows["SI"] - flows["IR"] - flows["ID"]
-    r_new = x["R"] + flows["IR"] - flows["RD"]
+    dw = rng.normal(dt, sigma * math.sqrt(dt), size=phi.shape)
+    s_new, i_new, r_new = _after_flows(x, flows)
     noise_inc = np.divide(dw - dt, sigma, out=np.zeros(phi.shape), where=sigma > 0)
     return {
         "S": s_new, "I": i_new, "R": r_new,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import core
 from .exceptions import DomainError, SingularCovarianceError
@@ -213,6 +212,8 @@ def synth_loglik(simulated, observed, labels=None) -> float:
     vectors.  A singular covariance raises, naming the collinear probes; no
     silent regularization is applied.
     """
+    import scipy.linalg
+
     sims = np.asarray(simulated, dtype=float)
     obs = np.asarray(observed, dtype=float).ravel()
     if sims.ndim != 2 or sims.shape[1] != obs.size:

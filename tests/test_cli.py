@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -361,3 +363,16 @@ def test_parser_is_built_once_and_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["no-such-command"])
     assert exit_info.value.code == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where a density or the synthetic likelihood needs it,
+    # which keeps it out of every CLI start-up
+    code = ("import sys, pompkit, pompkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -216,3 +216,46 @@ def test_simulations_writer_rejects_records_shorter_than_their_observations(tmp_
     with pytest.raises(DomainError, match="unequal lengths"):
         dataio.write_simulations_csv(str(path), [record(5, 2), short])
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# reading
+
+
+def _per_cell_table(path):
+    """Every data row parsed cell by cell, as the reader parsed all rows before
+    its fast path: the reference for it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return np.array([[dataio._parse(c, f"{path}:{reader.line_num}") for c in row]
+                         for row in reader if row], dtype=float)
+
+
+READ_CELLS = ["", "NA", " NA ", "nan", "NaN", "-nan", " 2.5 ", "\t7", "inf", "-inf",
+              "+Infinity", "1e-3", "-2.5E+4", "0", "-0.0", "1_000", "12"]
+
+
+def test_read_table_matches_the_per_cell_parse_bit_for_bit(tmp_path):
+    path = tmp_path / "cells.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "a", "b"])
+        for i, cell in enumerate(READ_CELLS):
+            writer.writerow([i, cell, "1.5"])      # missing cells take the slow path
+            writer.writerow([i, "3.25", cell])
+        writer.writerow([])                        # blank lines are skipped
+        writer.writerow([99, " 4 ", "5e0"])        # every cell numeric: fast path
+    header, table = dataio._read_table(path, "time")
+    expected = _per_cell_table(path)
+    assert header == ["time", "a", "b"]
+    assert table.shape == expected.shape == (2 * len(READ_CELLS) + 1, 3)
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_non_numeric_cell_names_file_and_line_in_one_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time,Y\n1,0.5\n2, abc \n3,0.7\n", encoding="utf-8")
+    with pytest.raises(DomainError) as err:
+        dataio.load_time_series(path, 0.0)
+    assert str(err.value) == f"{path}:3: not a number: 'abc'"

@@ -6,6 +6,7 @@ import pompkit as pk
 from pompkit import models
 from pompkit.core import simulate_paths
 from pompkit.distributions import euler_multinomial_probs
+from pompkit.exceptions import DomainError
 from pompkit.rng import stream
 
 
@@ -328,3 +329,174 @@ def test_gompertz_rmeasure_nan_tau_draws_nan():
     x = {"X": np.full(J_DRAWS, 1.5)}
     y = models._gompertz_rmeasure(x, {"tau": np.nan}, 0.0, np.random.default_rng(1), None)
     assert np.isnan(y["Y"]).all()
+
+
+# ---------------------------------------------------------------------------
+# one tau-leap sub-step against its first formulation
+
+
+def _reference_sir_step_flows(x, params, dt, rng, lam, birth_rate):
+    """``sir_step_flows`` as first written, one ``reulermultinom`` call per
+    compartment on (n, 2) and (n, 1) rate arrays: the reference for the lean
+    sub-step, which must make the same draws from the same generator."""
+    n = x["S"].shape[0]
+    births = rng.poisson(np.asarray(birth_rate) * dt, size=n)
+    rates_s = np.empty((n, 2))
+    rates_s[:, 0] = lam
+    rates_s[:, 1] = params["mu"]
+    exits_s = pk.reulermultinom(x["S"].astype(np.int64), rates_s, dt, rng)
+    rates_i = np.empty((n, 2))
+    rates_i[:, 0] = params["gamma"]
+    rates_i[:, 1] = params["mu"]
+    exits_i = pk.reulermultinom(x["I"].astype(np.int64), rates_i, dt, rng)
+    exits_r = pk.reulermultinom(x["R"].astype(np.int64), rates_i[:, 1:], dt, rng)
+    return {
+        "births": births,
+        "SI": exits_s[:, 0], "SD": exits_s[:, 1],
+        "IR": exits_i[:, 0], "ID": exits_i[:, 1],
+        "RD": exits_r[:, 0],
+    }
+
+
+def _reference_sir_step(x, params, t, dt, rng, covars):
+    pop = x["S"] + x["I"] + x["R"]
+    lam = models.sir_force_of_infection(params["beta"], x["I"], pop)
+    flows = _reference_sir_step_flows(x, params, dt, rng, lam, params["mu"] * pop)
+    return {
+        "S": x["S"] + flows["births"] - flows["SI"] - flows["SD"],
+        "I": x["I"] + flows["SI"] - flows["IR"] - flows["ID"],
+        "R": x["R"] + flows["IR"] - flows["RD"],
+        "H": x["H"] + flows["SI"],
+    }
+
+
+def _reference_sir_seasonal_step(x, params, t, dt, rng, covars):
+    phi = x["Phi"]
+    beta = models.seasonal_transmission_rate(params, phi)
+    lam = beta * (x["I"] + params["iota"]) / x["P"]
+    birth_rate = covars["births"] if covars is not None else params["mu"] * x["P"]
+    flows = _reference_sir_step_flows(x, params, dt, rng, lam, birth_rate)
+    sigma = params["sigma"]
+    dw = rng.normal(dt, sigma * np.sqrt(dt), size=phi.shape)
+    s_new = x["S"] + flows["births"] - flows["SI"] - flows["SD"]
+    i_new = x["I"] + flows["SI"] - flows["IR"] - flows["ID"]
+    r_new = x["R"] + flows["IR"] - flows["RD"]
+    noise_inc = np.divide(dw - dt, sigma, out=np.zeros(phi.shape), where=sigma > 0)
+    return {
+        "S": s_new, "I": i_new, "R": r_new,
+        "P": s_new + i_new + r_new,
+        "Phi": phi + dw,
+        "H": x["H"] + flows["SI"],
+        "noise": x["noise"] + noise_inc,
+    }
+
+
+def _sir_state(n, seed=21, empty_i=False):
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 40000, n).astype(float)
+    i = np.zeros(n) if empty_i else rng.integers(0, 3000, n).astype(float)
+    r = rng.integers(400000, 480000, n).astype(float)
+    return {"S": s, "I": i, "R": r, "H": np.zeros(n), "P": s + i + r,
+            "Phi": rng.uniform(0.0, 1.0, n), "noise": np.zeros(n)}
+
+
+def _per_particle(params, n, names):
+    spread = np.linspace(0.7, 1.3, n)
+    return {**params, **{k: params[k] * spread for k in names}}
+
+
+def _assert_same_draws(got, want, rng, ref_rng):
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == want[name].shape, name
+        assert np.array_equal(got[name], want[name]), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+SIR_FLOW_CASES = {  # name: (particles, per-particle parameters, empty I compartment)
+    "scalar": (200, (), False),
+    "per-particle": (200, ("gamma", "mu"), False),
+    "n-1": (1, (), False),
+    "n-1-per-particle": (1, ("gamma", "mu"), False),
+    "empty-I": (50, (), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIR_FLOW_CASES))
+def test_sir_step_flows_match_reference_draw_for_draw(case):
+    n, varying, empty_i = SIR_FLOW_CASES[case]
+    params = _per_particle(models.SIR_DEFAULTS.as_dict(), n, varying)
+    x = _sir_state(n, empty_i=empty_i)
+    pop = x["S"] + x["I"] + x["R"]
+    lam = models.sir_force_of_infection(params["beta"], x["I"], pop)
+    if empty_i:
+        assert not lam.any()
+    dt = models.SIR_EULER_DT
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for birth_rate in (params["mu"] * pop, 9000.0):
+        got = models.sir_step_flows(x, params, dt, rng, lam, birth_rate)
+        want = _reference_sir_step_flows(x, params, dt, ref_rng, lam, birth_rate)
+        _assert_same_draws(got, want, rng, ref_rng)
+
+
+@pytest.mark.parametrize("per_particle", [False, True], ids=["scalar", "per-particle"])
+@pytest.mark.parametrize("step,reference,defaults,varying", [
+    pytest.param(models._sir_step, _reference_sir_step, models.SIR_DEFAULTS,
+                 ("beta", "gamma", "mu"), id="sir"),
+    pytest.param(models._sir_seasonal_step, _reference_sir_seasonal_step,
+                 models.SIR_SEASONAL_DEFAULTS, ("b1", "gamma", "mu", "sigma"),
+                 id="sir-seasonal"),
+])
+def test_sir_steps_match_reference_over_many_substeps(step, reference, defaults, varying,
+                                                       per_particle):
+    # the states carried from sub-step to sub-step stay bit-identical too
+    n = 120
+    params = _per_particle(defaults.as_dict(), n, varying if per_particle else ())
+    x = x_ref = _sir_state(n)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    dt = models.SIR_EULER_DT
+    for k in range(40):
+        covars = {"births": 9000.0} if k % 2 else None
+        x = step(x, params, k * dt, dt, rng, covars)
+        x_ref = reference(x_ref, params, k * dt, dt, ref_rng, covars)
+        _assert_same_draws(x, x_ref, rng, ref_rng)
+
+
+def _bad_flow_inputs(what):
+    n = 10
+    params = models.SIR_DEFAULTS.as_dict()
+    x = _sir_state(n)
+    lam = np.full(n, 0.8)
+    dt = models.SIR_EULER_DT
+    if what == "nan-lambda":
+        lam[3] = np.nan
+    elif what == "negative-lambda":
+        lam[3] = -0.1
+    elif what == "inf-gamma":
+        params = {**params, "gamma": np.full(n, 26.0)}
+        params["gamma"][2] = np.inf
+    elif what == "negative-mu":
+        params = {**params, "mu": -0.01}
+    elif what == "negative-S":
+        x["S"][4] = -1.0
+    elif what == "zero-dt":
+        dt = 0.0
+    elif what == "negative-dt":
+        dt = -dt
+    return x, params, dt, lam
+
+
+@pytest.mark.parametrize("what,message", [
+    ("nan-lambda", "rates must be finite and non-negative"),
+    ("negative-lambda", "rates must be finite and non-negative"),
+    ("inf-gamma", "rates must be finite and non-negative"),
+    ("negative-mu", "rates must be finite and non-negative"),
+    ("negative-S", "size must be a non-negative integer"),
+    ("zero-dt", "dt must be a positive scalar"),
+    ("negative-dt", "dt must be a positive scalar"),
+])
+def test_sir_step_flows_reject_out_of_domain_inputs(what, message):
+    x, params, dt, lam = _bad_flow_inputs(what)
+    with pytest.raises(DomainError, match=message):
+        models.sir_step_flows(x, params, dt, np.random.default_rng(0), lam, 100.0)

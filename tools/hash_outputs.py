@@ -8,9 +8,11 @@ bit-identical:
 
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
 tolerated filtering failure) and on Ricker; three Gompertz filters run as the
-blocks of one swarm (one block with a tolerated failure); ``simulate_paths``
-on SIR, seasonal SIR, Ricker, Gompertz (also without measurements) and a toy
-model whose ``rprocess`` returns its input; ``mif`` on Gompertz (with and
+blocks of one swarm (one block with a tolerated failure), and three SIR
+filters likewise, whose differing ``gamma`` and ``mu`` become per-particle
+arrays; ``simulate_paths`` on SIR, seasonal SIR (also one 2-year
+realization), Ricker, Gompertz (also without measurements) and a toy model
+whose ``rprocess`` returns its input; ``mif`` on Gompertz (with and
 without IVPs and ``transform``, and with a tolerated failure) and on seasonal
 SIR (small and realistic walks); ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure); ``abc`` on
@@ -127,9 +129,16 @@ def library_hashes():
     results = smc._pfilter_blocks(broken, blocks, 100, 11, 1)
     out["pfilter-blocks/gompertz/max_fail"] = digest(*(part for res in results
                                                        for part in filter_parts(res)))
+    # SIR blocks with different gamma (and mu): per-particle rate arrays
+    blocks = [sir.params, sir.params.replace(gamma=30.0), sir.params.replace(mu=0.03)]
+    results = smc._pfilter_blocks(sir, blocks, 40, 11, 0)
+    out["pfilter/sir/per-particle"] = digest(*(part for res in results
+                                               for part in filter_parts(res)))
 
     states, obs = pk.simulate_paths(pk.sir_seasonal_model(years=2.0), None, 13, 4)
     out["simulate_paths/sir-seasonal"] = digest(states, obs)
+    states, obs = pk.simulate_paths(pk.sir_seasonal_model(years=2.0), None, 13, 1)
+    out["simulate_paths/sir-seasonal/nsim1"] = digest(states, obs)
     states, obs = pk.simulate_paths(pk.sir_model(years=1.0), None, 13, 4)
     out["simulate_paths/sir"] = digest(states, obs)
     for name, model in (("ricker", ricker), ("gompertz", gomp)):
