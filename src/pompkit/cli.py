@@ -257,8 +257,7 @@ def _build_probe(spec: dict, model: core.ModelSpec):
     ref = model.data.column(var)
     if np.isnan(ref).any():
         raise ConfigError("marginal probe needs complete observed data as reference")
-    return probes.probe_marginal(var, ref, npoly=spec.get("npoly", 3),
-                                 transform=transform)
+    return probes.probe_marginal(var, ref, transform=transform, **_given(spec, "npoly"))
 
 
 def _build_model(config: dict):
@@ -296,6 +295,14 @@ def _load_input(loader, path, **kwargs):
         raise ConfigError(f"{path}: {err.strerror or err}") from None
 
 
+def _given(settings, *names, **renamed):
+    """The settings named in ``names`` or ``renamed`` (library keyword =
+    settings key) that the config gives, under the library's keywords; the
+    library's own defaults apply to the rest."""
+    keys = dict(zip(names, names), **renamed)
+    return {kw: settings[key] for kw, key in keys.items() if key in settings}
+
+
 def _with_prior(model, prior_spec):
     rprior, dprior = uniform_box_prior(
         {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()})
@@ -318,12 +325,10 @@ def _chain_summary(chain, burn_in=0):
 
 
 def _run_simulate(model, config, settings, outdir):
-    nsim = settings.get("nsim", 1)
-    records = core.simulate(model, seed=config["seed"], nsim=nsim)
+    records = core.simulate(model, seed=config["seed"], **_given(settings, "nsim"))
     path = os.path.join(outdir, "simulations.csv")
-    dataio.write_simulations_csv(path, records,
-                                 include_states=settings.get("include_states", True))
-    return {"n_sim": nsim, "n_obs": model.data.n_obs}, {"simulations": path}
+    dataio.write_simulations_csv(path, records, **_given(settings, "include_states"))
+    return {"n_sim": len(records), "n_obs": model.data.n_obs}, {"simulations": path}
 
 
 def _run_pfilter(model, config, settings, outdir):
@@ -350,15 +355,12 @@ def _run_pfilter(model, config, settings, outdir):
 def _run_kalman(model, config, settings, outdir):
     if model.name != "gompertz":
         raise ConfigError("the kalman subcommand applies to the gompertz model only")
-    y = model.data.observations[:, 0]
-    if np.isnan(y).any():
+    if np.isnan(model.data.observations).any():
         raise ConfigError("kalman needs complete data (no missing values)")
+    y_log, delta_t = oracle._gompertz_log_data(model.data)
     params = model.params.as_dict()
-    ssm = oracle.gompertz_ssm(params, delta_t=float(np.diff(
-        np.concatenate(([model.data.t0], model.data.times)))[0]))
-    with np.errstate(divide="ignore"):
-        y_log = np.log(y)
-    out = {"loglik": oracle.kalman_loglik(ssm, y_log), "params": params}
+    out = {"loglik": oracle.kalman_loglik(oracle.gompertz_ssm(params, delta_t), y_log),
+           "params": params}
     if settings.get("mle"):
         theta, loglik, res = oracle.kalman_exact_mle(model.data, model.params)
         out["mle"] = {"params": theta.as_dict(), "loglik": loglik,
@@ -367,30 +369,31 @@ def _run_kalman(model, config, settings, outdir):
 
 
 def _run_mif(model, config, settings, outdir):
-    starts = settings.get("starts", 1)
-    jitter = settings.get("start_jitter_sdlog", 1.0)
-    rw_sd = settings["rw_sd"]
-    est_names = [n for n, v in rw_sd.items() if v > 0]
-    theta0s = []
-    for jitter_seed in child_seeds(config["seed"], "mif-jitter", starts):
-        theta0 = model.params.as_dict()
-        if starts > 1 and jitter > 0:
-            g = np.random.default_rng(jitter_seed)
-            for n in est_names:
-                theta0[n] = float(np.exp(np.log(theta0[n]) + jitter * g.standard_normal()))
-        theta0s.append(core.ParamVector(theta0))
     mset = MifSettings(
-        start=theta0s[0],
+        start=model.params,
         n_iterations=settings.get("iterations", 50),
         num_particles=settings.get("np", 1000),
-        rw_sd=rw_sd,
-        ivp_names=tuple(settings.get("ivp_names", ())),
-        var_factor=settings.get("var_factor", 2.0),
-        cooling_factor=settings.get("cooling_factor"),
-        cooling_fraction=settings.get("cooling_fraction"),
-        transform=settings.get("transform", True),
-        max_fail=settings.get("max_fail", 0),
+        rw_sd=settings["rw_sd"],
+        **_given(settings, "ivp_names", "ic_lag", "var_factor", "cooling_factor",
+                 "cooling_fraction", "transform", "max_fail"),
     )
+    starts = settings.get("starts", 1)
+    jitter = settings.get("start_jitter_sdlog", 1.0)
+    theta0s = [model.params] * starts
+    if starts > 1 and jitter > 0:
+        # the walked parameters move on the model's estimation scale; the others
+        # keep their values, and enter the transforms at the scale's origin, as
+        # one may have no value on it (sigma = 0 under transform: false)
+        natural = model.params.as_dict()
+        walked = {n: natural[n] for n, v in mset.rw_sd.items() if v > 0}
+        origin = core.transform_params(model, dict.fromkeys(natural, 0.0), "from-estimation")
+        work = core.transform_params(model, {**origin, **walked}, "to-estimation")
+        theta0s = []
+        for jitter_seed in child_seeds(config["seed"], "mif-jitter", starts):
+            g = np.random.default_rng(jitter_seed)
+            moved = {n: work[n] + jitter * g.standard_normal() for n in walked}
+            moved = core.transform_params(model, {**work, **moved}, "from-estimation")
+            theta0s.append(core.ParamVector({**natural, **{n: float(moved[n]) for n in walked}}))
     # the starts run as the blocks of one swarm, and then every start's
     # evaluation replicates as the blocks of one filter, on the seeds of start 0
     seed = child_seeds(config["seed"], "mif-starts", 1)[0]
@@ -398,8 +401,8 @@ def _run_mif(model, config, settings, outdir):
     n_evals = settings.get("eval_replicates", 10)
     evals = smc._pfilter_blocks(
         model, [r.theta_hat for r in results for _ in range(n_evals)],
-        settings.get("eval_np", settings.get("np", 1000)),
-        child_seeds(seed, "mif-eval", 1)[0], settings.get("max_fail", 0))
+        settings.get("eval_np", mset.num_particles),
+        child_seeds(seed, "mif-eval", 1)[0], mset.max_fail)
     runs = []
     for k, result in enumerate(results):
         lls = np.array([f.loglik for f in evals[k * n_evals:(k + 1) * n_evals]])
@@ -429,7 +432,7 @@ def _run_pmcmc(model, config, settings, outdir):
         num_particles=settings.get("np", 100),
         proposal=mvn_diag_rw(settings["proposal_sd"]),
         seed=config["seed"],
-        max_fail=settings.get("max_fail", 0),
+        **_given(settings, "max_fail"),
     )
     path = os.path.join(outdir, "chain.csv")
     dataio.write_chain_csv(path, chain)
@@ -443,30 +446,29 @@ def _run_abc(model, config, settings, outdir):
     if scale == "auto":
         scale = compute_probe_scales(
             model, model.params, probe_list,
-            nsim=settings.get("scale_nsim", 500),
             seed=child_seeds(config["seed"], "abc-scale", 1)[0],
+            **_given(settings, nsim="scale_nsim"),
         )
     aset = AbcSettings(
         probes=probe_list,
-        scale=np.asarray(scale, dtype=float),
+        scale=scale,
         proposal=mvn_diag_rw(settings["proposal_sd"]),
         n_steps=settings.get("steps", 5000),
-        epsilon=settings.get("epsilon", 2.0),
+        **_given(settings, "epsilon"),
     )
     chain = run_abc(model, model.params, aset, seed=config["seed"])
     path = os.path.join(outdir, "chain.csv")
     dataio.write_chain_csv(path, chain)
     out = _chain_summary(chain)
-    out["scale"] = np.asarray(aset.scale).tolist()
+    out["scale"] = aset.scale.tolist()
     out["epsilon"] = aset.epsilon
     return out, {"chain": path}
 
 
 def _run_probe(model, config, settings, outdir):
     probe_list = [_build_probe(s, model) for s in settings["probes"]]
-    nsim = settings.get("nsim", 1000)
-    result = probes.probe(model, model.params, probe_list,
-                          nsim=nsim, seed=config["seed"])
+    result = probes.probe(model, model.params, probe_list, seed=config["seed"],
+                          **_given(settings, "nsim"))
     path = os.path.join(outdir, "probes.csv")
     dataio.write_probes_csv(path, result)
     # the datasets the probe values derive from, for plotting or re-ingesting
@@ -490,16 +492,10 @@ def _run_probe(model, config, settings, outdir):
 
 
 def _run_nlf(model, config, settings, outdir):
-    nset = nlf.NlfSettings(
-        lags=settings["lags"],
-        sim_length=settings.get("sim_length", 1000),
-        transient=settings.get("transient", 1000),
-        n_rbf=settings.get("nrbf", 4),
-        est=tuple(settings.get("est", ())),
-        transform=settings.get("transform", True),
-    )
+    nset = nlf.NlfSettings(lags=settings["lags"], **_given(
+        settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
     result = nlf.nlf_fit(model, model.params, nset, seed=config["seed"],
-                         maxit=settings.get("maxit", 400))
+                         **_given(settings, "maxit"))
     return {
         "theta": result.theta.as_dict(),
         "quasi_loglik": result.value,

@@ -114,6 +114,19 @@ def gompertz_ssm(params, delta_t=1.0) -> LinearGaussianSSM:
     )
 
 
+def _gompertz_log_data(data: TimeSeriesData):
+    """``(y_log, delta_t)``: the log of positive Gompertz data observed on an
+    evenly spaced grid of step ``delta_t`` starting one step after t0."""
+    y = data.observations[:, 0]
+    if np.any(~(y > 0)):
+        raise DomainError("Gompertz data must be positive")
+    diffs = np.diff(np.concatenate(([data.t0], data.times)))
+    delta_t = float(diffs[0])
+    if np.any(np.abs(diffs - delta_t) > 1e-8 * max(1.0, abs(delta_t))):
+        raise DomainError("the Kalman filter requires evenly spaced observations")
+    return np.log(y), delta_t
+
+
 def kalman_exact_mle(data: TimeSeriesData, start: ParamVector, maxit=2000,
                      reltol=1e-8):
     """Exact maximum-likelihood fit of (r, sigma, tau) for the Gompertz model.
@@ -122,14 +135,7 @@ def kalman_exact_mle(data: TimeSeriesData, start: ParamVector, maxit=2000,
     log scale of the three estimated parameters.  Returns
     ``(ParamVector, loglik, NelderMeadResult)``.
     """
-    y = data.observations[:, 0]
-    if np.any(~(y > 0)):
-        raise DomainError("Gompertz data must be positive")
-    diffs = np.diff(np.concatenate(([data.t0], data.times)))
-    delta_t = float(diffs[0])
-    if np.any(np.abs(diffs - delta_t) > 1e-8 * max(1.0, abs(delta_t))):
-        raise DomainError("kalman_exact_mle requires evenly spaced observations")
-    y_log = np.log(y)
+    y_log, delta_t = _gompertz_log_data(data)
     base = start.as_dict()
 
     def negloglik(x):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import require_integer
 
-__all__ = ["stream", "child_seeds", "as_seed_path"]
+__all__ = ["stream", "child_seeds"]
 
 
 def _key_words(component) -> tuple[int, ...]:
@@ -44,14 +44,6 @@ def _key_words(component) -> tuple[int, ...]:
     raise TypeError(f"stream path components must be str or int, got {type(component)!r}")
 
 
-def as_seed_path(*path) -> tuple[int, ...]:
-    """Flatten mixed str/int path components into SeedSequence spawn-key words."""
-    words: list[int] = []
-    for component in path:
-        words.extend(_key_words(component))
-    return tuple(words)
-
-
 def stream(seed, *path) -> np.random.Generator:
     """Return the child generator for ``path`` under ``seed``.
 
@@ -66,17 +58,18 @@ def stream(seed, *path) -> np.random.Generator:
         # stream rather than global state.
         root = int(seed.integers(0, 2**63 - 1))
         return stream(root, *path)
+    spawn_key = tuple(word for component in path for word in _key_words(component))
     ss = np.random.SeedSequence(entropy=require_integer("seed", seed, 0),
-                                spawn_key=as_seed_path(*path))
+                                spawn_key=spawn_key)
     return np.random.default_rng(ss)
 
 
 def child_seeds(seed, label: str, n: int) -> list[int]:
     """Derive ``n`` integer seeds for independent tasks under one label.
 
-    Parallel outer loops (multi-start searches, replicate filters, multiple
-    chains) receive their task seed from here before dispatch, so results do
-    not depend on scheduling or worker count.
+    Outer loops (multi-start searches, replicate filters, multiple chains)
+    take their task seeds from here before any task runs, so the results do
+    not depend on the order the tasks run in.
     """
     gen = stream(seed, "task-seeds", label)
     return [int(s) for s in gen.integers(0, 2**63 - 1, size=n)]

@@ -137,7 +137,7 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
     ``max_fail`` > 0 up to that many failed steps instead contribute -inf to
     the log likelihood while the swarm continues unresampled.
 
-    Deterministic given ``(seed, num_particles)``, independent of worker count.
+    Deterministic given ``(seed, num_particles)``.
     """
     (result,) = _pfilter_blocks(model, [params], num_particles, seed, max_fail)
     return result if save_final_particles else replace(result, final_particles=None)

@@ -137,6 +137,17 @@ def test_algorithm_failure_exits_3(tmp_path, capsys):
     assert "algorithm failure" in capsys.readouterr().err
 
 
+def test_kalman_on_unevenly_spaced_data_exits_3(tmp_path, capsys):
+    uneven = tmp_path / "uneven.csv"
+    uneven.write_text("time,Y\n1,1.1\n2,0.9\n4,1.0\n5,1.2\n6,0.8\n")
+    out = tmp_path / "out"
+    assert run_cli(["kalman", "--model", "gompertz", "--data", str(uneven),
+                    "--t0", "0", "--seed", "1", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("algorithm failure: ") and "evenly spaced" in err
+    assert not (out / "result.json").exists()
+
+
 GOOD_CSV = "time,Y\n1.0,1.1\n2.0,0.9\n3.0,1.0\n"
 
 
@@ -205,6 +216,75 @@ def test_mif_multi_start_workflow(tmp_path):
     assert set(result["theta_hat"]) == {"r", "K", "sigma", "tau", "X.0"}
     assert result["loglik_se"] > 0
     assert os.path.exists(os.path.join(out, "trace.csv"))
+
+
+def weekly_cases_csv(tmp_path, n=10):
+    """``n`` weekly case counts from t = 0, for the SIR models (t0 = -1/52)."""
+    path = tmp_path / "cases.csv"
+    counts = [40, 55, 61, 48, 70, 66, 52, 45, 58, 63][:n]
+    path.write_text("time,cases\n" + "".join(f"{k / 52!r},{c}\n"
+                                              for k, c in enumerate(counts)))
+    return str(path)
+
+
+def test_mif_start_jitter_on_seasonal_sir_estimation_scale(tmp_path):
+    # b3 is negative and on the identity scale, rho on the logit scale: a
+    # jitter on the log scale would leave the domain of both
+    out = str(tmp_path / "mif")
+    cfg = write_config(tmp_path, "mif.json", {
+        "schema": 1, "algorithm": "mif", "model": "sir-seasonal", "seed": 3,
+        "data": weekly_cases_csv(tmp_path), "output": out,
+        "settings": {"iterations": 1, "np": 20, "starts": 3, "eval_replicates": 1,
+                     "rw_sd": {"b3": 0.01, "rho": 0.01}},
+    })
+    assert run_cli(["mif", "--config", cfg]) == 0
+    assert len(load_result(out)["results"]["starts"]) == 3
+
+
+def test_mif_start_jitter_keeps_rho_a_probability_and_fixed_params_exact(tmp_path):
+    out = str(tmp_path / "mif")
+    cfg = write_config(tmp_path, "mif.json", {
+        "schema": 1, "algorithm": "mif", "model": "sir", "seed": 5,
+        "data": weekly_cases_csv(tmp_path), "output": out,
+        "settings": {"iterations": 0, "np": 10, "starts": 40, "eval_replicates": 1,
+                     "rw_sd": {"rho": 0.02}},
+    })
+    assert run_cli(["mif", "--config", cfg]) == 0
+    starts = [s["theta_hat"] for s in load_result(out)["results"]["starts"]]
+    assert len(starts) == 40
+    defaults = pk.sir_model().params.as_dict()
+    for theta in starts:
+        assert 0 < theta["rho"] < 1
+        assert {n: v for n, v in theta.items() if n != "rho"} == {
+            n: v for n, v in defaults.items() if n != "rho"}
+    assert len({theta["rho"] for theta in starts}) == 40
+
+
+def test_mif_multi_start_with_unknown_rw_sd_name_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "mif.json", {
+        "schema": 1, "algorithm": "mif", "model": "gompertz", "seed": 1,
+        "output": str(tmp_path / "mif"),
+        "settings": {"iterations": 1, "np": 10, "starts": 2, "rw_sd": {"bogus": 0.1}},
+    })
+    assert run_cli(["mif", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("algorithm failure: ") and "bogus" in err
+
+
+def test_mif_start_jitter_accepts_a_fixed_parameter_off_the_estimation_scale(tmp_path):
+    # sigma = 0 has no log, which a fit under transform: false allows
+    out = str(tmp_path / "mif")
+    cfg = write_config(tmp_path, "mif.json", {
+        "schema": 1, "algorithm": "mif", "model": "sir-seasonal", "seed": 4,
+        "data": weekly_cases_csv(tmp_path), "output": out, "params": {"sigma": 0.0},
+        "settings": {"iterations": 0, "np": 10, "starts": 2, "eval_replicates": 1,
+                     "transform": False, "rw_sd": {"b1": 0.01}},
+    })
+    assert run_cli(["mif", "--config", cfg]) == 0
+    starts = [s["theta_hat"] for s in load_result(out)["results"]["starts"]]
+    assert [theta["sigma"] for theta in starts] == [0.0, 0.0]
+    assert starts[0]["b1"] != starts[1]["b1"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
 files for ``simulate`` (three realizations with states, and one without),
 ``pfilter`` (with three replicates and with one), ``mif``, ``pmcmc``,
-``probe`` and ``abc``.  All runs are small; the whole script takes well under
-a minute.
+``probe``, ``abc`` and ``kalman`` (with the exact MLE).  All runs are small;
+the whole script takes well under a minute.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ CLI_RUNS = {  # name: (subcommand, settings)
                     "proposal_sd": {"r": 0.02, "sigma": 0.02, "tau": 0.02},
                     "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
                                {"type": "acf", "var": "Y", "lags": [1, 2]}]}),
+    "kalman": ("kalman", {"mle": True}),
 }
 
 
