@@ -26,7 +26,7 @@ import numpy as np
 from . import core
 from .exceptions import DomainError
 from .pmcmc import Chain, Proposal, _metropolis
-from .probes import apply_probes, probe_labels
+from .probes import _probe_batch, apply_probes, probe_labels
 from .rng import stream
 
 __all__ = ["AbcSettings", "abc", "compute_probe_scales"]
@@ -76,8 +76,7 @@ def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,
         raise DomainError("nsim must be at least 2")
     _, obs_arrays = core.simulate_paths(model, model.default_params(params),
                                         stream(seed, "probe-scales"), nsim)
-    batch = {name: obs_arrays[:, :, i] for i, name in enumerate(model.obs_names)}
-    values = apply_probes(probes, batch)
+    values = apply_probes(probes, _probe_batch(model, obs_arrays))
     scales = values.std(axis=0, ddof=1)
     labels = probe_labels(probes)
     degenerate = [labels[i] for i in np.where(~(scales > 0))[0]]
@@ -98,8 +97,7 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
     model.require("abc", "rprocess", "rmeasure")
     tau = settings.scale
     eps2 = settings.epsilon**2
-    data_batch = {name: model.data.column(name)[None, :] for name in model.obs_names}
-    observed = apply_probes(settings.probes, data_batch)[0]
+    observed = apply_probes(settings.probes, _probe_batch(model))[0]
 
     M = settings.n_steps
     distances = np.full(M, np.nan)
@@ -109,8 +107,7 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
         if m == 0:
             return 0.0
         _, obs_arrays = core.simulate_paths(model, params, stream(seed, "abc-sim", m - 1), 1)
-        batch = {name: obs_arrays[:, :, i] for i, name in enumerate(model.obs_names)}
-        sim_vals = apply_probes(settings.probes, batch)[0]
+        sim_vals = apply_probes(settings.probes, _probe_batch(model, obs_arrays))[0]
         dist2 = float(np.sum(((sim_vals - observed) / tau) ** 2))
         distances[m - 1] = dist2
         sim_probes[m - 1] = sim_vals

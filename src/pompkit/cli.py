@@ -304,6 +304,10 @@ def _given(settings, *names, **renamed):
 
 
 def _with_prior(model, prior_spec):
+    unknown = set(prior_spec) - set(model.params.names)
+    if unknown:
+        raise ConfigError(f"settings.prior: unknown parameters {sorted(unknown)} "
+                          f"for model {model.name!r}")
     rprior, dprior = uniform_box_prior(
         {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()})
     return dataclasses.replace(model, rprior=rprior, dprior=dprior)
@@ -363,8 +367,7 @@ def _run_kalman(model, config, settings, outdir):
            "params": params}
     if settings.get("mle"):
         theta, loglik, res = oracle.kalman_exact_mle(model.data, model.params)
-        out["mle"] = {"params": theta.as_dict(), "loglik": loglik,
-                      "status": res.status}
+        out["mle"] = {"params": theta.as_dict(), "loglik": loglik, "status": res.status}
     return out, {}
 
 
@@ -381,19 +384,13 @@ def _run_mif(model, config, settings, outdir):
     jitter = settings.get("start_jitter_sdlog", 1.0)
     theta0s = [model.params] * starts
     if starts > 1 and jitter > 0:
-        # the walked parameters move on the model's estimation scale; the others
-        # keep their values, and enter the transforms at the scale's origin, as
-        # one may have no value on it (sigma = 0 under transform: false)
-        natural = model.params.as_dict()
-        walked = {n: natural[n] for n, v in mset.rw_sd.items() if v > 0}
-        origin = core.transform_params(model, dict.fromkeys(natural, 0.0), "from-estimation")
-        work = core.transform_params(model, {**origin, **walked}, "to-estimation")
+        walked = [n for n, v in mset.rw_sd.items() if v > 0]
+        work = core._to_estimation(model, model.params, walked)
         theta0s = []
         for jitter_seed in child_seeds(config["seed"], "mif-jitter", starts):
             g = np.random.default_rng(jitter_seed)
-            moved = {n: work[n] + jitter * g.standard_normal() for n in walked}
-            moved = core.transform_params(model, {**work, **moved}, "from-estimation")
-            theta0s.append(core.ParamVector({**natural, **{n: float(moved[n]) for n in walked}}))
+            moved = {n: w + jitter * g.standard_normal() for n, w in work.items()}
+            theta0s.append(core.ParamVector(core._from_estimation(model, model.params, moved)))
     # the starts run as the blocks of one swarm, and then every start's
     # evaluation replicates as the blocks of one filter, on the seeds of start 0
     seed = child_seeds(config["seed"], "mif-starts", 1)[0]

@@ -197,6 +197,14 @@ def _checked_times(t0, times) -> np.ndarray:
     return times
 
 
+def _even_step(times):
+    """The step of the grid ``times`` (at least two points), or None when its
+    steps differ by more than 1e-8 relative to the first."""
+    diffs = np.diff(times)
+    step = float(diffs[0])
+    return None if np.any(np.abs(diffs - step) > 1e-8 * max(1.0, abs(step))) else step
+
+
 @dataclass(frozen=True)
 class TimeSeriesData:
     """Observation times, observation records, and the initial time.
@@ -434,6 +442,27 @@ def transform_params(model: ModelSpec, params, direction: str):
         if bad:
             raise TransformDomainError(bad, direction)
     return ParamVector(d) if as_vector else d
+
+
+def _to_estimation(model: ModelSpec, params, names) -> dict:
+    """Estimation-scale values of the parameters in ``names``; see
+    :func:`_from_estimation`."""
+    work = transform_params(model, dict.fromkeys(params, 0.0), "from-estimation")
+    work = transform_params(model, {**work, **{n: params[n] for n in names}}, "to-estimation")
+    return {n: work[n] for n in names}
+
+
+def _from_estimation(model: ModelSpec, params, values: dict) -> dict:
+    """The natural parameters ``params`` with those in ``values`` mapped back
+    from the estimation scale.  The transforms act elementwise, so every other
+    parameter enters them at the scale's origin and keeps its value bit for
+    bit: one that does not move never crosses them (``sigma = 0`` has no
+    value on a log scale)."""
+    work = transform_params(model, {**dict.fromkeys(params, 0.0), **values}, "from-estimation")
+    natural = dict(params)
+    for n in values:
+        natural[n] = work[n]
+    return natural
 
 
 def log_exp_transforms(names, logit_names=()):

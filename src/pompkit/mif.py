@@ -14,7 +14,8 @@ The filter is the shared step loop of :mod:`pompkit.smc`.  This module adds
 only the parameter swarm, through the loop's two hooks: one perturbs the
 swarm before each advance, the other re-indexes it after each resampling.
 The swarm holds the walked parameters only; each fixed one enters every
-step as a single estimation-scale value.
+step at its natural value, without crossing the transforms, so seasonal SIR
+with ``sigma = 0`` fixed runs under its log transform.
 
 Several starts run together as the blocks of one swarm (the private
 ``_mif_blocks``, which the CLI's multi-start search uses): block k's
@@ -180,24 +181,18 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
     walked = np.concatenate((est, ivp))
     n_est = est.size
     walked_names = [names[i] for i in walked]
-    fixed_names = [nm for i, nm in enumerate(names) if sigma[i] == 0]
     starts_nat = [{nm: start[nm] for nm in names} for start in starts]
-    starts_work = [core.transform_params(model, nat, "to-estimation") for nat in starts_nat]
-    # each fixed parameter enters every step as one estimation-scale value per block
-    fixed = [{nm: work[nm] for nm in fixed_names} for work in starts_work]
-    fixed_swarm = smc._block_params(fixed, J)
+    starts_work = [core._to_estimation(model, nat, walked_names) for nat in starts_nat]
+    swarm_nat = smc._block_params(starts_nat, J)
 
-    def natural(rows, fixed_values):
-        params = dict.fromkeys(names)
-        params.update(fixed_values)
-        params.update(zip(walked_names, rows))
-        return core.transform_params(model, params, "from-estimation")
+    def natural(rows, nat=swarm_nat):
+        return core._from_estimation(model, nat, dict(zip(walked_names, rows)))
 
     rng = stream(seed, "mif")
     traces = np.empty((K, M, p))
     logliks = np.empty((K, M))
     n_failures = [0] * K
-    theta = np.array([[work[names[i]] for work in starts_work] for i in walked]).reshape(-1, K)
+    theta = np.array([[work[nm] for work in starts_work] for nm in walked_names]).reshape(-1, K)
     # one contiguous row per walked parameter, so the hooks read and write
     # whole rows; normals are drawn for every parameter, fixed ones included,
     # which keeps mif's fixed-seed outputs, and only the walked rows are kept
@@ -210,12 +205,12 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
         sd = np.array([walk_sd.get(names[i], 0.0) for i in walked])[:, None]
         if m > 1:
             swarm[n_est:] += C * sd[n_est:] * rng.standard_normal((ivp.size, K * J))
-        x = core._init_states(model, natural(swarm, fixed_swarm), model.data.t0, rng, K * J)
+        x = core._init_states(model, natural(swarm), model.data.t0, rng, K * J)
         step_sd = sd[:n_est]
 
         def perturb():
             swarm[:n_est] += step_sd * rng.standard_normal((n_est, K * J))
-            return natural(swarm, fixed_swarm)
+            return natural(swarm)
 
         def on_resample(idx):
             nonlocal swarm
@@ -226,14 +221,11 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
         for k, lo, hi in blocks:
             n_failures[k] += results[k].n_failures
             logliks[k, m - 1] = results[k].loglik
-            nat = natural(swarm[:, lo:hi].mean(axis=1), fixed[k])
-            traces[k, m - 1] = [starts_nat[k][nm] if sigma[i] == 0 else nat[nm]
-                                for i, nm in enumerate(names)]
+            traces[k, m - 1] = [*natural(swarm[:, lo:hi].mean(axis=1), starts_nat[k]).values()]
 
     return [
         MifResult(
-            theta_hat=(core.ParamVector({nm: traces[k, -1, i] for i, nm in enumerate(names)})
-                       if M > 0 else starts[k]),
+            theta_hat=core.ParamVector(zip(names, traces[k, -1])) if M > 0 else starts[k],
             trace=traces[k],
             logliks=logliks[k],
             param_names=names,

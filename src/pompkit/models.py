@@ -326,8 +326,8 @@ def sir_seasonal_model(data=None, params=None, years=10.0, covariates=None,
                        delta_t=SIR_EULER_DT) -> ModelSpec:
     """Seasonal SIR with phase noise, imports, and a birth covariate.
 
-    Transforms: logit for ``rho``, log for the rest but ``b1``-``b3``, so a
-    fit from ``sigma = 0`` needs ``transform=False``.
+    Transforms: logit for ``rho``, log for the rest but ``b1``-``b3``; only a
+    fit that estimates ``sigma`` from 0 needs ``transform=False``.
     """
     if data is None:
         data = TimeSeriesData.empty(-1.0 / 52.0, _weekly_times(years), ("cases",))

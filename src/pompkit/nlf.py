@@ -89,16 +89,6 @@ def _rbf_design(values: np.ndarray, lags, centers, scale) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _uniform_spacing(times: np.ndarray) -> float:
-    diffs = np.diff(times)
-    dt = float(diffs[0]) if diffs.size else 1.0
-    if diffs.size and np.any(np.abs(diffs - dt) > 1e-8 * max(1.0, abs(dt))):
-        raise DomainError("quasi-likelihood fitting requires evenly spaced observations")
-    if dt <= 0:
-        raise DomainError("need at least two distinct observation times")
-    return dt
-
-
 def nlf_quasi_loglik(model: core.ModelSpec, params=None,
                      settings: NlfSettings = None, seed=0) -> float:
     """Simulated quasi-log-likelihood of the data at one parameter point.
@@ -124,7 +114,9 @@ def nlf_quasi_loglik(model: core.ModelSpec, params=None,
 
     # spacing from the observation grid itself; t0 may coincide with the
     # first observation time (the long simulation is stationary either way)
-    dt = _uniform_spacing(data.times)
+    dt = core._even_step(data.times)
+    if dt is None:
+        raise DomainError("quasi-likelihood fitting requires evenly spaced observations")
     total = settings.transient + settings.sim_length
     sim_times = data.t0 + dt * np.arange(1, total + 1)
     _, obs_arrays = core.simulate_paths(model, model.default_params(params),

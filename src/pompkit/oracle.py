@@ -9,7 +9,9 @@ likelihood, because :func:`kalman_loglik` includes the lognormal Jacobian.
 
 Also hosts the derivative-free simplex optimizer used wherever the package
 maximizes a noisy-but-deterministic objective, and the estimation-scale
-fitter that probe matching and quasi-likelihood fitting share.
+fitter that probe matching, quasi-likelihood fitting and
+:func:`kalman_exact_mle` share; the last returns that fitter's
+:class:`FitResult` as its third element.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParamVector, TimeSeriesData, one_run, transform_params
+from .core import (ParamVector, TimeSeriesData, _even_step, _from_estimation, _to_estimation,
+                   one_run)
 from .exceptions import DomainError, SingularCovarianceError
+from .models import gompertz_model
 
 __all__ = [
     "LinearGaussianSSM",
@@ -120,9 +124,8 @@ def _gompertz_log_data(data: TimeSeriesData):
     y = data.observations[:, 0]
     if np.any(~(y > 0)):
         raise DomainError("Gompertz data must be positive")
-    diffs = np.diff(np.concatenate(([data.t0], data.times)))
-    delta_t = float(diffs[0])
-    if np.any(np.abs(diffs - delta_t) > 1e-8 * max(1.0, abs(delta_t))):
+    delta_t = _even_step(np.concatenate(([data.t0], data.times)))
+    if delta_t is None:
         raise DomainError("the Kalman filter requires evenly spaced observations")
     return np.log(y), delta_t
 
@@ -131,23 +134,15 @@ def kalman_exact_mle(data: TimeSeriesData, start: ParamVector, maxit=2000,
                      reltol=1e-8):
     """Exact maximum-likelihood fit of (r, sigma, tau) for the Gompertz model.
 
-    K and X.0 stay fixed at their values in ``start``; the search runs on the
-    log scale of the three estimated parameters.  Returns
-    ``(ParamVector, loglik, NelderMeadResult)``.
+    :func:`fit_on_estimation_scale` on the model's log scale, with K and X.0
+    fixed at their values in ``start``; returns ``(ParamVector, loglik, FitResult)``.
     """
     y_log, delta_t = _gompertz_log_data(data)
-    base = start.as_dict()
-
-    def negloglik(x):
-        p = dict(base)
-        p["r"], p["sigma"], p["tau"] = np.exp(x)
-        return -kalman_loglik(gompertz_ssm(p, delta_t), y_log)
-
-    x0 = np.log([base["r"], base["sigma"], base["tau"]])
-    res = nelder_mead(negloglik, x0, maxit=maxit, reltol=reltol)
-    fitted = dict(base)
-    fitted["r"], fitted["sigma"], fitted["tau"] = np.exp(res.x)
-    return ParamVector(fitted), -res.fun, res
+    res = fit_on_estimation_scale(
+        gompertz_model(data=data, params=start), start, ("r", "sigma", "tau"),
+        lambda theta: kalman_loglik(gompertz_ssm(theta, delta_t), y_log),
+        maxit=maxit, reltol=reltol)
+    return res.theta, res.value, res
 
 
 @dataclass(frozen=True)
@@ -260,12 +255,12 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
     """Maximize ``objective(theta)`` over the parameters named in ``est``.
 
     The simplex search runs on the model's estimation scale when ``transform``
-    is set; parameters outside ``est`` stay at their values in ``start``.  An
-    objective that raises :class:`DomainError` or
-    :class:`SingularCovarianceError` counts as -inf rather than aborting the
-    search.  A non-converged search returns the best point found, flagged in
-    ``status``.  With ``est`` empty the objective is evaluated once at
-    ``start``.
+    is set; parameters outside ``est`` keep their values in ``start`` bit for
+    bit and never cross the transforms.  An objective that raises
+    :class:`DomainError` or :class:`SingularCovarianceError` counts as -inf
+    rather than aborting the search.  A non-converged search returns the best
+    point found, flagged in ``status``.  With ``est`` empty the objective is
+    evaluated once at ``start``.
     """
     est = tuple(est)
     if not est:
@@ -276,17 +271,9 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
         raise DomainError(f"est names not in start: {sorted(unknown)}")
     if not transform:
         model = replace(model, to_estimation=None, from_estimation=None)
-    base_nat = start.as_dict()
-    work = transform_params(model, base_nat, "to-estimation")
 
     def unpack(x):
-        w = dict(work)
-        w.update(zip(est, x))
-        nat = transform_params(model, w, "from-estimation")
-        for name in start.names:
-            if name not in est:
-                nat[name] = base_nat[name]
-        return ParamVector({n: nat[n] for n in start.names})
+        return ParamVector(_from_estimation(model, start, dict(zip(est, x))))
 
     def negobjective(x):
         try:
@@ -295,7 +282,7 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
             logger.warning("objective degenerate at %s: %s", x, err)
             return math.inf
 
-    x0 = np.array([work[n] for n in est])
+    x0 = np.array(list(_to_estimation(model, start, est).values()))
     res = nelder_mead(negobjective, x0, maxit=maxit, reltol=reltol)
     status = res.status if res.status != "maxit" else "maxit (best found returned)"
     return FitResult(theta=unpack(res.x), value=-res.fun, status=status, n_evals=res.n_evals)

@@ -176,6 +176,13 @@ def probe_marginal(var: str, ref, npoly: int = 3, transform=None) -> Probe:
                  labels=tuple(f"{name}[{k}]" for k in range(1, npoly + 1)))
 
 
+def _probe_batch(model: core.ModelSpec, obs_arrays=None) -> dict:
+    """``{observable: (batch, N) series}`` from (batch, N, r) simulated
+    observations of ``model``, or from its data as a batch of one."""
+    obs = model.data.observations[None] if obs_arrays is None else obs_arrays
+    return {name: obs[:, :, i] for i, name in enumerate(model.obs_names)}
+
+
 def apply_probes(probes, batch: dict) -> np.ndarray:
     """Stack all probe values for a batch of series: (batch, total arity)."""
     return np.concatenate([np.asarray(p.apply(batch), dtype=float) for p in probes], axis=1)
@@ -274,12 +281,10 @@ def probe(model: core.ModelSpec, params=None, probes=(), nsim=1000, seed=0) -> P
         raise DomainError("probe list is empty")
     if nsim < 2:
         raise DomainError("nsim must be at least 2 (covariance undefined)")
-    data_batch = {name: model.data.column(name)[None, :] for name in model.obs_names}
-    observed = apply_probes(probes, data_batch)[0]
+    observed = apply_probes(probes, _probe_batch(model))[0]
     _, obs_arrays = core.simulate_paths(model, model.default_params(params),
                                         stream(seed, "probe"), nsim)
-    sim_batch = {name: obs_arrays[:, :, i] for i, name in enumerate(model.obs_names)}
-    simulated = apply_probes(probes, sim_batch)
+    simulated = apply_probes(probes, _probe_batch(model, obs_arrays))
     labels = probe_labels(probes)
     with np.errstate(invalid="ignore", divide="ignore"):
         correlations = np.corrcoef(simulated.T).reshape(len(labels), len(labels))

@@ -456,3 +456,34 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_mif_multi_start_with_sigma_fixed_at_zero_under_the_log_transform(tmp_path):
+    # sigma = 0 has no log; held fixed, it never needs one
+    out = str(tmp_path / "mif")
+    cfg = write_config(tmp_path, "mif.json", {
+        "schema": 1, "algorithm": "mif", "model": "sir-seasonal", "seed": 4,
+        "data": weekly_cases_csv(tmp_path), "output": out, "params": {"sigma": 0.0},
+        "settings": {"iterations": 1, "np": 10, "starts": 2, "eval_replicates": 1,
+                     "rw_sd": {"b1": 0.01}},
+    })
+    assert run_cli(["mif", "--config", cfg]) == 0
+    starts = [s["theta_hat"] for s in load_result(out)["results"]["starts"]]
+    assert [theta["sigma"] for theta in starts] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("algorithm,settings", [
+    ("pmcmc", {"steps": 2, "np": 10, "proposal_sd": {"r": 0.01}}),
+    ("abc", {"steps": 2, "scale_nsim": 10, "proposal_sd": {"r": 0.01},
+             "probes": [{"type": "mean", "var": "Y"}]}),
+])
+def test_prior_naming_an_unknown_parameter_exits_2(tmp_path, capsys, algorithm, settings):
+    prior = {"r": [0.01, 1.0], "bogus": [0.0, 1.0]}
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+        "output": str(tmp_path / "out"), "settings": {**settings, "prior": prior},
+    })
+    assert run_cli([algorithm, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "bogus" in err

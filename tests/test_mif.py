@@ -240,3 +240,40 @@ def test_blocks_walk_from_their_own_starts(gompertz_fitted):
     assert np.all(far_out.logliks < near_out.logliks - 10)
     tau = truth.names.index("tau")
     assert far_out.trace[0, tau] > 0.15 > near_out.trace[0, tau]
+
+
+# ---------------------------------------------------------------------------
+# fixed parameters never cross the transforms
+
+
+def seasonal_sir_fitted(**params):
+    model = pk.sir_seasonal_model(years=0.5)
+    model = model.with_params(model.params.replace(**params))
+    return pk.attach_data(model, pk.simulate(model, seed=8)[0])
+
+
+def test_mif_runs_with_sigma_fixed_at_zero_under_the_log_transform():
+    # sigma = 0 has no log; held fixed, it never needs one
+    model = seasonal_sir_fitted(sigma=0.0)
+    s = MifSettings(start=model.params, n_iterations=2, num_particles=20,
+                    rw_sd={"b1": 0.02, "rho": 0.002})
+    out = pk.mif(model, s, seed=5)
+    assert out.theta_hat["sigma"] == 0.0
+    assert np.all(out.trace[:, model.params.names.index("sigma")] == 0.0)
+    assert np.all(np.isfinite(out.logliks)) and np.isfinite(out.final_filter.loglik)
+
+
+def test_mif_filters_at_the_exact_fixed_values():
+    # exp(log(100.0)) != 100.0: a fixed theta must reach dmeasure unrounded
+    model = seasonal_sir_fitted()
+    seen = []
+
+    def dmeasure(y, x, params, t, log, covars):
+        seen.append(params["theta"])
+        return model.dmeasure(y, x, params, t, log, covars)
+
+    s = MifSettings(start=model.params, n_iterations=2, num_particles=20,
+                    rw_sd={"b1": 0.02, "rho": 0.002})
+    pk.mif(dataclasses.replace(model, dmeasure=dmeasure), s, seed=5, run_final_filter=False)
+    assert model.params["theta"] == 100.0
+    assert seen and all(theta == 100.0 for theta in seen)

@@ -216,3 +216,24 @@ def test_fit_never_returns_worse_than_start(gompertz_fitted):
     at_start = pk.nlf_quasi_loglik(gompertz_fitted, start, settings, seed=28)
     assert out.value >= at_start
     assert out.theta["K"] == start["K"]  # not estimated
+
+
+def test_fit_runs_with_sigma_fixed_at_zero_under_the_log_transform():
+    # sigma = 0 has no log; held fixed, it never needs one
+    model = pk.gompertz_model()
+    model = model.with_params(model.params.replace(sigma=0.0))
+    model = pk.attach_data(model, pk.simulate(model, seed=3)[0])
+    nset = NlfSettings(lags=(1, 2), sim_length=150, transient=100, est=("r",))
+    res = pk.nlf_fit(model, model.params, nset, seed=3, maxit=10)
+    assert res.theta["sigma"] == 0.0 and np.isfinite(res.value)
+
+
+def test_unevenly_spaced_data_is_rejected(gompertz_fitted):
+    data = gompertz_fitted.data
+    times = data.times.copy()
+    times[5:] += 0.5
+    uneven = gompertz_fitted.with_data(TimeSeriesData(
+        t0=data.t0, times=times, observations=data.observations, obs_names=data.obs_names))
+    with pytest.raises(DomainError, match="evenly spaced"):
+        pk.nlf_quasi_loglik(uneven, None, NlfSettings(lags=(1,), sim_length=50,
+                                                      transient=50))

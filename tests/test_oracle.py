@@ -152,3 +152,17 @@ def test_nan_treated_as_inf(caplog):
 def test_nonfinite_start_rejected():
     with pytest.raises(DomainError):
         nelder_mead(lambda x: np.nan, np.array([0.0]))
+
+
+def test_exact_mle_is_the_shared_fitter_and_keeps_its_numbers(gompertz_fitted):
+    # the fit's numbers from when kalman_exact_mle ran its own log-scale simplex
+    from pompkit.oracle import FitResult
+
+    theta, loglik, res = pk.kalman_exact_mle(gompertz_fitted.data, gompertz_fitted.params)
+    assert isinstance(res, FitResult) and res.theta == theta and res.value == loglik
+    assert theta.as_dict() == {
+        "r": float.fromhex("0x1.ee1ccecb1eda9p-4"), "K": 1.0,
+        "sigma": float.fromhex("0x1.065b9abfdb915p-3"),
+        "tau": float.fromhex("0x1.7b51747166944p-4"), "X.0": 1.0}
+    assert loglik == float.fromhex("0x1.127199a9bec17p+5")
+    assert res.status == "converged" and res.n_evals == 89

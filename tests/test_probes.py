@@ -264,3 +264,13 @@ def test_probe_match_improves_objective():
     assert out.value > before
     assert out.theta["mu"] == pytest.approx(3.0, abs=0.8)
     assert out.theta["x.0"] == start["x.0"]  # fixed params untouched
+
+
+def test_probe_match_runs_with_sigma_fixed_at_zero_under_the_log_transform():
+    # sigma = 0 has no log; held fixed, it never needs one
+    model = pk.sir_seasonal_model(years=0.5)
+    model = model.with_params(model.params.replace(sigma=0.0))
+    model = pk.attach_data(model, pk.simulate(model, seed=8)[0])
+    res = pk.probe_match(model, model.params, ("b1",), [pk.probe_mean("cases")],
+                         nsim=20, seed=3, maxit=6)
+    assert res.theta["sigma"] == 0.0 and np.isfinite(res.value)

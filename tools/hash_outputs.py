@@ -14,7 +14,8 @@ arrays; ``simulate_paths`` on SIR, seasonal SIR (also one 2-year
 realization), Ricker, Gompertz (also without measurements) and a toy model
 whose ``rprocess`` returns its input; ``mif`` on Gompertz (with and
 without IVPs and ``transform``, and with a tolerated failure) and on seasonal
-SIR (small and realistic walks); ``pmcmc`` on Gompertz (plain, and with
+SIR (small and realistic walks, and with ``sigma`` fixed at 0 under the log
+transform); ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure); ``abc`` on
 Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
@@ -182,6 +183,13 @@ def library_hashes():
     out["mif/sir-seasonal/realistic"] = digest(res.trace, res.theta_hat.values,
                                                res.n_failures,
                                                *filter_parts(res.final_filter))
+    # sigma = 0 has no log: held fixed, it never crosses the transforms
+    sigma0 = seasonal.with_params(seasonal.params.replace(sigma=0.0))
+    settings = pk.MifSettings(start=sigma0.params, n_iterations=2, num_particles=40,
+                              rw_sd={"b1": 0.02, "rho": 0.002})
+    res = pk.mif(sigma0, settings, seed=5)
+    out["mif/sir-seasonal/sigma0"] = digest(res.trace, res.theta_hat.values, res.logliks,
+                                            res.n_failures, *filter_parts(res.final_filter))
 
     wide = with_box_prior(gomp, {n: (0.01, 1.0) for n in ("r", "sigma", "tau")})
     chain = pk.pmcmc(wide, gomp.params, n_steps=30, num_particles=40,
