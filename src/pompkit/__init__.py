@@ -48,7 +48,7 @@ from .models import (
     sir_model,
     sir_seasonal_model,
 )
-from .nlf import NlfResult, NlfSettings, nlf_fit, nlf_quasi_loglik, rbf_centers
+from .nlf import NlfSettings, nlf_fit, nlf_quasi_loglik, rbf_centers
 from .oracle import (
     LinearGaussianSSM,
     gompertz_ssm,
@@ -66,7 +66,6 @@ from .pmcmc import (
 )
 from .probes import (
     Probe,
-    ProbeMatchResult,
     ProbeResult,
     probe,
     probe_acf,

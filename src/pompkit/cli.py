@@ -11,7 +11,9 @@ in ``result.json`` but has no effect.  Repeated filters run batched instead:
 pfilter replicates, mif starts and mif evaluations each run as the blocks of
 one particle swarm.
 
-Exit status: 0 success, 2 validation error, 3 algorithm failure.
+Exit status: 0 success, 2 validation error (an unusable ``output`` included),
+3 algorithm failure.  The output directory and its files are written only once
+the run has succeeded.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ CONFIG_SCHEMA = {
         "model": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
         "threads": {"type": "integer", "minimum": 1},
-        "output": {"type": "string"},
+        "output": {"type": "string", "minLength": 1},
         "data": {"type": "string"},
         "t0": {"type": "number"},
         "covariates": {"type": "string"},
@@ -328,14 +330,14 @@ def _chain_summary(chain, burn_in=0):
     }
 
 
-def _run_simulate(model, config, settings, outdir):
+def _run_simulate(model, config, settings):
     records = core.simulate(model, seed=config["seed"], **_given(settings, "nsim"))
-    path = os.path.join(outdir, "simulations.csv")
-    dataio.write_simulations_csv(path, records, **_given(settings, "include_states"))
-    return {"n_sim": len(records), "n_obs": model.data.n_obs}, {"simulations": path}
+    out = {"n_sim": len(records), "n_obs": model.data.n_obs}
+    return out, {"simulations": lambda path: dataio.write_simulations_csv(
+        path, records, **_given(settings, "include_states"))}
 
 
-def _run_pfilter(model, config, settings, outdir):
+def _run_pfilter(model, config, settings):
     np_particles = settings.get("np", 1000)
     reps = settings.get("replicates", 1)
     # all replicates run as the blocks of one pass, on the seed of replicate 0
@@ -356,7 +358,7 @@ def _run_pfilter(model, config, settings, outdir):
     return out, {}
 
 
-def _run_kalman(model, config, settings, outdir):
+def _run_kalman(model, config, settings):
     if model.name != "gompertz":
         raise ConfigError("the kalman subcommand applies to the gompertz model only")
     if np.isnan(model.data.observations).any():
@@ -371,7 +373,7 @@ def _run_kalman(model, config, settings, outdir):
     return out, {}
 
 
-def _run_mif(model, config, settings, outdir):
+def _run_mif(model, config, settings):
     mset = MifSettings(
         start=model.params,
         n_iterations=settings.get("iterations", 50),
@@ -406,8 +408,6 @@ def _run_mif(model, config, settings, outdir):
         runs.append((result, *smc.logmeanexp(lls, with_se=True)))
     best_idx = int(np.argmax([lme for _, lme, _ in runs]))
     best, best_lme, best_se = runs[best_idx]
-    trace_path = os.path.join(outdir, "trace.csv")
-    dataio.write_trace_csv(trace_path, best)
     out = {
         "theta_hat": best.theta_hat.as_dict(),
         "loglik": best_lme,
@@ -418,10 +418,10 @@ def _run_mif(model, config, settings, outdir):
             for r, lme, se in runs
         ],
     }
-    return out, {"trace": trace_path}
+    return out, {"trace": lambda path: dataio.write_trace_csv(path, best)}
 
 
-def _run_pmcmc(model, config, settings, outdir):
+def _run_pmcmc(model, config, settings):
     model = _with_prior(model, settings["prior"])
     chain = run_pmcmc(
         model, model.params,
@@ -431,12 +431,10 @@ def _run_pmcmc(model, config, settings, outdir):
         seed=config["seed"],
         **_given(settings, "max_fail"),
     )
-    path = os.path.join(outdir, "chain.csv")
-    dataio.write_chain_csv(path, chain)
-    return _chain_summary(chain), {"chain": path}
+    return _chain_summary(chain), {"chain": lambda path: dataio.write_chain_csv(path, chain)}
 
 
-def _run_abc(model, config, settings, outdir):
+def _run_abc(model, config, settings):
     model = _with_prior(model, settings["prior"])
     probe_list = [_build_probe(s, model) for s in settings["probes"]]
     scale = settings.get("scale", "auto")
@@ -454,20 +452,16 @@ def _run_abc(model, config, settings, outdir):
         **_given(settings, "epsilon"),
     )
     chain = run_abc(model, model.params, aset, seed=config["seed"])
-    path = os.path.join(outdir, "chain.csv")
-    dataio.write_chain_csv(path, chain)
     out = _chain_summary(chain)
     out["scale"] = aset.scale.tolist()
     out["epsilon"] = aset.epsilon
-    return out, {"chain": path}
+    return out, {"chain": lambda path: dataio.write_chain_csv(path, chain)}
 
 
-def _run_probe(model, config, settings, outdir):
+def _run_probe(model, config, settings):
     probe_list = [_build_probe(s, model) for s in settings["probes"]]
     result = probes.probe(model, model.params, probe_list, seed=config["seed"],
                           **_given(settings, "nsim"))
-    path = os.path.join(outdir, "probes.csv")
-    dataio.write_probes_csv(path, result)
     # the datasets the probe values derive from, for plotting or re-ingesting
     times_full = np.concatenate(([model.data.t0], model.data.times))
     records = [
@@ -477,18 +471,18 @@ def _run_probe(model, config, settings, outdir):
             params=model.params)
         for obs in result.simulated_obs
     ]
-    sim_path = os.path.join(outdir, "simulations.csv")
-    dataio.write_simulations_csv(sim_path, records, include_states=False)
     out = {
         "synth_loglik": result.synth_loglik,
         "labels": list(result.labels),
         "observed": result.observed.tolist(),
         "p_values": result.p_values.tolist(),
     }
-    return out, {"probes": path, "simulations": sim_path}
+    return out, {"probes": lambda path: dataio.write_probes_csv(path, result),
+                 "simulations": lambda path: dataio.write_simulations_csv(
+                     path, records, include_states=False)}
 
 
-def _run_nlf(model, config, settings, outdir):
+def _run_nlf(model, config, settings):
     nset = nlf.NlfSettings(lags=settings["lags"], **_given(
         settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
     result = nlf.nlf_fit(model, model.params, nset, seed=config["seed"],
@@ -500,6 +494,9 @@ def _run_nlf(model, config, settings, outdir):
     }, {}
 
 
+# a runner only computes: it returns (results, files), ``files`` mapping a stem to a
+# writer of ``<stem>.csv`` that looks ``dataio.write_*`` up when called (perfbench
+# traces those attributes)
 _RUNNERS = {
     "simulate": _run_simulate,
     "pfilter": _run_pfilter,
@@ -523,19 +520,16 @@ class _JsonEncoder(json.JSONEncoder):
 
 @core.one_run
 def run(config: dict) -> int:
-    """Validate and execute one run; returns the process exit status."""
+    """Validate and execute one run; returns the process exit status.  The output
+    directory and its files are made only once the runner has succeeded."""
     try:
         config = validate_config(config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    outdir = config.get("output", ".")
-    try:
+        outdir = config.get("output", ".")
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise ConfigError(f"config.output: {outdir}: not a directory")
         model = _build_model(config)
-        # only once the inputs load, so a rejected run leaves no directory behind
-        os.makedirs(outdir, exist_ok=True)
         results, files = _RUNNERS[config["algorithm"]](
-            model, config, config.get("settings", {}), outdir)
+            model, config, config.get("settings", {}))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -550,12 +544,19 @@ def run(config: dict) -> int:
         "threads": config.get("threads", 1),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "results": results,
-        "files": {k: os.path.basename(v) for k, v in files.items()},
+        "files": {stem: f"{stem}.csv" for stem in files},
     }
     result_path = os.path.join(outdir, "result.json")
-    with open(result_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, cls=_JsonEncoder)
-        fh.write("\n")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for stem, write in files.items():
+            write(os.path.join(outdir, f"{stem}.csv"))
+        with open(result_path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, cls=_JsonEncoder)
+            fh.write("\n")
+    except OSError as err:
+        print(f"error: {err.filename or outdir}: {err.strerror or err}", file=sys.stderr)
+        return 2
     print(result_path)
     return 0
 

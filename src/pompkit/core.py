@@ -432,23 +432,29 @@ def transform_params(model: ModelSpec, params, direction: str):
     """
     if direction not in ("to-estimation", "from-estimation"):
         raise DomainError(f"unknown transform direction: {direction!r}")
+    d = _transformed(model, params_to_dict(params), direction)
+    return ParamVector(d) if isinstance(params, ParamVector) else d
+
+
+def _transformed(model: ModelSpec, d: dict, direction: str, checked=None) -> dict:
+    """``d`` through the model's transform in ``direction``; the entries named
+    in ``checked`` (all of them by default) must come out finite."""
     fn = model.to_estimation if direction == "to-estimation" else model.from_estimation
-    as_vector = isinstance(params, ParamVector)
-    d = params_to_dict(params)
-    if fn is not None:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            d = dict(fn(d))
-        bad = [k for k, v in d.items() if not np.isfinite(v).all()]
-        if bad:
-            raise TransformDomainError(bad, direction)
-    return ParamVector(d) if as_vector else d
+    if fn is None:
+        return d
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        d = dict(fn(d))
+    bad = [k for k in (d if checked is None else checked) if not np.isfinite(d[k]).all()]
+    if bad:
+        raise TransformDomainError(bad, direction)
+    return d
 
 
 def _to_estimation(model: ModelSpec, params, names) -> dict:
     """Estimation-scale values of the parameters in ``names``; see
     :func:`_from_estimation`."""
-    work = transform_params(model, dict.fromkeys(params, 0.0), "from-estimation")
-    work = transform_params(model, {**work, **{n: params[n] for n in names}}, "to-estimation")
+    origin = _transformed(model, dict.fromkeys(params, 0.0), "from-estimation", ())
+    work = _transformed(model, origin | {n: params[n] for n in names}, "to-estimation", names)
     return {n: work[n] for n in names}
 
 
@@ -458,11 +464,8 @@ def _from_estimation(model: ModelSpec, params, values: dict) -> dict:
     parameter enters them at the scale's origin and keeps its value bit for
     bit: one that does not move never crosses them (``sigma = 0`` has no
     value on a log scale)."""
-    work = transform_params(model, {**dict.fromkeys(params, 0.0), **values}, "from-estimation")
-    natural = dict(params)
-    for n in values:
-        natural[n] = work[n]
-    return natural
+    work = _transformed(model, dict.fromkeys(params, 0.0) | values, "from-estimation", values)
+    return {**params, **{n: work[n] for n in values}}
 
 
 def log_exp_transforms(names, logit_names=()):

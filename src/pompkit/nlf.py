@@ -25,7 +25,7 @@ from .exceptions import DomainError
 from .oracle import FitResult, fit_on_estimation_scale
 from .rng import stream
 
-__all__ = ["NlfSettings", "rbf_centers", "nlf_quasi_loglik", "nlf_fit", "NlfResult"]
+__all__ = ["NlfSettings", "rbf_centers", "nlf_quasi_loglik", "nlf_fit"]
 
 logger = logging.getLogger("pompkit")
 
@@ -147,11 +147,8 @@ def nlf_quasi_loglik(model: core.ModelSpec, params=None,
                  - np.sum(data_resid**2) / (2.0 * sigma2))
 
 
-NlfResult = FitResult
-
-
 def nlf_fit(model: core.ModelSpec, start: core.ParamVector,
-            settings: NlfSettings, seed=0, maxit=400, reltol=1e-6) -> NlfResult:
+            settings: NlfSettings, seed=0, maxit=400, reltol=1e-6) -> FitResult:
     """Maximize the quasi-log-likelihood over ``settings.est``.
 
     Runs the simplex search on the estimation scale with the simulation seed

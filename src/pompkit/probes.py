@@ -34,7 +34,6 @@ __all__ = [
     "probe",
     "ProbeResult",
     "probe_match",
-    "ProbeMatchResult",
 ]
 
 logger = logging.getLogger("pompkit")
@@ -299,12 +298,9 @@ def probe(model: core.ModelSpec, params=None, probes=(), nsim=1000, seed=0) -> P
     )
 
 
-ProbeMatchResult = FitResult
-
-
 def probe_match(model: core.ModelSpec, start: core.ParamVector, est, probes,
                 nsim=1000, seed=0, transform=True, maxit=400,
-                reltol=1e-6) -> ProbeMatchResult:
+                reltol=1e-6) -> FitResult:
     """Maximize the synthetic log likelihood over the named parameters.
 
     The simulation seed is held fixed across objective evaluations, making the

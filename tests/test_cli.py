@@ -487,3 +487,79 @@ def test_prior_naming_an_unknown_parameter_exits_2(tmp_path, capsys, algorithm, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and "bogus" in err
+
+
+# ---------------------------------------------------------------------------
+# a run writes its outputs only once it has succeeded
+
+
+def test_unknown_prior_name_leaves_no_output_directory(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "algorithm": "pmcmc", "model": "gompertz", "seed": 1,
+        "output": str(out),
+        "settings": {"steps": 2, "np": 10, "proposal_sd": {"r": 0.01},
+                     "prior": {"bogus": [0.0, 1.0]}},
+    })
+    assert run_cli(["pmcmc", "--config", cfg]) == 2
+    assert not out.exists()
+
+
+def test_kalman_on_a_model_other_than_gompertz_leaves_no_output_directory(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["kalman", "--model", "ricker", "--seed", "1", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_kalman_on_unevenly_spaced_data_leaves_no_output_directory(tmp_path):
+    uneven = tmp_path / "uneven.csv"
+    uneven.write_text("time,Y\n1,1.1\n2,0.9\n4,1.0\n5,1.2\n6,0.8\n")
+    out = tmp_path / "out"
+    assert run_cli(["kalman", "--model", "gompertz", "--data", str(uneven),
+                    "--t0", "0", "--seed", "1", "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_output_naming_an_existing_file_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+    assert run_cli(["pfilter", "--model", "gompertz", "--seed", "1", "--np", "10",
+                    "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
+    assert target.read_text() == "keep me\n"
+
+
+def test_empty_output_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": 1,
+        "output": "", "settings": {"np": 10},
+    })
+    assert run_cli(["pfilter", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: config.output")
+
+
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    # the parent of the output directory is a file: making it fails at write time
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert run_cli(["simulate", "--model", "gompertz", "--seed", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
+def test_probe_into_an_existing_directory_writes_exactly_its_files(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["probe", "--model", "gompertz", "--seed", "1", "--nsim", "20",
+                    "--config", write_config(tmp_path, "c.json", {
+                        "settings": {"probes": [{"type": "mean", "var": "Y"}]}}),
+                    "-o", str(out)]) == 0
+    files = load_result(str(out))["files"]
+    assert files == {"probes": "probes.csv", "simulations": "simulations.csv"}
+    assert sorted(os.listdir(out)) == sorted(["result.json", *files.values()])

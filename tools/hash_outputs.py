@@ -21,8 +21,9 @@ Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
 files for ``simulate`` (three realizations with states, and one without),
 ``pfilter`` (with three replicates and with one), ``mif``, ``pmcmc``,
-``probe``, ``abc`` and ``kalman`` (with the exact MLE).  All runs are small;
-the whole script takes well under a minute.
+``probe``, ``abc`` and ``kalman`` (with the exact MLE), each of whose output
+directories must hold exactly ``result.json`` and the files it names.  All
+runs are small; the whole script takes well under a minute.
 """
 
 from __future__ import annotations
@@ -262,6 +263,10 @@ def cli_hashes(workdir):
             raise SystemExit(f"pomp-kit {algorithm} exited {status}")
         with open(os.path.join(outdir, "result.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
+        written = sorted(os.listdir(outdir))
+        if written != sorted(["result.json", *payload["files"].values()]):
+            raise SystemExit(f"pomp-kit {algorithm} wrote {written}, but its result.json "
+                             f"names {payload['files']}")
         payload.pop("generated_at")
         out[f"cli/{name}/result.json"] = digest(json.dumps(payload, sort_keys=True))
         for file in sorted(os.listdir(outdir)):
