@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .exceptions import DomainError
+from .exceptions import DomainError, require_integer
 from .pmcmc import Chain, Proposal, _metropolis
 from .probes import _probe_batch, apply_probes, probe_labels
 from .rng import stream
@@ -61,8 +61,7 @@ class AbcSettings:
             raise DomainError("scales must be positive and finite")
         if self.epsilon < 0:
             raise DomainError("epsilon must be non-negative")
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be at least 1")
+        object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps, 1))
 
 
 def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,
@@ -72,8 +71,7 @@ def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,
     The natural relative scaling for the ABC ball; a zero-variance probe is an
     error naming the probe.
     """
-    if nsim < 2:
-        raise DomainError("nsim must be at least 2")
+    nsim = require_integer("nsim", nsim, 2)
     _, obs_arrays = core.simulate_paths(model, model.default_params(params),
                                         stream(seed, "probe-scales"), nsim)
     values = apply_probes(probes, _probe_batch(model, obs_arrays))

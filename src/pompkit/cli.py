@@ -192,10 +192,13 @@ CONFIG_SCHEMA = {
 
 
 # built once: both schemas are constants, checked against the metaschema by the
-# test suite rather than on every run
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_SETTINGS_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
-                        for name, schema in SETTINGS_SCHEMAS.items()}
+# test suite rather than on every run.  A count is a JSON integer: JSON Schema's
+# "integer" also admits 2.0, which this validator refuses.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER
+    .redefine("integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
+_SETTINGS_VALIDATORS = {name: _Validator(schema) for name, schema in SETTINGS_SCHEMAS.items()}
 
 
 def validate_config(config: dict) -> dict:
@@ -338,18 +341,17 @@ def _run_simulate(model, config, settings):
 
 
 def _run_pfilter(model, config, settings):
-    np_particles = settings.get("np", 1000)
     reps = settings.get("replicates", 1)
     # all replicates run as the blocks of one pass, on the seed of replicate 0
     seed = child_seeds(config["seed"], "pfilter-reps", 1)[0]
-    results = smc._pfilter_blocks(model, [None] * reps, np_particles, seed,
-                                  settings.get("max_fail", 0))
+    results = smc._pfilter_blocks(model, [None] * reps, seed=seed,
+                                  **_given(settings, "max_fail", num_particles="np"))
     primary = results[0]
     out = {
         "loglik": primary.loglik,
         "cond_logliks": primary.cond_logliks.tolist(),
         "ess": primary.ess.tolist(),
-        "np": np_particles,
+        "np": primary.num_particles,
     }
     if reps > 1:
         lme, se = smc.logmeanexp(np.array([r.loglik for r in results]), with_se=True)

@@ -129,10 +129,7 @@ class ParamVector(Mapping):
             raise DomainError(f"{type(self).__name__} cannot be empty")
         if any(n == "" for n in names):
             raise DomainError(f"{type(self).__name__} names must be non-empty")
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DomainError(f"duplicate names in {type(self).__name__}: {dupes}")
-        self._names = names
+        self._names = _unique(names, type(self).__name__)
         self._values = np.array([float(v) for _, v in items], dtype=float)
 
     @property
@@ -183,18 +180,46 @@ class ParamVector(Mapping):
         return hash((self._names, self._values.tobytes()))
 
 
-def _checked_times(t0, times) -> np.ndarray:
-    """``times`` as a float array, checked to be finite with t0 <= t1 < ... < tN."""
-    times = np.asarray(times, dtype=float)
+def _unique(names, what) -> tuple:
+    """``names`` as a tuple; :class:`DomainError` if any ``what`` name repeats."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise DomainError(f"duplicate {what} names: {dupes}")
+    return names
+
+
+def _checked_times(t0, times, what="observation") -> np.ndarray:
+    """A read-only float copy of ``times``, checked to be finite and strictly
+    increasing and, unless ``t0`` is None, to satisfy t0 <= t1 < ... < tN."""
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
-        raise DomainError("times must be a non-empty 1-D array")
-    if not (np.all(np.isfinite(times)) and np.isfinite(t0)):
-        raise DomainError("t0 and the observation times must be finite")
+        raise DomainError(f"{what} times must be a non-empty 1-D array")
+    if not (np.all(np.isfinite(times)) and (t0 is None or np.isfinite(t0))):
+        raise DomainError(f"t0 and the {what} times must be finite")
     if np.any(np.diff(times) <= 0):
-        raise DomainError("observation times must be strictly increasing")
-    if t0 > times[0]:
-        raise DomainError(f"t0={t0} exceeds first observation time {times[0]}")
+        raise DomainError(f"{what} times must be strictly increasing")
+    if t0 is not None and t0 > times[0]:
+        raise DomainError(f"t0={t0} exceeds first {what} time {times[0]}")
+    times.flags.writeable = False
     return times
+
+
+def _checked_table(times, values, names, what, t0=None):
+    """Read-only float copies ``(times, values, names)`` of a table of ``what``
+    ("observation" or "covariate") values, one row per time: times as
+    :func:`_checked_times` checks them, unique names, and values of shape
+    (n_times, n_names), given either way round."""
+    times = _checked_times(t0, times, what)
+    values = np.atleast_2d(np.array(values, dtype=float))
+    if values.shape[0] != times.size and values.shape[1] == times.size:
+        values = values.T
+    names = _unique(names, what)
+    if values.shape != (times.size, len(names)):
+        raise DomainError(f"{what} values shape {values.shape} does not match "
+                          f"(n_times={times.size}, n_names={len(names)})")
+    values.flags.writeable = False
+    return times, values, names
 
 
 def _even_step(times):
@@ -219,20 +244,12 @@ class TimeSeriesData:
     obs_names: tuple
 
     def __post_init__(self):
-        times = _checked_times(self.t0, self.times)
-        # a read-only copy: the filter's records below are built from it once
-        obs = np.atleast_2d(np.array(self.observations, dtype=float))
-        if obs.shape[0] != times.shape[0] and obs.shape[1] == times.shape[0]:
-            obs = obs.T
-        obs.flags.writeable = False
+        # read-only copies: the filter's records below are built from them once
+        times, obs, names = _checked_table(self.times, self.observations, self.obs_names,
+                                           "observation", self.t0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "obs_names", tuple(self.obs_names))
-        if obs.shape != (times.size, len(self.obs_names)):
-            raise DomainError(
-                f"observations shape {obs.shape} does not match "
-                f"(n_times={times.size}, n_names={len(self.obs_names)})"
-            )
+        object.__setattr__(self, "obs_names", names)
         object.__setattr__(self, "_records", tuple(
             dict(zip(self.obs_names, row)) for row in obs.tolist()))
         object.__setattr__(self, "_all_missing", np.isnan(obs).all(axis=1).tolist())
@@ -247,12 +264,11 @@ class TimeSeriesData:
     @staticmethod
     def empty(t0, times, obs_names) -> "TimeSeriesData":
         """Placeholder dataset of NaNs, to be filled by simulation."""
-        times = np.asarray(times, dtype=float)
         return TimeSeriesData(
             t0=t0,
             times=times,
-            observations=np.full((times.size, len(obs_names)), np.nan),
-            obs_names=tuple(obs_names),
+            observations=np.full((np.size(times), len(obs_names)), np.nan),
+            obs_names=obs_names,
         )
 
 
@@ -266,27 +282,11 @@ class CovariateTable:
 
     def __post_init__(self):
         # read-only copies: lookup answers from the plain-float copies below
-        times = np.array(self.times, dtype=float)
-        values = np.atleast_2d(np.array(self.values, dtype=float))
-        if values.shape[0] != times.shape[0] and values.shape[1] == times.shape[0]:
-            values = values.T
-        times.flags.writeable = values.flags.writeable = False
+        times, values, names = _checked_table(self.times, self.values, self.names,
+                                              "covariate")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        if times.ndim != 1 or times.size == 0:
-            raise DomainError("covariate times must be a non-empty 1-D array")
-        if not np.all(np.isfinite(times)):
-            raise DomainError("covariate times must be finite")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            raise DomainError("covariate times must be strictly increasing")
-        if len(set(self.names)) != len(self.names):
-            raise DomainError("covariate names must be unique")
-        if values.shape != (times.size, len(self.names)):
-            raise DomainError(
-                f"covariate values shape {values.shape} does not match "
-                f"(n_times={times.size}, n_names={len(self.names)})"
-            )
+        object.__setattr__(self, "names", names)
         # plain-float copies: lookup runs once per simulator step, and Python
         # float arithmetic gives the same IEEE results as numpy scalars
         object.__setattr__(self, "_time_list", times.tolist())
@@ -348,7 +348,7 @@ class ModelSpec:
     name: str = "model"
 
     def __post_init__(self):
-        object.__setattr__(self, "state_names", tuple(self.state_names))
+        object.__setattr__(self, "state_names", _unique(self.state_names, "state"))
         object.__setattr__(self, "accumulators", tuple(self.accumulators))
         unknown = set(self.accumulators) - set(self.state_names)
         if unknown:
@@ -406,7 +406,7 @@ class SimulationRecord:
 
     def as_dataset(self, t0) -> TimeSeriesData:
         return TimeSeriesData(
-            t0=t0, times=self.times[1:], observations=self.observations.copy(),
+            t0=t0, times=self.times[1:], observations=self.observations,
             obs_names=self.obs_names,
         )
 
@@ -704,6 +704,7 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     measurements are drawn.  Between steps the batch state is the dict of
     arrays the callbacks returned (see the module docstring).
     """
+    nsim = require_integer("nsim", nsim, 1)
     model.require("simulate", "rprocess")
     if with_obs:
         model.require("simulate", "rmeasure")
@@ -760,20 +761,19 @@ def simulate(model: ModelSpec, params=None, seed=0, nsim=1):
 
     Deterministic given ``(seed, nsim)``.
     """
-    nsim = require_integer("nsim", nsim, 1)
     pv = model.default_params(params)
     states, obs = simulate_paths(model, pv, seed, nsim)
     times_full = np.concatenate(([model.data.t0], model.data.times))
     return [
         SimulationRecord(
             times=times_full,
-            states=states[j],
-            observations=obs[j],
+            states=path,
+            observations=path_obs,
             state_names=model.state_names,
             obs_names=model.obs_names,
             params=pv,
         )
-        for j in range(nsim)
+        for path, path_obs in zip(states, obs)
     ]
 
 

@@ -3,7 +3,8 @@
 Every error raised deliberately by the library derives from :class:`PompKitError`,
 so callers can catch the whole family with one clause.  Errors that are really
 argument-domain violations also derive from ``ValueError``.  The module also
-holds :func:`require_integer`, the shared boundary check for counts and seeds.
+holds :func:`require_integer`, the one boundary check for counts and seeds,
+which refuses a ``bool``.
 """
 
 
@@ -72,19 +73,22 @@ class ConfigError(PompKitError, ValueError):
     """A run configuration failed validation."""
 
 
-def require_integer(name, value, minimum) -> int:
-    """``value`` as an ``int``; :class:`DomainError` unless it is a whole number
-    of at least ``minimum``.
+def require_integer(name, value, minimum=None) -> int:
+    """``value`` as an ``int``; :class:`DomainError` naming ``name`` unless it is
+    a whole number of at least ``minimum`` (of any sign when ``minimum`` is None).
 
-    The boundary check for counts and seeds: an entry point calls it once on
-    its arguments, so a fractional particle count fails instead of being
-    truncated, and no step loop repeats it.
+    The one boundary check for counts and seeds: an entry point calls it once
+    on its arguments, so a fractional particle count fails instead of being
+    truncated, and no step loop repeats it.  A whole float such as ``20.0``
+    is taken as ``20``; a ``bool`` is refused, although Python counts it as
+    an integer.
     """
+    bound = "" if minimum is None else f" of at least {minimum}"
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
-    if whole != value or whole < minimum:
-        raise DomainError(f"{name} must be a whole number of at least {minimum}, "
-                          f"got {value!r}")
+        whole = None
+    if (whole is None or whole != value or isinstance(value, bool)
+            or (minimum is not None and whole < minimum)):
+        raise DomainError(f"{name} must be a whole number{bound}, got {value!r}")
     return whole

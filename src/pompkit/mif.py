@@ -73,10 +73,8 @@ class MifSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "ivp_names", tuple(self.ivp_names))
-        object.__setattr__(self, "n_iterations",
-                           require_integer("n_iterations", self.n_iterations, 0))
-        object.__setattr__(self, "num_particles",
-                           require_integer("num_particles", self.num_particles, 1))
+        for name, minimum in (("n_iterations", 0), ("num_particles", 1), ("max_fail", 0)):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
         if any(v < 0 for v in self.rw_sd.values()):
             raise DomainError("rw_sd entries must be non-negative")
         unknown = set(self.rw_sd) - set(self.start.names)

@@ -23,6 +23,7 @@ from .core import (
 )
 from .distributions import _binomial_probs, _check_step, dlnorm, dnbinom_mu, dpois, rnbinom_mu
 from .distributions import reulermultinom  # noqa: F401  (perfbench's tracer patches it here)
+from .exceptions import require_integer
 
 __all__ = [
     "gompertz_model",
@@ -68,6 +69,7 @@ def _gompertz_dmeasure(y, x, params, t, log, covars):
 def gompertz_model(data=None, params=None, n_obs=100, t0=0.0) -> ModelSpec:
     """Gompertz model with log/exp transforms on all parameters."""
     if data is None:
+        n_obs = require_integer("n_obs", n_obs, 1)
         data = TimeSeriesData.empty(t0, np.arange(1.0, n_obs + 1.0), ("Y",))
     to_est, from_est = log_exp_transforms(GOMPERTZ_DEFAULTS.names)
     return ModelSpec(
@@ -112,6 +114,7 @@ def _ricker_dmeasure(y, x, params, t, log, covars):
 def ricker_model(data=None, params=None, n_obs=51, t0=0.0) -> ModelSpec:
     """Ricker model; transforms take (r, sigma, phi, N.0) through log/exp."""
     if data is None:
+        n_obs = require_integer("n_obs", n_obs, 1)
         data = TimeSeriesData.empty(t0, np.arange(0.0, float(n_obs)), ("y",))
     to_est, from_est = log_exp_transforms(("r", "sigma", "phi", "N.0"))
     return ModelSpec(
@@ -331,8 +334,8 @@ def sir_seasonal_model(data=None, params=None, years=10.0, covariates=None,
     """
     if data is None:
         data = TimeSeriesData.empty(-1.0 / 52.0, _weekly_times(years), ("cases",))
-    if covariates is None:
-        covariates = synthetic_birth_covariate()
+    if covariates is None:  # a table covering the data's range, with a margin
+        covariates = synthetic_birth_covariate(t_max=years + 0.2)
     to_est, from_est = log_exp_transforms(
         (n for n in SIR_SEASONAL_DEFAULTS.names if n not in ("b1", "b2", "b3", "rho")),
         logit_names=("rho",))

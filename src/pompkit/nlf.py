@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .exceptions import DomainError
+from .exceptions import DomainError, require_integer
 from .oracle import FitResult, fit_on_estimation_scale
 from .rng import stream
 
@@ -46,15 +46,15 @@ class NlfSettings:
     transform: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lags", tuple(int(l) for l in self.lags))
+        lags = tuple(require_integer("lags", lag, 1) for lag in self.lags)
+        if not lags:
+            raise DomainError("lags must be a non-empty list")
+        object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "est", tuple(self.est))
-        if not self.lags or any(l < 1 for l in self.lags):
-            raise DomainError("lags must be a non-empty list of integers >= 1")
-        if self.n_rbf < 2:
-            raise DomainError("need at least 2 radial basis functions")
-        max_lag = max(self.lags)
-        if self.sim_length < max_lag + 1 or self.transient < max_lag + 1:
-            raise DomainError("sim_length and transient must exceed max(lags)")
+        object.__setattr__(self, "n_rbf", require_integer("n_rbf", self.n_rbf, 2))
+        for name in ("sim_length", "transient"):  # each must exceed max(lags)
+            object.__setattr__(self, name,
+                               require_integer(name, getattr(self, name), max(lags) + 1))
 
 
 def rbf_centers(ymin: float, ymax: float, n_rbf: int):
@@ -63,8 +63,7 @@ def rbf_centers(ymin: float, ymax: float, n_rbf: int):
     Centers span the range widened by 10% on each side; the common scale is
     0.3 times the range.  A degenerate range is an error.
     """
-    if n_rbf < 2:
-        raise DomainError("need at least 2 radial basis functions")
+    n_rbf = require_integer("n_rbf", n_rbf, 2)
     span = float(ymax) - float(ymin)
     if not span > 0:
         raise DomainError(f"degenerate simulated range [{ymin}, {ymax}]")

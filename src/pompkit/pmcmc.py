@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .exceptions import DomainError, FilteringFailureError
+from .exceptions import DomainError, FilteringFailureError, require_integer
 from .rng import stream
 from .smc import pfilter
 
@@ -183,7 +183,7 @@ def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Propos
     scales = proposal.scales(names)
     target = log_target(start, 0)
 
-    M = int(n_steps)
+    M = n_steps
     samples = np.empty((M, len(names)))
     targets = np.empty(M)
     log_priors = np.empty(M)
@@ -229,7 +229,8 @@ def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
             return -math.inf
 
     samples, logliks, log_priors, accepted = _metropolis(
-        model, start, proposal, n_steps, stream(seed, "pmcmc-chain"), log_target, "pmcmc")
+        model, start, proposal, require_integer("n_steps", n_steps, 1),
+        stream(seed, "pmcmc-chain"), log_target, "pmcmc")
     return Chain(
         param_names=start.names,
         samples=samples,

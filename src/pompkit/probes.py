@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import core
-from .exceptions import DomainError, SingularCovarianceError
+from .exceptions import DomainError, SingularCovarianceError, require_integer
 from .oracle import FitResult, fit_on_estimation_scale
 from .rng import stream
 
@@ -82,9 +82,7 @@ def probe_mean(var: str, transform=None) -> Probe:
 
 def probe_acf(var: str, lags, transform=None) -> Probe:
     """Sample autocovariance of the mean-centered series at each lag (divisor N)."""
-    lags = tuple(int(l) for l in lags)
-    if any(l < 0 for l in lags):
-        raise DomainError("acf lags must be non-negative")
+    lags = tuple(require_integer("lags", lag, 0) for lag in lags)
 
     def apply(batch):
         y = _get_series(batch, var, transform)
@@ -109,12 +107,10 @@ def probe_nlar(var: str, lags, powers, transform=None) -> Probe:
     where every lag is available.  A singular design falls back to the
     minimum-norm solution (logged).
     """
-    lags = tuple(int(l) for l in lags)
-    powers = tuple(int(p) for p in powers)
-    if len(lags) != len(powers):
-        raise DomainError("lags and powers must have equal length")
-    if any(l < 1 for l in lags):
-        raise DomainError("nlar lags must be at least 1")
+    lags = tuple(require_integer("lags", lag, 1) for lag in lags)
+    powers = tuple(require_integer("powers", p) for p in powers)
+    if not lags or len(lags) != len(powers):
+        raise DomainError("lags and powers must be non-empty and of equal length")
     max_lag = max(lags)
 
     def apply(batch):
@@ -151,8 +147,7 @@ def probe_marginal(var: str, ref, npoly: int = 3, transform=None) -> Probe:
     of its first ``npoly`` powers (an intercept absorbs location).  An affine
     image of the reference therefore maps to (slope, 0, ..., 0).
     """
-    if npoly < 1:
-        raise DomainError("npoly must be at least 1")
+    npoly = require_integer("npoly", npoly, 1)
     ref = np.asarray(ref, dtype=float).ravel()
     if ref.size < 2:
         raise DomainError("reference series must have at least 2 points")
@@ -278,8 +273,7 @@ def probe(model: core.ModelSpec, params=None, probes=(), nsim=1000, seed=0) -> P
     model.require("probe evaluation", "rprocess", "rmeasure")
     if not probes:
         raise DomainError("probe list is empty")
-    if nsim < 2:
-        raise DomainError("nsim must be at least 2 (covariance undefined)")
+    nsim = require_integer("nsim", nsim, 2)
     observed = apply_probes(probes, _probe_batch(model))[0]
     _, obs_arrays = core.simulate_paths(model, model.default_params(params),
                                         stream(seed, "probe"), nsim)

@@ -32,9 +32,7 @@ def _key_words(component) -> tuple[int, ...]:
     if isinstance(component, str):
         return (zlib.crc32(component.encode("utf-8")),)
     if isinstance(component, (int, np.integer)):
-        value = int(component)
-        if value < 0:
-            raise ValueError(f"stream path integers must be non-negative, got {value}")
+        value = require_integer("stream path integer", component, 0)
         words = []
         while True:
             words.append(value & 0xFFFFFFFF)
@@ -72,4 +70,4 @@ def child_seeds(seed, label: str, n: int) -> list[int]:
     not depend on the order the tasks run in.
     """
     gen = stream(seed, "task-seeds", label)
-    return [int(s) for s in gen.integers(0, 2**63 - 1, size=n)]
+    return [int(s) for s in gen.integers(0, 2**63 - 1, size=require_integer("n", n, 0))]

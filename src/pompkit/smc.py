@@ -80,7 +80,7 @@ def systematic_resample(weights, rng, n=None) -> np.ndarray:
     total = w.sum()
     if not total > 0:
         raise DomainError("all weights are zero")
-    n = w.size if n is None else int(n)
+    n = w.size if n is None else require_integer("n", n, 1)
     return _systematic_resample(w / total, rng, np.arange(n))
 
 
@@ -143,8 +143,8 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
     return result if save_final_particles else replace(result, final_particles=None)
 
 
-def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles, seed,
-                    max_fail) -> list:
+def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles=1000, seed=0,
+                    max_fail=0) -> list:
     """K independent filters at fixed parameters, run as the K blocks of one swarm.
 
     Block k has ``num_particles`` particles at ``params_per_block[k]`` (``None``
@@ -154,6 +154,7 @@ def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles, seed
     """
     model.require("particle filtering", "rprocess", "dmeasure")
     num_particles = require_integer("num_particles", num_particles, 1)
+    max_fail = require_integer("max_fail", max_fail, 0)
     p = _block_params([core.params_to_dict(model.default_params(b))
                        for b in params_per_block], num_particles)
     rng = stream(seed, "pfilter")

@@ -563,3 +563,30 @@ def test_probe_into_an_existing_directory_writes_exactly_its_files(tmp_path):
     files = load_result(str(out))["files"]
     assert files == {"probes": "probes.csv", "simulations": "simulations.csv"}
     assert sorted(os.listdir(out)) == sorted(["result.json", *files.values()])
+
+
+@pytest.mark.parametrize("algorithm,top,settings", [
+    ("pfilter", {}, {"np": 10, "replicates": 2.0}),
+    ("probe", {}, {"nsim": 50.0, "probes": [{"type": "mean", "var": "Y"}]}),
+    ("mif", {}, {"iterations": 1, "np": 10, "rw_sd": {"r": 0.02}, "starts": 2.0}),
+    ("mif", {}, {"iterations": 1, "np": 10, "rw_sd": {"r": 0.02}, "eval_replicates": 2.0}),
+    ("abc", {}, {"steps": 5.0, "probes": [{"type": "mean", "var": "Y"}],
+                 "proposal_sd": {"r": 0.01}, "prior": {"r": [0.01, 1.0]}}),
+    ("abc", {}, {"steps": 5, "scale_nsim": 50.0, "probes": [{"type": "mean", "var": "Y"}],
+                 "proposal_sd": {"r": 0.01}, "prior": {"r": [0.01, 1.0]}}),
+    ("pfilter", {"seed": 1.0}, {"np": 10}),
+], ids=["replicates", "nsim", "starts", "eval_replicates", "steps", "scale_nsim", "seed"])
+def test_a_whole_float_count_in_a_config_exits_2_with_one_line(tmp_path, capsys, algorithm,
+                                                               top, settings):
+    # a count in a config is a JSON integer: 2.0 is refused, not truncated or crashed on
+    out = tmp_path / "out"
+    config = {"schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+              "output": str(out), "settings": settings, **top}
+    field = next(k for k, v in {**settings, **top}.items() if isinstance(v, float))
+    assert run_cli([algorithm, "--config", write_config(tmp_path, "c.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config.")
+    assert f"{field}: " in lines[0] and "is not of type 'integer'" in lines[0]
+    assert not out.exists()

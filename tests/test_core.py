@@ -475,3 +475,24 @@ def test_discrete_time_process_rejects_a_fractional_interval_on_every_call():
         assert steps == [10.0 + i for i in range(k)]
     with pytest.raises(DomainError, match="whole number of steps"):
         rprocess(x, {}, 0.0, 1.5, rng)
+
+
+def test_time_series_holds_a_read_only_copy_of_the_times():
+    # every filter pass reads data.times, so a later write to the caller's
+    # array must not reach it
+    times = np.arange(1.0, 6.0)
+    data = TimeSeriesData(t0=0.0, times=times, observations=np.ones((5, 1)), obs_names=("y",))
+    times[2] = 100.0
+    assert data.times.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(ValueError, match="read-only"):
+        data.times[2] = 100.0
+
+
+def test_duplicate_observation_and_state_names_are_rejected():
+    with pytest.raises(DomainError, match="observation"):
+        TimeSeriesData(t0=0.0, times=[1.0, 2.0], observations=np.ones((2, 2)),
+                       obs_names=("y", "y"))
+    data = TimeSeriesData(t0=0.0, times=[1.0, 2.0], observations=np.ones((2, 1)),
+                          obs_names=("y",))
+    with pytest.raises(DomainError, match="state"):
+        core.ModelSpec(data=data, state_names=("X", "X"))

@@ -500,3 +500,12 @@ def test_sir_step_flows_reject_out_of_domain_inputs(what, message):
     x, params, dt, lam = _bad_flow_inputs(what)
     with pytest.raises(DomainError, match=message):
         models.sir_step_flows(x, params, dt, np.random.default_rng(0), lam, 100.0)
+
+
+def test_seasonal_default_covariate_covers_a_long_simulation(caplog):
+    # the default birth table spans the model's own years, so nothing extrapolates
+    model = pk.sir_seasonal_model(years=12.0)
+    with caplog.at_level("WARNING", logger="pompkit"):
+        pk.simulate(model, seed=13)
+    assert not [r for r in caplog.records if "extrapolates" in r.getMessage()]
+    assert model.covariates.times[-1] >= model.data.times[-1]

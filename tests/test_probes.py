@@ -274,3 +274,8 @@ def test_probe_match_runs_with_sigma_fixed_at_zero_under_the_log_transform():
     res = pk.probe_match(model, model.params, ("b1",), [pk.probe_mean("cases")],
                          nsim=20, seed=3, maxit=6)
     assert res.theta["sigma"] == 0.0 and np.isfinite(res.value)
+
+
+def test_nlar_without_lags_is_a_domain_error():
+    with pytest.raises(DomainError, match="non-empty"):
+        pk.probe_nlar("Y", [], [])

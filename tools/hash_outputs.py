@@ -12,10 +12,11 @@ blocks of one swarm (one block with a tolerated failure), and three SIR
 filters likewise, whose differing ``gamma`` and ``mu`` become per-particle
 arrays; ``simulate_paths`` on SIR, seasonal SIR (also one 2-year
 realization), Ricker, Gompertz (also without measurements) and a toy model
-whose ``rprocess`` returns its input; ``mif`` on Gompertz (with and
-without IVPs and ``transform``, and with a tolerated failure) and on seasonal
-SIR (small and realistic walks, and with ``sigma`` fixed at 0 under the log
-transform); ``pmcmc`` on Gompertz (plain, and with
+whose ``rprocess`` returns its input; ``simulate`` on a 12-year seasonal SIR,
+whose default birth covariate must cover all twelve years; ``mif`` on
+Gompertz (with and without IVPs and ``transform``, and with a tolerated
+failure) and on seasonal SIR (small and realistic walks, and with ``sigma``
+fixed at 0 under the log transform); ``pmcmc`` on Gompertz (plain, and with
 prior-zero proposals and an auto-rejected filtering failure); ``abc`` on
 Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
@@ -151,6 +152,9 @@ def library_hashes():
     toy = normal_mean_model()
     states, obs = pk.simulate_paths(toy, None, 13, 5)
     out["simulate_paths/toy"] = digest(states, obs)
+    records = pk.simulate(pk.sir_seasonal_model(years=12.0), seed=13, nsim=2)
+    out["simulate/sir-seasonal/12y"] = digest(*(part for rec in records
+                                                for part in (rec.states, rec.observations)))
 
     rw = {"r": 0.02, "sigma": 0.02, "tau": 0.02}
     rw_nat = {"r": 0.002, "sigma": 0.002, "tau": 0.002}  # keeps sigma, tau positive
