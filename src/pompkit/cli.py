@@ -265,6 +265,18 @@ def _build_probe(spec: dict, model: core.ModelSpec):
     return probes.probe_marginal(var, ref, transform=transform, **_given(spec, "npoly"))
 
 
+def _build_probes(specs, model: core.ModelSpec) -> list:
+    """The probes of ``settings.probes``; a spec the probe builders refuse is a
+    validation error (exit status 2) naming its place in the config."""
+    built = []
+    for i, spec in enumerate(specs):
+        try:
+            built.append(_build_probe(spec, model))
+        except DomainError as err:
+            raise ConfigError(f"config.settings.probes[{i}]: {err}") from None
+    return built
+
+
 def _build_model(config: dict):
     model = models.build_model(config["model"])
     if config.get("params"):
@@ -438,7 +450,7 @@ def _run_pmcmc(model, config, settings):
 
 def _run_abc(model, config, settings):
     model = _with_prior(model, settings["prior"])
-    probe_list = [_build_probe(s, model) for s in settings["probes"]]
+    probe_list = _build_probes(settings["probes"], model)
     scale = settings.get("scale", "auto")
     if scale == "auto":
         scale = compute_probe_scales(
@@ -461,7 +473,7 @@ def _run_abc(model, config, settings):
 
 
 def _run_probe(model, config, settings):
-    probe_list = [_build_probe(s, model) for s in settings["probes"]]
+    probe_list = _build_probes(settings["probes"], model)
     result = probes.probe(model, model.params, probe_list, seed=config["seed"],
                           **_given(settings, "nsim"))
     # the datasets the probe values derive from, for plotting or re-ingesting

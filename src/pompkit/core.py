@@ -38,12 +38,19 @@ states.  Signatures:
     Elementwise dict-to-dict transform pair between the natural and the
     unconstrained estimation scale.
 
+Every named output of ``rprocess``, ``rmeasure`` and ``initializer``, and
+``dmeasure``'s result, is a float64 array of length n, taken as it is, or
+anything that broadcasts to one, a scalar say, taken as a float copy.  A
+missing name raises :class:`ModelComponentError` and any other shape
+:class:`DomainError`, each naming the callback.
+
 Callbacks must be pure given their inputs and the supplied generator, which
 makes a constructed model immutable and safe to share across workers.  Pure
 includes never modifying an input array in place: :func:`simulate_paths`
-passes the arrays ``rprocess`` returned back in, unchanged, as the next
-step's ``x`` and as ``rmeasure``'s ``x``, so an array a callback receives may
-be one it returned on an earlier call.
+writes each step's outputs straight into the arrays it returns and passes the
+arrays ``rprocess`` returned back in, unchanged, as the next step's ``x`` and
+as ``rmeasure``'s ``x``, so an array a callback receives may be one it
+returned on an earlier call.
 """
 
 from __future__ import annotations
@@ -593,34 +600,31 @@ def default_initializer(model: ModelSpec):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _store(out: dict, names, dest: np.ndarray, component: str, operation: str) -> dict:
-    """Write a callback's named outputs into the columns of the (n, k) array ``dest``.
-
-    Scalars broadcast.  Returns the outputs as a dict of float (n,) arrays: a
-    float64 (n,) array the callback returned is passed on as it is, anything
-    else as a float copy of its written column.  A name the callback did not
-    return raises :class:`ModelComponentError` naming the callback.
-    """
-    n = dest.shape[0]
-    x = {}
-    for i, name in enumerate(names):
-        try:
-            v = out[name]
-        except KeyError:
-            raise ModelComponentError(f"{component} ('{name}' not returned)", operation) from None
-        if type(v) is np.ndarray and v.dtype == _FLOAT64 and v.shape == (n,):
-            dest[:, i] = v  # the common case on the hot paths
-        else:
-            dest[:, i] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
-            v = dest[:, i].copy()
-        x[name] = v
-    return x
+def _column(out, name, n: int, component: str, operation: str) -> np.ndarray:
+    """A callback's output ``out[name]`` as a float (n,) array, by the one rule
+    for callback outputs (see the module docstring): a float64 (n,) array
+    passes on as it is, anything that broadcasts to (n,) as a float copy.  A
+    missing name raises :class:`ModelComponentError`, any other shape
+    :class:`DomainError`."""
+    try:
+        v = out[name]
+    except KeyError:
+        raise ModelComponentError(f"{component} ('{name}' not returned)", operation) from None
+    if type(v) is np.ndarray and v.dtype == _FLOAT64 and v.shape == (n,):
+        return v  # the common case on the hot paths
+    v = np.asarray(v, dtype=float)
+    try:
+        return np.broadcast_to(v, (n,)).copy()
+    except ValueError:
+        raise DomainError(f"{component} returned '{name}' of shape {v.shape}; "
+                          f"{operation} needs shape ({n},) or a scalar") from None
 
 
 def _stack(out: dict, names, n: int, component: str, operation: str) -> np.ndarray:
-    """The (n, k) matrix of a callback's named outputs (see :func:`_store`)."""
+    """The (n, k) matrix of a callback's named outputs (see :func:`_column`)."""
     mat = np.empty((n, len(names)))
-    _store(out, names, mat, component, operation)
+    for i, name in enumerate(names):
+        mat[:, i] = _column(out, name, n, component, operation)
     return mat
 
 
@@ -666,18 +670,15 @@ def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, par
     the filter does not evaluate it.  Models receive NaN for partially missing
     components and apply the same convention per component.
 
-    The result is returned unchecked.  The filter kernel
-    (:func:`pompkit.smc._filter_pass`) enforces the never-NaN contract through
-    the maximum log weight it already takes, which is NaN whenever any entry
-    is, and raises :class:`DomainError` naming ``t``.
+    Its shape goes through :func:`_column`; its values are returned unchecked.
+    The filter kernel (:func:`pompkit.smc._filter_pass`) enforces the never-NaN
+    contract through the maximum log weight it already takes, which is NaN
+    whenever any entry is, and raises :class:`DomainError` naming ``t``.
     """
-    n = state_mat.shape[0]
     cv = model.covariates.lookup(t) if model.covariates is not None else None
-    logw = np.asarray(model.dmeasure(y, _as_state_dict(model, state_mat), params, t, True, cv),
-                      dtype=float)
-    if logw.shape != (n,):
-        logw = np.broadcast_to(logw, (n,)).copy()
-    return logw
+    logw = model.dmeasure(y, _as_state_dict(model, state_mat), params, t, True, cv)
+    return _column({"log density": logw}, "log density", state_mat.shape[0], "dmeasure",
+                   "weighting")
 
 
 def _reset_accumulators(model: ModelSpec, state_mat: np.ndarray):
@@ -701,8 +702,10 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
 
     The latent process and the measurements draw from separate child streams,
     so the state paths for a given seed do not depend on whether (or what)
-    measurements are drawn.  Between steps the batch state is the dict of
-    arrays the callbacks returned (see the module docstring).
+    measurements are drawn.  Each step's outputs are written straight into the
+    returned arrays, and the arrays ``rprocess`` returned pass on unchanged as
+    the batch state of the next step and of ``rmeasure`` (see the module
+    docstring).
     """
     nsim = require_integer("nsim", nsim, 1)
     model.require("simulate", "rprocess")
@@ -732,21 +735,25 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
                         for s, i in zip(steps, cols) if s == first})
         return SimulationDivergedError(times[first - 1] if first > 0 else t0, names)
 
+    state_cols, obs_cols = list(enumerate(state_names)), list(enumerate(obs_names))
     t_prev = t0
-    for n, t in enumerate(times):
-        x = _store(_rprocess(model, x, p, t_prev, t, rng_proc), state_names,
-                   states[:, n + 1, :], "rprocess", "advance")
+    for n, t in enumerate(times.tolist()):
+        out = _rprocess(model, x, p, t_prev, t, rng_proc)
+        x = {}
+        for i, name in state_cols:
+            x[name] = states[:, n + 1, i] = _column(out, name, nsim, "rprocess", "advance")
         if with_obs:
+            cv = covars.lookup(t) if covars is not None else None
             try:
-                cv = covars.lookup(t) if covars is not None else None
-                _store(model.rmeasure(x, p, t, rng_meas, cv), obs_names, obs[:, n, :],
-                       "rmeasure", "measure")
+                y = model.rmeasure(x, p, t, rng_meas, cv)
             except (ValueError, FloatingPointError):
                 # a non-finite state often crashes the measurement sampler;
                 # report the divergence rather than the downstream symptom
                 if not np.isfinite(states[:, n + 1, :]).all():
                     raise diverged(n) from None
                 raise
+            for j, name in obs_cols:
+                obs[:, n, j] = _column(y, name, nsim, "rmeasure", "measure")
         for s in model.accumulators:
             x[s] = np.zeros(nsim)  # zeroing in place would write into a callback's output
         t_prev = t

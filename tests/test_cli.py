@@ -590,3 +590,24 @@ def test_a_whole_float_count_in_a_config_exits_2_with_one_line(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: config.")
     assert f"{field}: " in lines[0] and "is not of type 'integer'" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["probe", "abc"])
+@pytest.mark.parametrize("spec", [
+    {"type": "acf", "var": "Y", "lags": [-1]},
+    {"type": "nlar", "var": "Y", "lags": [], "powers": []},
+], ids=["acf-negative-lag", "nlar-empty"])
+def test_a_probe_spec_the_builders_refuse_exits_2_with_one_line(tmp_path, capsys, algorithm,
+                                                                spec):
+    out = tmp_path / "out"
+    settings = {"probes": [spec]}
+    if algorithm == "abc":
+        settings.update(steps=2, proposal_sd={"r": 0.01}, prior={"r": [0.01, 1.0]})
+    config = {"schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+              "output": str(out), "settings": settings}
+    assert run_cli([algorithm, "--config", write_config(tmp_path, "c.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config.settings.probes[0]: ")
+    assert not out.exists()

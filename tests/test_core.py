@@ -418,6 +418,76 @@ def test_simulate_paths_matches_matrix_reference_draw_for_draw(case, with_obs):
         assert obs is None
 
 
+@pytest.mark.parametrize("with_obs", [True, False], ids=["obs", "no-obs"])
+@pytest.mark.parametrize("case", sorted(PATH_MODELS))
+def test_simulate_paths_at_nsim_1_matches_matrix_reference_draw_for_draw(case, with_obs):
+    model = PATH_MODELS[case]()
+    states, obs = pk.simulate_paths(model, None, 17, 1, with_obs=with_obs)
+    ref_states, ref_obs = _reference_simulate_paths(model, None, 17, 1, with_obs)
+    assert np.array_equal(states, ref_states)
+    if with_obs:
+        assert np.array_equal(obs, ref_obs)
+    else:
+        assert obs is None
+
+
+@pytest.mark.parametrize("nsim", [1, 5])
+@pytest.mark.parametrize("case", ["scalars", "sir"])
+def test_simulate_paths_returns_c_contiguous_float_arrays(case, nsim):
+    # a transposed view of a time-major buffer holds the same values, but
+    # reductions over it (the probes') add in another order
+    model = PATH_MODELS[case]()
+    states, obs = pk.simulate_paths(model, None, 3, nsim)
+    n_obs = model.data.n_obs
+    assert states.shape == (nsim, n_obs + 1, model.n_states)
+    assert obs.shape == (nsim, n_obs, len(model.obs_names))
+    for arr in (states, obs):
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+
+def test_simulate_paths_turns_a_simulator_value_error_into_a_domain_error():
+    def step(x, p, t0, t1, rng, cv):
+        return {"x": rng.normal(x["x"], -1.0 if t1 >= 3.0 else 1.0)}
+
+    model = _toy(("x",), step, lambda x, p, t, rng, cv: {"y": x["x"]}, **{"x.0": 0.0})
+    with pytest.raises(DomainError, match=r"process simulation over \[2, 3\]") as err:
+        pk.simulate_paths(model, None, 0, 4)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def _wrong_length_model(component):
+    model = pk.ModelSpec(
+        data=TimeSeriesData(0.0, [1.0, 2.0, 3.0], np.ones((3, 1)), ("y",)),
+        state_names=("x",),
+        rprocess=lambda x, p, t0, t1, rng, cv: x,
+        rmeasure=lambda x, p, t, rng, cv: {"y": x["x"]},
+        dmeasure=lambda y, x, p, t, log, cv: np.zeros_like(x["x"]),
+        params=ParamVector({"x.0": 1.0}),
+    )
+    two = {
+        "initializer": lambda p, t0, rng, n: {"x": np.ones(2)},
+        "rprocess": lambda x, p, t0, t1, rng, cv: {"x": np.ones(2)},
+        "rmeasure": lambda x, p, t, rng, cv: {"y": np.ones(2)},
+        "dmeasure": lambda y, x, p, t, log, cv: np.zeros(2),
+    }[component]
+    return dataclasses.replace(model, **{component: two})
+
+
+@pytest.mark.parametrize("component, run", [
+    ("initializer", "simulate_paths"), ("rprocess", "simulate_paths"),
+    ("rmeasure", "simulate_paths"), ("initializer", "pfilter"), ("rprocess", "pfilter"),
+    ("dmeasure", "pfilter"),
+])
+def test_a_callback_output_of_the_wrong_length_is_a_domain_error(component, run):
+    model = _wrong_length_model(component)
+    with pytest.raises(DomainError, match=rf"^{component} returned .* of shape \(2,\); "
+                                          rf".*needs shape \(5,\)"):
+        if run == "simulate_paths":
+            pk.simulate_paths(model, None, 0, 5)
+        else:
+            pk.pfilter(model, num_particles=5, seed=0)
+
+
 @pytest.mark.parametrize("component, operation", [("rprocess", "advance"),
                                                   ("rmeasure", "measure")])
 def test_simulate_paths_names_the_callback_that_omits_an_output(component, operation):

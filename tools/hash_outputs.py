@@ -11,8 +11,10 @@ tolerated filtering failure) and on Ricker; three Gompertz filters run as the
 blocks of one swarm (one block with a tolerated failure), and three SIR
 filters likewise, whose differing ``gamma`` and ``mu`` become per-particle
 arrays; ``simulate_paths`` on SIR, seasonal SIR (also one 2-year
-realization), Ricker, Gompertz (also without measurements) and a toy model
-whose ``rprocess`` returns its input; ``simulate`` on a 12-year seasonal SIR,
+realization), Ricker, Gompertz (also without measurements, and one
+realization on a 500-step grid of its own from an explicit ``t0``, the call
+``nlf_quasi_loglik`` makes) and a toy model whose ``rprocess`` returns its
+input; ``simulate`` on a 12-year seasonal SIR,
 whose default birth covariate must cover all twelve years; ``mif`` on
 Gompertz (with and without IVPs and ``transform``, and with a tolerated
 failure) and on seasonal SIR (small and realistic walks, and with ``sigma``
@@ -149,6 +151,9 @@ def library_hashes():
         out[f"simulate_paths/{name}"] = digest(states, obs)
     states, obs = pk.simulate_paths(gomp, None, 13, 50, with_obs=False)
     out["simulate_paths/gompertz/no-obs"] = digest(states, obs)
+    states, obs = pk.simulate_paths(gomp, None, 13, 1, times=2.0 + np.arange(1.0, 501.0),
+                                    t0=2.0)
+    out["simulate_paths/gompertz/nsim1-grid"] = digest(states, obs)
     toy = normal_mean_model()
     states, obs = pk.simulate_paths(toy, None, 13, 5)
     out["simulate_paths/toy"] = digest(states, obs)
