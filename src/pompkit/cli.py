@@ -415,7 +415,7 @@ def _run_mif(model, config, settings):
     evals = smc._pfilter_blocks(
         model, [r.theta_hat for r in results for _ in range(n_evals)],
         settings.get("eval_np", mset.num_particles),
-        child_seeds(seed, "mif-eval", 1)[0], mset.max_fail)
+        child_seeds(seed, "mif-eval", 1)[0], mset.max_fail, diagnostics=False)
     runs = []
     for k, result in enumerate(results):
         lls = np.array([f.loglik for f in evals[k * n_evals:(k + 1) * n_evals]])

@@ -16,7 +16,10 @@ concurrent use with distinct streams.
 Validation contract: each primitive checks its inputs once per call, with one
 ``min``/``max`` reduction per argument, and raises :class:`DomainError` on a
 violation.  NaN fails every ordered comparison, so those reductions reject
-NaN too; an integer-dtype size needs no whole-number test.  The samplers run
+NaN too; an integer-dtype size needs no whole-number test.  The one
+exception is the scale of :func:`dlnorm`: a positive float (a Python float
+or ``np.float64``, such as the Gompertz filter's constant ``tau``) is checked
+by one comparison, and any other value takes the reduction.  The samplers run
 once per particle step, so nothing else is re-checked per call, and the
 particle filter's kernel does not re-check the weights it has made itself
 (:func:`pompkit.smc.systematic_resample` checks weights handed in from
@@ -237,9 +240,10 @@ def dpois(y, lam, log=False):
 def dlnorm(y, meanlog, sdlog, log=False):
     """Lognormal density; zero (log: -inf) for y <= 0 and for NaN y."""
     meanlog = np.asarray(meanlog, dtype=float)
-    sdlog = np.asarray(sdlog, dtype=float)
-    if not sdlog.min(initial=np.inf) > 0:
-        raise DomainError("sdlog must be positive")
+    if not (isinstance(sdlog, float) and sdlog > 0):  # a positive float needs no reduction
+        sdlog = np.asarray(sdlog, dtype=float)
+        if not sdlog.min(initial=np.inf) > 0:
+            raise DomainError("sdlog must be positive")
     if isinstance(y, float) and y > 0:
         # one positive observation, the filter's case: nothing to mask
         ly, positive = np.log(y), None

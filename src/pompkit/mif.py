@@ -215,7 +215,7 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
             swarm = swarm.take(idx, axis=1)  # unlike swarm[:, idx], keeps rows contiguous
 
         results = smc._filter_pass(model, x, None, rng, settings.max_fail, perturb,
-                                   on_resample, blocks=K)
+                                   on_resample, blocks=K, diagnostics=False)
         for k, lo, hi in blocks:
             n_failures[k] += results[k].n_failures
             logliks[k, m - 1] = results[k].loglik

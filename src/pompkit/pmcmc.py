@@ -1,9 +1,10 @@
 """Particle marginal Metropolis-Hastings posterior sampling.
 
-Each proposal's log likelihood comes from a fresh particle-filtering pass;
-the incumbent's estimate is carried along unchanged, never recomputed, which
-is what makes the chain target the exact posterior despite the likelihood
-being estimated.  Proposals are a symmetric diagonal-normal random walk, so
+Each proposal's log likelihood comes from a fresh particle-filtering pass,
+which skips the per-step diagnostics the chain never reads; the incumbent's
+estimate is carried along unchanged, never recomputed, which is what makes
+the chain target the exact posterior despite the likelihood being
+estimated.  Proposals are a symmetric diagonal-normal random walk, so
 the acceptance ratio needs no proposal terms.
 
 The chain itself is :func:`_metropolis`, which ABC-MCMC (:mod:`pompkit.abc`)
@@ -22,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import core, smc
 from .exceptions import DomainError, FilteringFailureError, require_integer
 from .rng import stream
-from .smc import pfilter
+from .smc import pfilter  # noqa: F401  (perfbench's tracer patches pmcmc.pfilter)
 
 __all__ = [
     "Proposal",
@@ -222,8 +223,10 @@ def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
 
     def log_target(params, m):
         try:
-            return pfilter(model, params, num_particles=num_particles,
-                           seed=stream(seed, "pmcmc-pfilter", m), max_fail=max_fail).loglik
+            (result,) = smc._pfilter_blocks(model, [params], num_particles,
+                                            stream(seed, "pmcmc-pfilter", m), max_fail,
+                                            diagnostics=False)
+            return result.loglik
         except FilteringFailureError as err:
             logger.warning("proposal auto-rejected: %s", err)
             return -math.inf

@@ -24,6 +24,14 @@ this way, for the CLI's ``replicates`` and mif evaluations; :func:`pfilter`
 is its one-block case.  A batched replicate draws from the shared stream, so
 it is not the standalone :func:`pfilter` run on any seed.
 
+Each step's effective sample size and weighted state mean are diagnostics
+that only :func:`pfilter` and the CLI's ``pfilter`` runner report.  The
+passes whose callers read the likelihood alone (each PMMH proposal, every
+mif iteration and the CLI's mif evaluations) run with ``diagnostics=False``:
+they skip both, and their results carry ``ess`` and ``filter_means`` as
+``None``.  No random draw depends on either, so the likelihood, the failure
+counts and the final swarm are the same with and without them.
+
 The estimator is unbiased for the likelihood (not the log likelihood), which
 is why replicate estimates are combined with :func:`logmeanexp`.
 """
@@ -52,13 +60,16 @@ class FilterResult:
 
     ``loglik`` always equals ``cond_logliks.sum()``; ``ess`` holds the
     effective sample size of the weights at each observation and
-    ``filter_means`` the weighted state means before resampling.
+    ``filter_means`` the weighted state means before resampling.  Those two
+    are filled for :func:`pfilter` and the CLI's ``pfilter`` runner; the
+    internal passes of pmcmc, mif and the CLI's mif evaluations skip them and
+    carry ``None``.
     """
 
     loglik: float
     cond_logliks: np.ndarray
-    ess: np.ndarray
-    filter_means: np.ndarray
+    ess: Optional[np.ndarray]
+    filter_means: Optional[np.ndarray]
     num_particles: int
     n_failures: int = 0
     final_particles: Optional[np.ndarray] = None
@@ -72,6 +83,14 @@ def systematic_resample(weights, rng, n=None) -> np.ndarray:
     {floor(n*w_m), ceil(n*w_m)}.  ``n`` defaults to the number of weights, in
     which case equal weights reproduce ``arange(n)`` for every draw.
     """
+    w, total = _checked_weights(weights)
+    n = w.size if n is None else require_integer("n", n, 1)
+    return _systematic_resample(w / total, rng, np.arange(n))
+
+
+def _checked_weights(weights):
+    """``weights`` as a float vector, and its sum; :class:`DomainError` unless
+    they are a non-empty 1-D vector of finite non-negative values, not all zero."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DomainError("weights must be a non-empty 1-D vector")
@@ -80,8 +99,7 @@ def systematic_resample(weights, rng, n=None) -> np.ndarray:
     total = w.sum()
     if not total > 0:
         raise DomainError("all weights are zero")
-    n = w.size if n is None else require_integer("n", n, 1)
-    return _systematic_resample(w / total, rng, np.arange(n))
+    return w, total
 
 
 def _systematic_resample(w_norm, rng, grid) -> np.ndarray:
@@ -93,11 +111,11 @@ def _systematic_resample(w_norm, rng, grid) -> np.ndarray:
 
 
 def ess(weights) -> float:
-    """Effective sample size 1 / sum(w_tilde**2) of a weight vector."""
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise DomainError("all weights are zero")
+    """Effective sample size 1 / sum(w_tilde**2) of a weight vector.
+
+    The weights are checked as :func:`systematic_resample` checks them.
+    """
+    w, total = _checked_weights(weights)
     w = w / total
     return float(1.0 / (w * w).sum())
 
@@ -144,13 +162,14 @@ def pfilter(model: core.ModelSpec, params=None, num_particles=1000, seed=0,
 
 
 def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles=1000, seed=0,
-                    max_fail=0) -> list:
+                    max_fail=0, diagnostics=True) -> list:
     """K independent filters at fixed parameters, run as the K blocks of one swarm.
 
     Block k has ``num_particles`` particles at ``params_per_block[k]`` (``None``
     for the model's defaults).  Every block counts its own failures against
     ``max_fail``.  Returns one :class:`FilterResult` per block, with its final
-    particles; K = 1 is :func:`pfilter`.
+    particles; K = 1 is :func:`pfilter`.  ``diagnostics=False`` skips the ESS
+    and filter means (see :func:`_filter_pass`).
     """
     model.require("particle filtering", "rprocess", "dmeasure")
     num_particles = require_integer("num_particles", num_particles, 1)
@@ -160,7 +179,7 @@ def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles=1000,
     rng = stream(seed, "pfilter")
     K = len(params_per_block)
     x = core._init_states(model, p, model.data.t0, rng, K * num_particles)
-    return _filter_pass(model, x, p, rng, max_fail, blocks=K)
+    return _filter_pass(model, x, p, rng, max_fail, blocks=K, diagnostics=diagnostics)
 
 
 def _block_params(dicts, J) -> dict:
@@ -182,7 +201,7 @@ def _block_params(dicts, J) -> dict:
 
 @core.one_run
 def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
-                 on_resample=None, blocks=1) -> list:
+                 on_resample=None, blocks=1, diagnostics=True) -> list:
     """One filtering pass of the (K*J, q) swarm ``x`` over every observation.
 
     Each step advances the swarm, weights it by the measurement density,
@@ -199,15 +218,17 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
     pass, and counts its own failures against ``max_fail``.  A failed block
     stays unresampled and draws no uniform.  Returns one
     :class:`FilterResult` per block; ``final_particles`` holds the block's
-    swarm after the last step.
+    swarm after the last step.  With ``diagnostics=False`` the pass computes
+    no ESS or filter means, and its results carry ``None`` for both; nothing
+    else changes.
     """
     data = model.data
     K = blocks
     J = x.shape[0] // K
     N = data.n_obs
     cond_logliks = np.empty((K, N))
-    ess_vec = np.empty((K, N))
-    filter_means = np.empty((K, N, model.n_states))
+    ess_vec = np.empty((K, N)) if diagnostics else [None] * K
+    filter_means = np.empty((K, N, model.n_states)) if diagnostics else [None] * K
     n_failures = [0] * K
     records, all_missing = data._records, data._all_missing
     grid = np.arange(J)
@@ -240,16 +261,18 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
                                "tolerated (%d of %s)", f" in block {k}" if K > 1 else "",
                                n + 1, t, n_failures[k], max_fail)
                 block_ll[n] = -np.inf
-                block_ess[n] = J
-                block_means[n] = x_k.mean(axis=0)
+                if diagnostics:
+                    block_ess[n] = J
+                    block_means[n] = x_k.mean(axis=0)
                 parts.append(grid + lo)
             else:
                 w = np.exp(logw_k - max_logw)
                 sum_w = w.sum()
                 block_ll[n] = max_logw + np.log(sum_w / J)
                 w_norm = w / sum_w
-                block_ess[n] = 1.0 / (w_norm * w_norm).sum()
-                block_means[n] = w_norm @ x_k
+                if diagnostics:
+                    block_ess[n] = 1.0 / (w_norm * w_norm).sum()
+                    block_means[n] = w_norm @ x_k
                 # exp() of finite-max log weights: finite, non-negative, max term 1
                 idx = _systematic_resample(w_norm, rng, grid)
                 parts.append(idx + lo if lo else idx)

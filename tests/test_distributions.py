@@ -184,6 +184,13 @@ def test_density_domain_checks_reject_nan_and_nonpositive_scales():
             pk.dnbinom_mu(1, 1.0, np.array([1.0, bad]))
 
 
+def test_dlnorm_rejects_bad_scales_in_every_form():
+    for bad in (0.0, -1.0, np.nan):
+        for sdlog in (np.float64(bad), np.array(bad)):
+            with pytest.raises(DomainError, match="sdlog"):
+                pk.dlnorm(1.0, 0.0, sdlog)
+
+
 # ---------------------------------------------------------------------------
 # deulermultinom
 
@@ -305,6 +312,23 @@ def test_dlnorm_matches_scipy():
     expected = stats.lognorm.logpdf(y, s=0.4, scale=np.exp(0.3))
     assert np.allclose(pk.dlnorm(y, 0.3, 0.4, log=True), expected)
     assert pk.dlnorm(-1.0, 0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("y", [2.5, np.array([0.2, 1.0, 3.7, 0.0, -1.0])],
+                         ids=["scalar", "array"])
+def test_dlnorm_scale_forms_agree_bitwise(y):
+    # a float scale skips the reduction; every form must give the same bits
+    n, meanlog = 5, np.linspace(-0.5, 1.5, 5)
+    for log in (True, False):
+        expected = pk.dlnorm(y, meanlog, 0.37, log=log)
+        for sdlog in (np.float64(0.37), np.array(0.37), np.full(n, 0.37)):
+            assert np.array_equal(pk.dlnorm(y, meanlog, sdlog, log=log), expected)
+        expected = pk.dlnorm(y, 0.3, 0.37, log=log)
+        for sdlog in (np.float64(0.37), np.array(0.37)):
+            out = pk.dlnorm(y, 0.3, sdlog, log=log)
+            assert np.array_equal(out, expected) and type(out) is type(expected)
+        out = pk.dlnorm(y, 0.3, np.full(n, 0.37), log=log)
+        assert out.shape == (n,) and np.array_equal(out, np.broadcast_to(expected, (n,)))
 
 
 @pytest.mark.parametrize("y", [2.5, 1e-300, 0.0, -1.0, np.nan])

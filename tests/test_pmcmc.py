@@ -12,6 +12,7 @@ from pompkit.exceptions import DomainError
 # the pmcmc *module*; the package attribute of the same name is the function
 pmcmc_mod = importlib.import_module("pompkit.pmcmc")
 core_mod = importlib.import_module("pompkit.core")
+smc_mod = importlib.import_module("pompkit.smc")
 
 
 def gompertz_with_prior(model):
@@ -50,6 +51,29 @@ def test_max_fail_reaches_the_proposal_filters(gompertz_fitted, caplog):
     # proposals are rejected either way
     assert np.array_equal(strict.samples, lenient.samples)
     assert np.array_equal(strict.logliks, lenient.logliks)
+
+
+def test_retained_logliks_are_pfilter_logliks_at_accepted_steps(gompertz_fitted):
+    # filters that tolerate a failure for tau > 0.11 score those proposals -inf
+    t_fail = float(gompertz_fitted.data.times[5])
+    dmeasure = gompertz_fitted.dmeasure
+
+    def broken(y, x, p, t, log, cv):
+        out = dmeasure(y, x, p, t, log, cv)
+        return np.full(np.shape(out), -np.inf) if t == t_fail and p["tau"] > 0.11 else out
+
+    model, _ = gompertz_with_prior(dataclasses.replace(gompertz_fitted, dmeasure=broken))
+    seed, J = 6, 30
+    chain = pk.pmcmc(model, model.params, n_steps=20, num_particles=J,
+                     proposal=pk.mvn_diag_rw({"r": 0.05, "sigma": 0.03, "tau": 0.03}),
+                     seed=seed, max_fail=1)
+    accepted = np.flatnonzero(chain.accepted)
+    assert 0 < accepted.size < chain.n_steps
+    for i in accepted:
+        sample = ParamVector(zip(chain.param_names, chain.samples[i]))
+        expected = pk.pfilter(model, sample, J, seed=pk.stream(seed, "pmcmc-pfilter", i + 1),
+                              max_fail=1)
+        assert chain.logliks[i] == expected.loglik
 
 
 def test_degenerate_proposal_keeps_chain_at_start(gompertz_fitted):
@@ -94,13 +118,13 @@ def test_zero_prior_at_start_is_error(gompertz_fitted):
 def test_incumbent_loglik_never_recomputed(gompertz_fitted, monkeypatch):
     model, _ = gompertz_with_prior(gompertz_fitted)
     calls = {"n": 0}
-    real_pfilter = pmcmc_mod.pfilter
+    real_pfilter = smc_mod._pfilter_blocks
 
     def counting_pfilter(*args, **kwargs):
         calls["n"] += 1
         return real_pfilter(*args, **kwargs)
 
-    monkeypatch.setattr(pmcmc_mod, "pfilter", counting_pfilter)
+    monkeypatch.setattr(smc_mod, "_pfilter_blocks", counting_pfilter)
     m_steps = 40
     # proposal small enough that every proposal stays inside the (wide) prior
     pk.pmcmc(model, model.params, n_steps=m_steps, num_particles=30,
@@ -206,7 +230,8 @@ def test_chain_scores_each_in_prior_proposal_once(method, monkeypatch):
 
     model = dataclasses.replace(model, rprocess=guarded_rprocess, dprior=counting_dprior)
     # pmcmc scores by a filtering pass, abc by one simulated dataset
-    owner, name = (pmcmc_mod, "pfilter") if method == "pmcmc" else (core_mod, "simulate_paths")
+    owner, name = ((smc_mod, "_pfilter_blocks") if method == "pmcmc"
+                   else (core_mod, "simulate_paths"))
     real = getattr(owner, name)
 
     def counting_scorer(*args, **kwargs):

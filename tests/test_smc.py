@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,51 @@ def test_tolerated_failure_log_names_the_block(gompertz_fitted, caplog):
     assert messages == ["filtering failure at step 4 (t=4): zero weights tolerated (1 of 1)"]
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_filter_without_diagnostics_matches_the_default(gompertz_fitted, K):
+    params = gompertz_fitted.params
+    if K == 1:
+        model, blocks, max_fail = gompertz_fitted, [params], 0
+    else:  # the middle block fails once, at step 4, and tolerates it
+        model = fails_for_large_tau(gompertz_fitted, float(gompertz_fitted.data.times[3]))
+        blocks, max_fail = [params, params.replace(tau=0.15), params.replace(r=0.2)], 1
+    full = smc._pfilter_blocks(model, blocks, 30, 4, max_fail)
+    lean = smc._pfilter_blocks(model, blocks, 30, 4, max_fail, diagnostics=False)
+    for f, r in zip(full, lean):
+        assert (r.loglik, r.n_failures) == (f.loglik, f.n_failures)
+        assert np.array_equal(r.cond_logliks, f.cond_logliks)
+        assert np.array_equal(r.final_particles, f.final_particles)
+        assert r.ess is None and r.filter_means is None
+        assert f.ess.shape == (model.data.n_obs,)
+    assert [r.n_failures for r in lean] == ([0] if K == 1 else [0, 1, 0])
+
+
+def test_only_pfilter_passes_carry_diagnostics(gompertz_fitted, monkeypatch):
+    passes = []
+    real = smc._filter_pass
+
+    def recording(*args, **kwargs):
+        passes.append(real(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(smc, "_filter_pass", recording)
+    params = gompertz_fitted.params
+    rprior, dprior = pk.uniform_box_prior({"r": (0.01, 1.0)})
+    model = dataclasses.replace(gompertz_fitted, rprior=rprior, dprior=dprior)
+    pk.pmcmc(model, params, n_steps=3, num_particles=20, proposal=pk.mvn_diag_rw({"r": 0.01}),
+             seed=1)
+    settings = pk.MifSettings(start=params, n_iterations=2, num_particles=20,
+                              rw_sd={"r": 0.02})
+    pk.mif(gompertz_fitted, settings, seed=1, run_final_filter=False)
+    assert len(passes) == 4 + 2  # the start and 3 in-prior proposals, 2 mif iterations
+    assert all(r.ess is None and r.filter_means is None for res in passes for r in res)
+    passes.clear()
+    result = pk.pfilter(gompertz_fitted, num_particles=20, seed=1)
+    assert len(passes) == 1
+    assert result.ess.shape == (gompertz_fitted.data.n_obs,)
+    assert result.filter_means.shape == (gompertz_fitted.data.n_obs, 1)
+
+
 def test_nan_in_any_block_is_domain_error(gompertz_fitted):
     J, t_nan = 20, float(gompertz_fitted.data.times[4])
     dmeasure = gompertz_fitted.dmeasure
@@ -328,6 +374,18 @@ def test_ess_examples():
     assert pk.ess([0.5, 0.25, 0.25]) == pytest.approx(1.0 / 0.375)
     with pytest.raises(DomainError):
         pk.ess([0.0, 0.0])
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [-1.0, 2.0], [np.inf, 1.0],
+                                     [[0.5, 0.25], [0.25, 0.5]], [], [0.0, 0.0]],
+                         ids=["nan", "negative", "inf", "2-D", "empty", "zero"])
+def test_ess_checks_weights_as_resampling_does(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            pk.ess(weights)
+        with pytest.raises(DomainError):
+            pk.systematic_resample(weights, np.random.default_rng(0))
 
 
 def test_logmeanexp_examples():

@@ -19,7 +19,8 @@ whose default birth covariate must cover all twelve years; ``mif`` on
 Gompertz (with and without IVPs and ``transform``, and with a tolerated
 failure) and on seasonal SIR (small and realistic walks, and with ``sigma``
 fixed at 0 under the log transform); ``pmcmc`` on Gompertz (plain, and with
-prior-zero proposals and an auto-rejected filtering failure); ``abc`` on
+prior-zero proposals and an auto-rejected filtering failure, and with
+filters that tolerate one failure); ``abc`` on
 Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
 files for ``simulate`` (three realizations with states, and one without),
@@ -212,6 +213,14 @@ def library_hashes():
     chain = pk.pmcmc(narrow, gomp.params, n_steps=40, num_particles=40,
                      proposal=pk.mvn_diag_rw({"r": 0.05, "sigma": 0.03, "tau": 0.03}), seed=6)
     out["pmcmc/prior-zero-and-failure"] = digest(*chain_parts(chain))
+    # every filter tolerates one failed step, which scores a large-tau proposal -inf
+    tolerant = with_box_prior(fails_at(gomp, float(gomp.data.times[5]),
+                                       lambda params: params["tau"] > 0.11),
+                              {n: (0.01, 1.0) for n in ("r", "sigma", "tau")})
+    chain = pk.pmcmc(tolerant, gomp.params, n_steps=30, num_particles=40,
+                     proposal=pk.mvn_diag_rw({"r": 0.02, "sigma": 0.02, "tau": 0.02}), seed=6,
+                     max_fail=1)
+    out["pmcmc/gompertz/max_fail"] = digest(*chain_parts(chain))
 
     probes = [pk.probe_mean("Y", transform=np.sqrt), pk.probe_acf("Y", [1, 2])]
     scale = pk.compute_probe_scales(gomp, None, probes, nsim=50, seed=4)
