@@ -59,8 +59,8 @@ class AbcSettings:
                               f"total dimension {dim}")
         if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
             raise DomainError("scales must be positive and finite")
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be non-negative")
+        if not self.epsilon >= 0:
+            raise DomainError(f"epsilon must be non-negative, got {self.epsilon!r}")
         object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps, 1))
 
 

@@ -28,11 +28,10 @@ import os
 import sys
 
 import numpy as np
-import jsonschema
 
 from . import core, dataio, models, nlf, oracle, probes, smc
 from .abc import AbcSettings, abc as run_abc, compute_probe_scales
-from .exceptions import ConfigError, DomainError, PompKitError
+from .exceptions import ConfigError, DomainError, PompKitError, require_names
 from .mif import MifSettings, _mif_blocks
 from .mif import mif as run_mif  # noqa: F401  (perfbench's tracer patches cli.run_mif)
 from .pmcmc import (
@@ -191,20 +190,30 @@ CONFIG_SCHEMA = {
 }
 
 
-# built once: both schemas are constants, checked against the metaschema by the
-# test suite rather than on every run.  A count is a JSON integer: JSON Schema's
-# "integer" also admits 2.0, which this validator refuses.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER
-    .redefine("integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
-_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
-_SETTINGS_VALIDATORS = {name: _Validator(schema) for name, schema in SETTINGS_SCHEMAS.items()}
+@functools.cache
+def _validators():
+    """The config validator and the settings validator of each algorithm, built
+    on first use and then reused, which keeps jsonschema out of ``import
+    pompkit.cli``.  Both schemas are constants, checked against the metaschema
+    by the test suite rather than on every run.  A count is a JSON integer:
+    JSON Schema's "integer" also admits 2.0, which these validators refuse."""
+    import jsonschema
+
+    validator = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+    return (validator(CONFIG_SCHEMA),
+            {name: validator(schema) for name, schema in SETTINGS_SCHEMAS.items()})
 
 
 def validate_config(config: dict) -> dict:
     """Schema-validate a run configuration; raises ConfigError with the
     offending field path."""
-    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    from jsonschema.exceptions import best_match
+
+    config_validator, settings_validators = _validators()
+    err = best_match(config_validator.iter_errors(config))
     if err is not None:
         raise ConfigError(f"config{err.json_path[1:]}: {err.message}")
     if config["model"] not in models.BUILTIN_MODELS:
@@ -214,7 +223,7 @@ def validate_config(config: dict) -> dict:
         )
     algorithm = config["algorithm"]
     settings = config.get("settings", {})
-    errors = sorted(_SETTINGS_VALIDATORS[algorithm].iter_errors(settings),
+    errors = sorted(settings_validators[algorithm].iter_errors(settings),
                     key=lambda e: e.json_path)
     if errors:
         detail = "; ".join(f"settings{e.json_path[1:]}: {e.message}"
@@ -226,13 +235,26 @@ def validate_config(config: dict) -> dict:
 
 
 def load_config(path) -> dict:
+    """The JSON object in the file ``path``; :class:`ConfigError` naming the
+    file unless it is UTF-8 text holding one strict-JSON object, which has no
+    ``NaN``, ``Infinity`` or ``-Infinity``."""
+
+    def refuse_constant(name):
+        raise ConfigError(f"{path}: {name} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh, parse_constant=refuse_constant)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, not "
+                          f"{type(config).__name__}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +268,7 @@ def _build_probe(spec: dict, model: core.ModelSpec):
     transform = _TRANSFORMS[spec.get("transform")]
     kind = spec["type"]
     var = spec["var"]
-    if var not in model.obs_names:
-        raise ConfigError(f"probe variable {var!r} is not an observable of "
-                          f"{model.name!r} (observables: {list(model.obs_names)})")
+    require_names("observables", (var,), model.obs_names)
     if kind == "mean":
         return probes.probe_mean(var, transform=transform)
     if kind == "acf":
@@ -281,10 +301,10 @@ def _build_model(config: dict):
     model = models.build_model(config["model"])
     if config.get("params"):
         merged = model.params.as_dict()
-        unknown = set(config["params"]) - set(merged)
-        if unknown:
-            raise ConfigError(f"config.params: unknown parameters {sorted(unknown)} "
-                              f"for model {config['model']!r}")
+        try:
+            require_names("parameters", config["params"], merged)
+        except DomainError as err:
+            raise ConfigError(f"config.params: {err}") from None
         merged.update(config["params"])
         model = model.with_params(core.ParamVector(merged))
     if config.get("covariates"):
@@ -321,12 +341,14 @@ def _given(settings, *names, **renamed):
 
 
 def _with_prior(model, prior_spec):
-    unknown = set(prior_spec) - set(model.params.names)
-    if unknown:
-        raise ConfigError(f"settings.prior: unknown parameters {sorted(unknown)} "
-                          f"for model {model.name!r}")
-    rprior, dprior = uniform_box_prior(
-        {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()})
+    """``model`` with the uniform prior of ``settings.prior``; unknown names and
+    empty or infinite intervals are validation errors (exit status 2)."""
+    try:
+        require_names("parameters", prior_spec, model.params.names)
+        rprior, dprior = uniform_box_prior(
+            {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()})
+    except DomainError as err:
+        raise ConfigError(f"config.settings.prior: {err}") from None
     return dataclasses.replace(model, rprior=rprior, dprior=dprior)
 
 
@@ -628,6 +650,8 @@ def _merge_flags(args) -> dict:
         if value is not None:
             config[key] = value
     settings = config.setdefault("settings", {})
+    if not isinstance(settings, dict):
+        raise ConfigError(f"config.settings: {settings!r} is not of type 'object'")
     if getattr(args, "nsim", None) is not None:
         settings["nsim"] = args.nsim
     if getattr(args, "np_particles", None) is not None:

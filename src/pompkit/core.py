@@ -72,6 +72,7 @@ from .exceptions import (
     SimulationDivergedError,
     TransformDomainError,
     require_integer,
+    require_names,
 )
 from .rng import stream
 
@@ -165,12 +166,8 @@ class ParamVector(Mapping):
         return {n: float(v) for n, v in zip(self._names, self._values)}
 
     def replace(self, **updates) -> "ParamVector":
-        d = self.as_dict()
-        unknown = set(updates) - set(d)
-        if unknown:
-            raise KeyError(f"unknown names: {sorted(unknown)}")
-        d.update(updates)
-        return type(self)(d)
+        require_names("parameter names", updates, self._names)
+        return type(self)({**self.as_dict(), **updates})
 
     def __repr__(self):
         body = ", ".join(f"{n}={v:.6g}" for n, v in zip(self._names, self._values))
@@ -266,6 +263,7 @@ class TimeSeriesData:
         return int(self.times.size)
 
     def column(self, name) -> np.ndarray:
+        require_names("observation names", (name,), self.obs_names)
         return self.observations[:, self.obs_names.index(name)].copy()
 
     @staticmethod
@@ -356,10 +354,8 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "state_names", _unique(self.state_names, "state"))
-        object.__setattr__(self, "accumulators", tuple(self.accumulators))
-        unknown = set(self.accumulators) - set(self.state_names)
-        if unknown:
-            raise DomainError(f"accumulators are not state names: {sorted(unknown)}")
+        object.__setattr__(self, "accumulators",
+                           require_names("accumulators", self.accumulators, self.state_names))
         if (self.to_estimation is None) != (self.from_estimation is None):
             raise DomainError("to_estimation and from_estimation must be given together")
 
@@ -406,9 +402,11 @@ class SimulationRecord:
     params: ParamVector
 
     def state_column(self, name) -> np.ndarray:
+        require_names("state names", (name,), self.state_names)
         return self.states[:, self.state_names.index(name)].copy()
 
     def obs_column(self, name) -> np.ndarray:
+        require_names("observation names", (name,), self.obs_names)
         return self.observations[:, self.obs_names.index(name)].copy()
 
     def as_dataset(self, t0) -> TimeSeriesData:
@@ -473,6 +471,17 @@ def _from_estimation(model: ModelSpec, params, values: dict) -> dict:
     value on a log scale)."""
     work = _transformed(model, dict.fromkeys(params, 0.0) | values, "from-estimation", values)
     return {**params, **{n: work[n] for n in values}}
+
+
+def _walk_scales(what, sd, names) -> np.ndarray:
+    """The random-walk scales ``sd`` (name -> scale) in ``names`` order, 0 for a
+    name ``sd`` omits; :class:`DomainError` unless every name of ``sd`` is in
+    ``names`` and every scale is finite and >= 0."""
+    require_names(f"{what} names", sd, names)
+    scales = np.array([float(sd.get(n, 0.0)) for n in names])
+    if not np.all(np.isfinite(scales) & (scales >= 0)):
+        raise DomainError(f"{what} scales must be finite and non-negative, got {dict(sd)}")
+    return scales
 
 
 def log_exp_transforms(names, logit_names=()):

@@ -12,7 +12,7 @@ import csv
 import numpy as np
 
 from .core import CovariateTable, TimeSeriesData
-from .exceptions import DomainError
+from .exceptions import DomainError, require_names
 from .pmcmc import Chain
 from .probes import ProbeResult
 
@@ -93,12 +93,10 @@ def load_time_series(path, t0, time_col="time", observables=None, sim=None) -> T
         table = table[mask]
     if observables is None:
         observables = [h for h in header if h not in (time_col, "sim")]
-    missing = [c for c in observables if c not in header]
-    if missing:
-        raise DomainError(f"{path}: missing observable columns {missing}")
-    times = table[:, header.index(time_col)]
-    obs = np.column_stack([table[:, header.index(c)] for c in observables])
     try:
+        require_names("observable columns", observables, header)
+        times = table[:, header.index(time_col)]
+        obs = np.column_stack([table[:, header.index(c)] for c in observables])
         return TimeSeriesData(t0=t0, times=times, observations=obs,
                               obs_names=tuple(observables))
     except DomainError as err:

@@ -3,8 +3,10 @@
 Every error raised deliberately by the library derives from :class:`PompKitError`,
 so callers can catch the whole family with one clause.  Errors that are really
 argument-domain violations also derive from ``ValueError``.  The module also
-holds :func:`require_integer`, the one boundary check for counts and seeds,
-which refuses a ``bool``.
+holds the boundary checks: :func:`require_integer`, the one check for counts
+and seeds, which refuses a ``bool``, and :func:`require_names`, the one check
+that a set of names (random-walk scales, estimated parameters, accumulators,
+observables, column lookups) draws only on the names an operation knows.
 """
 
 
@@ -92,3 +94,13 @@ def require_integer(name, value, minimum=None) -> int:
             or (minimum is not None and whole < minimum)):
         raise DomainError(f"{name} must be a whole number{bound}, got {value!r}")
     return whole
+
+
+def require_names(what, names, known) -> tuple:
+    """``names`` (a mapping gives its keys) as a tuple; :class:`DomainError` naming
+    ``what``, the unknown names (sorted) and the known ones unless all are known."""
+    names = tuple(names)
+    unknown = set(names).difference(known)
+    if unknown:
+        raise DomainError(f"unknown {what} {sorted(unknown, key=str)}; known: {list(known)}")
+    return names

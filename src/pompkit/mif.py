@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import core, smc
-from .exceptions import DomainError, FilteringFailureError, require_integer
+from .exceptions import DomainError, FilteringFailureError, require_integer, require_names
 from .rng import stream
 
 __all__ = ["MifSettings", "MifResult", "mif", "perturbation_sd"]
@@ -46,11 +46,11 @@ logger = logging.getLogger("pompkit")
 class MifSettings:
     """Controls for one iterated-filtering run.
 
-    ``rw_sd`` maps parameter names to perturbation scales; parameters absent
-    or zero are held fixed.  Cooling is geometric with rate ``a``: the
-    perturbation scale at iteration m is ``a**(m-1) * rw_sd``.  Give either
-    ``cooling_factor`` (= a) or ``cooling_fraction`` f, in which case a is
-    chosen so the final iteration's scale is f * rw_sd
+    ``rw_sd`` maps parameter names to finite, non-negative perturbation scales;
+    parameters absent or zero are held fixed.  Cooling is geometric with rate
+    ``a``: the perturbation scale at iteration m is ``a**(m-1) * rw_sd``.
+    Give either ``cooling_factor`` (= a) or ``cooling_fraction`` f, in which
+    case a is chosen so the final iteration's scale is f * rw_sd
     (a = f**(1/(n_iterations-1))).
 
     ``var_factor`` C sets the spread of the parameter swarm: it starts as
@@ -72,19 +72,13 @@ class MifSettings:
     max_fail: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "ivp_names", tuple(self.ivp_names))
         for name, minimum in (("n_iterations", 0), ("num_particles", 1), ("max_fail", 0)):
             object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
-        if any(v < 0 for v in self.rw_sd.values()):
-            raise DomainError("rw_sd entries must be non-negative")
-        unknown = set(self.rw_sd) - set(self.start.names)
-        if unknown:
-            raise DomainError(f"rw_sd names not in start: {sorted(unknown)}")
-        unknown = set(self.ivp_names) - set(self.start.names)
-        if unknown:
-            raise DomainError(f"ivp_names not in start: {sorted(unknown)}")
-        if self.var_factor <= 0:
-            raise DomainError("var_factor must be positive")
+        core._walk_scales("rw_sd", self.rw_sd, self.start.names)
+        object.__setattr__(self, "ivp_names",
+                           require_names("ivp_names", self.ivp_names, self.start.names))
+        if not self.var_factor > 0:
+            raise DomainError(f"var_factor must be positive, got {self.var_factor!r}")
         if self.cooling_factor is not None and self.cooling_fraction is not None:
             raise DomainError("give cooling_factor or cooling_fraction, not both")
         for name, value in (("cooling_factor", self.cooling_factor),
@@ -170,7 +164,7 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
     M = settings.n_iterations
     C = settings.var_factor
 
-    sigma = np.array([float(settings.rw_sd.get(n, 0.0)) for n in names])
+    sigma = core._walk_scales("rw_sd", settings.rw_sd, names)
     is_ivp = np.array([n in settings.ivp_names for n in names])
     # the swarm holds the walked parameters only: the estimated ones, walked
     # before every advance, then the IVPs, walked at t0 only
@@ -198,9 +192,9 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
              + (C * sigma[walked])[:, None] * rng.standard_normal((p, K * J))[walked])
     blocks = [(k, k * J, (k + 1) * J) for k in range(K)]
 
+    a = settings.resolved_cooling_factor()
     for m in range(1, M + 1):
-        walk_sd = perturbation_sd(settings, m)
-        sd = np.array([walk_sd.get(names[i], 0.0) for i in walked])[:, None]
+        sd = (a ** (m - 1) * sigma[walked])[:, None]
         if m > 1:
             swarm[n_est:] += C * sd[n_est:] * rng.standard_normal((ivp.size, K * J))
         x = core._init_states(model, natural(swarm), model.data.t0, rng, K * J)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (ParamVector, TimeSeriesData, _even_step, _from_estimation, _to_estimation,
                    one_run)
-from .exceptions import DomainError, SingularCovarianceError
+from .exceptions import DomainError, SingularCovarianceError, require_integer, require_names
 from .models import gompertz_model
 
 __all__ = [
@@ -59,8 +59,9 @@ class LinearGaussianSSM:
     x0_var: float = 0.0
 
     def __post_init__(self):
-        if self.q < 0 or self.r_obs < 0 or self.x0_var < 0:
-            raise DomainError("variances must be non-negative")
+        if not (self.q >= 0 and self.r_obs >= 0 and self.x0_var >= 0):
+            raise DomainError(f"variances must be non-negative, got q={self.q!r}, "
+                              f"r_obs={self.r_obs!r}, x0_var={self.x0_var!r}")
 
 
 def kalman_loglik(ssm: LinearGaussianSSM, y_log) -> float:
@@ -164,6 +165,7 @@ def nelder_mead(f, x0, maxit=2000, reltol=1e-8) -> NelderMeadResult:
     NaN objective values are treated as +inf (and logged).
     """
     x0 = np.asarray(x0, dtype=float)
+    maxit = require_integer("maxit", maxit, 1)
     n = x0.size
     evals = 0
 
@@ -262,13 +264,10 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
     point found, flagged in ``status``.  With ``est`` empty the objective is
     evaluated once at ``start``.
     """
-    est = tuple(est)
+    est = require_names("est names", est, start.names)
     if not est:
         return FitResult(theta=start, value=objective(start), status="converged",
                          n_evals=1)
-    unknown = set(est) - set(start.names)
-    if unknown:
-        raise DomainError(f"est names not in start: {sorted(unknown)}")
     if not transform:
         model = replace(model, to_estimation=None, from_estimation=None)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, smc
-from .exceptions import DomainError, FilteringFailureError, require_integer
+from .exceptions import DomainError, FilteringFailureError, require_integer, require_names
 from .rng import stream
 from .smc import pfilter  # noqa: F401  (perfbench's tracer patches pmcmc.pfilter)
 
@@ -44,21 +44,18 @@ logger = logging.getLogger("pompkit")
 class Proposal:
     """Symmetric multivariate-normal random walk with diagonal covariance.
 
-    Parameters with zero scale are held fixed.  Symmetry is what lets the
-    Metropolis ratio omit proposal densities.
+    Scales must be finite and non-negative; parameters with zero scale are
+    held fixed.  Symmetry is what lets the Metropolis ratio omit proposal
+    densities.
     """
 
     sd: dict
 
     def __post_init__(self):
-        if any(v < 0 for v in self.sd.values()):
-            raise DomainError("proposal scales must be non-negative")
+        core._walk_scales("proposal", self.sd, self.sd)
 
     def scales(self, names) -> np.ndarray:
-        unknown = set(self.sd) - set(names)
-        if unknown:
-            raise DomainError(f"proposal names not in parameters: {sorted(unknown)}")
-        return np.array([float(self.sd.get(n, 0.0)) for n in names])
+        return core._walk_scales("proposal", self.sd, names)
 
 
 def mvn_diag_rw(sd: dict) -> Proposal:
@@ -73,8 +70,9 @@ def uniform_box_prior(bounds: dict):
     by the density (treated as improper-flat).
     """
     for name, (lo, hi) in bounds.items():
-        if not lo < hi:
-            raise DomainError(f"empty prior interval for {name!r}: ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(f"prior interval for {name!r} must be finite and non-empty: "
+                              f"({lo}, {hi})")
     log_volume = sum(math.log(hi - lo) for lo, hi in bounds.values())
 
     def rprior(rng, n):
@@ -114,6 +112,7 @@ class Chain:
         return float(np.mean(self.accepted))
 
     def column(self, name) -> np.ndarray:
+        require_names("parameter names", (name,), self.param_names)
         return self.samples[:, self.param_names.index(name)].copy()
 
     def posterior_mean(self, burn_in=0) -> dict:

@@ -611,3 +611,145 @@ def test_a_probe_spec_the_builders_refuse_exits_2_with_one_line(tmp_path, capsys
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config.settings.probes[0]: ")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the config boundary: strict JSON objects, one line and exit 2, never a traceback
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("content", [b"[1, 2]", b'"gompertz"', b"null"],
+                         ids=["array", "string", "null"])
+def test_a_config_that_is_not_a_json_object_exits_2_with_one_line(tmp_path, capsys, command,
+                                                                  content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    assert run_cli([command, "--config", str(path)]) == 2
+    assert "JSON object" in _one_error_line(capsys, f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_a_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run_cli([command, "--config", str(path)]) == 2
+    assert "UTF-8" in _one_error_line(capsys, f"error: {path}: ")
+
+
+@pytest.mark.parametrize("settings", [[], None, 3], ids=["array", "null", "number"])
+def test_settings_that_are_not_an_object_exit_2_before_a_flag_is_merged(tmp_path, capsys,
+                                                                        settings):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "algorithm": "simulate", "model": "gompertz", "seed": 1,
+        "output": str(out), "settings": settings})
+    assert run_cli(["simulate", "--config", cfg, "--nsim", "3"]) == 2
+    _one_error_line(capsys, "error: config.settings: ")
+    assert not out.exists()
+
+
+_MIF = {"iterations": 1, "np": 10, "rw_sd": {"r": 0.02}}
+_PRIOR_R = {"r": [0.01, 1.0]}
+
+
+@pytest.mark.parametrize("algorithm,settings,field", [
+    ("abc", {"steps": 2, "scale_nsim": 10, "probes": [{"type": "mean", "var": "Y"}],
+             "proposal_sd": {"r": 0.01}, "prior": _PRIOR_R}, "epsilon"),
+    ("mif", {**_MIF, "starts": 2, "eval_replicates": 1}, "start_jitter_sdlog"),
+    ("mif", _MIF, "var_factor"),
+    ("mif", {**_MIF, "rw_sd": {}}, "rw_sd.r"),
+    ("pmcmc", {"steps": 2, "np": 10, "proposal_sd": {}, "prior": _PRIOR_R}, "proposal_sd.r"),
+], ids=["epsilon", "start_jitter_sdlog", "var_factor", "rw_sd", "proposal_sd"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_standard_json_constant_in_a_config_exits_2_with_one_line(
+        tmp_path, capsys, algorithm, settings, field, literal):
+    out = tmp_path / "out"
+    config = {"schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+              "output": str(out), "settings": json.loads(json.dumps(settings))}
+    where = config["settings"]
+    *parents, leaf = field.split(".")
+    for key in parents:
+        where = where[key]
+    where[leaf] = "PLACEHOLDER"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config).replace('"PLACEHOLDER"', literal))
+    assert run_cli([algorithm, "--config", str(path)]) == 2
+    line = _one_error_line(capsys, f"error: {path}: ")
+    assert f"{literal} is not a JSON number" in line
+    assert not out.exists()
+    assert run_cli(["validate", "--config", str(path)]) == 2
+    _one_error_line(capsys, f"error: {path}: ")
+
+
+@pytest.mark.parametrize("algorithm,settings", [
+    ("pmcmc", {"steps": 2, "np": 10, "proposal_sd": {"r": 0.01}}),
+    ("abc", {"steps": 2, "scale_nsim": 10, "proposal_sd": {"r": 0.01},
+             "probes": [{"type": "mean", "var": "Y"}]}),
+])
+@pytest.mark.parametrize("interval", ["[1.0, 0.0]", "[0.5, 0.5]", "[0.0, 1e400]",
+                                      "[-1e400, 1.0]"],
+                         ids=["reversed", "empty", "infinite-high", "infinite-low"])
+def test_a_bad_prior_interval_exits_2_naming_the_prior(tmp_path, capsys, algorithm, settings,
+                                                       interval):
+    # 1e400 is valid JSON that parses to an infinite float
+    out = tmp_path / "out"
+    config = {"schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+              "output": str(out), "settings": {**settings, "prior": {"r": "PLACEHOLDER"}}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config).replace('"PLACEHOLDER"', interval))
+    assert run_cli([algorithm, "--config", str(path)]) == 2
+    line = _one_error_line(capsys, "error: config.settings.prior: ")
+    assert "'r'" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["params", "prior"])
+def test_unknown_params_and_prior_names_share_the_one_name_rule_message(tmp_path, capsys,
+                                                                        where):
+    config = {"schema": 1, "algorithm": "pmcmc", "model": "gompertz", "seed": 1,
+              "output": str(tmp_path / "out"),
+              "settings": {"steps": 2, "np": 10, "proposal_sd": {"r": 0.01},
+                           "prior": {"r": [0.01, 1.0]}}}
+    if where == "params":
+        config["params"] = {"bogus": 1.0}
+        prefix = "error: config.params: "
+    else:
+        config["settings"]["prior"]["bogus"] = [0.0, 1.0]
+        prefix = "error: config.settings.prior: "
+    assert run_cli(["pmcmc", "--config", write_config(tmp_path, "c.json", config)]) == 2
+    line = _one_error_line(capsys, prefix)
+    known = list(pk.gompertz_model().params.names)
+    assert line == f"{prefix}unknown parameters ['bogus']; known: {known}"
+
+
+def test_importing_the_cli_leaves_jsonschema_unimported():
+    # the validators are built on the first validation, not at import
+    code = ("import sys, pompkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("algorithm", ["probe", "abc"])
+def test_a_probe_of_an_unknown_observable_exits_2_naming_its_place(tmp_path, capsys,
+                                                                   algorithm):
+    settings = {"probes": [{"type": "mean", "var": "Z"}]}
+    if algorithm == "abc":
+        settings.update(steps=2, proposal_sd={"r": 0.01}, prior={"r": [0.01, 1.0]})
+    config = {"schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+              "output": str(tmp_path / "out"), "settings": settings}
+    assert run_cli([algorithm, "--config", write_config(tmp_path, "c.json", config)]) == 2
+    line = _one_error_line(capsys, "error: config.settings.probes[0]: ")
+    assert line.endswith("unknown observables ['Z']; known: ['Y']")
