@@ -473,15 +473,18 @@ def _from_estimation(model: ModelSpec, params, values: dict) -> dict:
     return {**params, **{n: work[n] for n in values}}
 
 
-def _walk_scales(what, sd, names) -> np.ndarray:
-    """The random-walk scales ``sd`` (name -> scale) in ``names`` order, 0 for a
-    name ``sd`` omits; :class:`DomainError` unless every name of ``sd`` is in
-    ``names`` and every scale is finite and >= 0."""
-    require_names(f"{what} names", sd, names)
-    scales = np.array([float(sd.get(n, 0.0)) for n in names])
+def _check_scales(what, sd) -> None:
+    """:class:`DomainError` unless every random-walk scale in ``sd`` is finite and >= 0."""
+    scales = np.array([float(v) for v in sd.values()])
     if not np.all(np.isfinite(scales) & (scales >= 0)):
         raise DomainError(f"{what} scales must be finite and non-negative, got {dict(sd)}")
-    return scales
+
+
+def _walk_scales(what, sd, names) -> np.ndarray:
+    """The checked scales ``sd`` (name -> scale) in ``names`` order, 0 for a name it omits."""
+    require_names(f"{what} names", sd, names)
+    _check_scales(what, sd)
+    return np.array([float(sd.get(n, 0.0)) for n in names])
 
 
 def log_exp_transforms(names, logit_names=()):

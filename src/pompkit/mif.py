@@ -74,7 +74,7 @@ class MifSettings:
     def __post_init__(self):
         for name, minimum in (("n_iterations", 0), ("num_particles", 1), ("max_fail", 0)):
             object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
-        core._walk_scales("rw_sd", self.rw_sd, self.start.names)
+        object.__setattr__(self, "_sigma", core._walk_scales("rw_sd", self.rw_sd, self.start.names))
         object.__setattr__(self, "ivp_names",
                            require_names("ivp_names", self.ivp_names, self.start.names))
         if not self.var_factor > 0:
@@ -94,11 +94,15 @@ class MifSettings:
         return f ** (1.0 / power)
 
 
+def _cooling(settings: MifSettings, iteration: int) -> float:
+    """The factor a**(iteration-1) that scales ``rw_sd`` within ``iteration``."""
+    return settings.resolved_cooling_factor() ** (iteration - 1)
+
+
 def perturbation_sd(settings: MifSettings, iteration: int) -> dict:
     """Per-parameter random-walk scale used within iteration ``iteration`` (1-based)."""
-    a = settings.resolved_cooling_factor()
-    cool = a ** (iteration - 1)
-    return {k: cool * v for k, v in settings.rw_sd.items()}
+    return {k: _cooling(settings, iteration) * v for k, v in settings.rw_sd.items()}
+
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
     M = settings.n_iterations
     C = settings.var_factor
 
-    sigma = core._walk_scales("rw_sd", settings.rw_sd, names)
+    sigma = settings._sigma
     is_ivp = np.array([n in settings.ivp_names for n in names])
     # the swarm holds the walked parameters only: the estimated ones, walked
     # before every advance, then the IVPs, walked at t0 only
@@ -192,9 +196,8 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
              + (C * sigma[walked])[:, None] * rng.standard_normal((p, K * J))[walked])
     blocks = [(k, k * J, (k + 1) * J) for k in range(K)]
 
-    a = settings.resolved_cooling_factor()
     for m in range(1, M + 1):
-        sd = (a ** (m - 1) * sigma[walked])[:, None]
+        sd = (_cooling(settings, m) * sigma[walked])[:, None]
         if m > 1:
             swarm[n_est:] += C * sd[n_est:] * rng.standard_normal((ivp.size, K * J))
         x = core._init_states(model, natural(swarm), model.data.t0, rng, K * J)

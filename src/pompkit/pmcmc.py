@@ -52,7 +52,7 @@ class Proposal:
     sd: dict
 
     def __post_init__(self):
-        core._walk_scales("proposal", self.sd, self.sd)
+        core._check_scales("proposal", self.sd)
 
     def scales(self, names) -> np.ndarray:
         return core._walk_scales("proposal", self.sd, names)

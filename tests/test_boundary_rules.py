@@ -121,6 +121,8 @@ def test_walk_scales_are_ordered_by_name_with_zero_for_an_omitted_name():
 WALK_SCALES = {
     "MifSettings/rw_sd": ("rw_sd", lambda v: _mif_settings(rw_sd={"r": v})),
     "mvn_diag_rw": ("proposal", lambda v: pk.mvn_diag_rw({"r": v}).scales(("r", "K"))),
+    # a Proposal refuses a bad scale before it knows the parameter names
+    "mvn_diag_rw/construction": ("proposal", lambda v: pk.mvn_diag_rw({"r": v})),
 }
 
 
