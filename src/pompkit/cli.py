@@ -19,6 +19,7 @@ the run has succeeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import functools
@@ -273,63 +274,84 @@ def _build_probe(spec: dict, model: core.ModelSpec):
         return probes.probe_mean(var, transform=transform)
     if kind == "acf":
         if "lags" not in spec:
-            raise ConfigError("acf probe needs 'lags'")
+            raise DomainError("acf probe needs 'lags'")
         return probes.probe_acf(var, spec["lags"], transform=transform)
     if kind == "nlar":
         if "lags" not in spec or "powers" not in spec:
-            raise ConfigError("nlar probe needs 'lags' and 'powers'")
+            raise DomainError("nlar probe needs 'lags' and 'powers'")
         return probes.probe_nlar(var, spec["lags"], spec["powers"], transform=transform)
     ref = model.data.column(var)
     if np.isnan(ref).any():
-        raise ConfigError("marginal probe needs complete observed data as reference")
+        raise DomainError("marginal probe needs complete observed data as reference")
     return probes.probe_marginal(var, ref, transform=transform, **_given(spec, "npoly"))
 
 
-def _build_probes(specs, model: core.ModelSpec) -> list:
-    """The probes of ``settings.probes``; a spec the probe builders refuse is a
-    validation error (exit status 2) naming its place in the config."""
-    built = []
-    for i, spec in enumerate(specs):
-        try:
-            built.append(_build_probe(spec, model))
-        except DomainError as err:
-            raise ConfigError(f"config.settings.probes[{i}]: {err}") from None
-    return built
+@contextlib.contextmanager
+def _config_field(field):
+    """A :class:`DomainError` raised in the block becomes a ConfigError prefixed by ``field``."""
+    try:
+        yield
+    except DomainError as err:
+        raise ConfigError(f"{field}: {err}") from None
 
 
 def _build_model(config: dict):
     model = models.build_model(config["model"])
     if config.get("params"):
         merged = model.params.as_dict()
-        try:
+        with _config_field("config.params"):
             require_names("parameters", config["params"], merged)
-        except DomainError as err:
-            raise ConfigError(f"config.params: {err}") from None
         merged.update(config["params"])
         model = model.with_params(core.ParamVector(merged))
     if config.get("covariates"):
         model = dataclasses.replace(
-            model, covariates=_load_input(dataio.load_covariates, config["covariates"]))
+            model, covariates=_load_input(config, "covariates", dataio.load_covariates))
     data = config.get("data", "simulate")
     if data == "simulate":
         rec = core.simulate(model, seed=child_seeds(config["seed"], "dataset", 1)[0])[0]
         model = core.attach_data(model, rec)
     else:
         t0 = config.get("t0", model.data.t0)
-        model = model.with_data(_load_input(dataio.load_time_series, data, t0=t0,
+        model = model.with_data(_load_input(config, "data", dataio.load_time_series, t0=t0,
                                             observables=list(model.obs_names)))
     return model
 
 
-def _load_input(loader, path, **kwargs):
-    """Run a dataio loader; a file that cannot be read or holds malformed
-    content is a validation error (exit status 2), not an algorithm failure."""
-    try:
-        return loader(path, **kwargs)
-    except DomainError as err:
-        raise ConfigError(str(err)) from None
-    except OSError as err:
-        raise ConfigError(f"{path}: {err.strerror or err}") from None
+def _load_input(config, field, loader, **kwargs):
+    """Run a dataio loader on the file that config ``field`` names; any failure exits 2."""
+    with _config_field(f"config.{field}"):
+        try:
+            return loader(config[field], **kwargs)
+        except OSError as err:
+            raise ConfigError(f"{config[field]}: {err.strerror or err}") from None
+
+
+def _prepare(config: dict):
+    """``(config, model, settings)`` after every check that exits 2, for ``validate`` and
+    a run alike: the model carries its data and any prior, ``settings`` built probes."""
+    config = validate_config(config)
+    outdir = config.get("output", ".")
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ConfigError(f"config.output: {outdir}: not a directory")
+    model = _build_model(config)
+    settings = config.get("settings", {})
+    if "prior" in settings:
+        with _config_field("config.settings.prior"):
+            require_names("parameters", settings["prior"], model.params.names)
+            rprior, dprior = uniform_box_prior(
+                {name: (float(lo), float(hi)) for name, (lo, hi) in settings["prior"].items()})
+        model = dataclasses.replace(model, rprior=rprior, dprior=dprior)
+    if "probes" in settings:
+        built = []
+        for i, spec in enumerate(settings["probes"]):
+            with _config_field(f"config.settings.probes[{i}]"):
+                built.append(_build_probe(spec, model))
+        settings = {**settings, "probes": built}
+    if config["algorithm"] == "kalman" and model.name != "gompertz":
+        raise ConfigError("the kalman subcommand applies to the gompertz model only")
+    if config["algorithm"] == "kalman" and np.isnan(model.data.observations).any():
+        raise ConfigError("kalman needs complete data (no missing values)")
+    return config, model, settings
 
 
 def _given(settings, *names, **renamed):
@@ -338,18 +360,6 @@ def _given(settings, *names, **renamed):
     library's own defaults apply to the rest."""
     keys = dict(zip(names, names), **renamed)
     return {kw: settings[key] for kw, key in keys.items() if key in settings}
-
-
-def _with_prior(model, prior_spec):
-    """``model`` with the uniform prior of ``settings.prior``; unknown names and
-    empty or infinite intervals are validation errors (exit status 2)."""
-    try:
-        require_names("parameters", prior_spec, model.params.names)
-        rprior, dprior = uniform_box_prior(
-            {name: (float(lo), float(hi)) for name, (lo, hi) in prior_spec.items()})
-    except DomainError as err:
-        raise ConfigError(f"config.settings.prior: {err}") from None
-    return dataclasses.replace(model, rprior=rprior, dprior=dprior)
 
 
 def _chain_summary(chain, burn_in=0):
@@ -395,10 +405,6 @@ def _run_pfilter(model, config, settings):
 
 
 def _run_kalman(model, config, settings):
-    if model.name != "gompertz":
-        raise ConfigError("the kalman subcommand applies to the gompertz model only")
-    if np.isnan(model.data.observations).any():
-        raise ConfigError("kalman needs complete data (no missing values)")
     y_log, delta_t = oracle._gompertz_log_data(model.data)
     params = model.params.as_dict()
     out = {"loglik": oracle.kalman_loglik(oracle.gompertz_ssm(params, delta_t), y_log),
@@ -458,7 +464,6 @@ def _run_mif(model, config, settings):
 
 
 def _run_pmcmc(model, config, settings):
-    model = _with_prior(model, settings["prior"])
     chain = run_pmcmc(
         model, model.params,
         n_steps=settings.get("steps", 2000),
@@ -471,17 +476,13 @@ def _run_pmcmc(model, config, settings):
 
 
 def _run_abc(model, config, settings):
-    model = _with_prior(model, settings["prior"])
-    probe_list = _build_probes(settings["probes"], model)
     scale = settings.get("scale", "auto")
     if scale == "auto":
-        scale = compute_probe_scales(
-            model, model.params, probe_list,
-            seed=child_seeds(config["seed"], "abc-scale", 1)[0],
-            **_given(settings, nsim="scale_nsim"),
-        )
+        scale = compute_probe_scales(model, model.params, settings["probes"],
+                                     seed=child_seeds(config["seed"], "abc-scale", 1)[0],
+                                     **_given(settings, nsim="scale_nsim"))
     aset = AbcSettings(
-        probes=probe_list,
+        probes=settings["probes"],
         scale=scale,
         proposal=mvn_diag_rw(settings["proposal_sd"]),
         n_steps=settings.get("steps", 5000),
@@ -495,8 +496,7 @@ def _run_abc(model, config, settings):
 
 
 def _run_probe(model, config, settings):
-    probe_list = _build_probes(settings["probes"], model)
-    result = probes.probe(model, model.params, probe_list, seed=config["seed"],
+    result = probes.probe(model, model.params, settings["probes"], seed=config["seed"],
                           **_given(settings, "nsim"))
     # the datasets the probe values derive from, for plotting or re-ingesting
     times_full = np.concatenate(([model.data.t0], model.data.times))
@@ -554,24 +554,24 @@ class _JsonEncoder(json.JSONEncoder):
         return super().default(o)
 
 
+def _refused(err: PompKitError) -> int:
+    """Print ``err`` as one line; returns its exit status, 2 for a ConfigError, else 3."""
+    if isinstance(err, ConfigError):
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    print(f"algorithm failure: {err}", file=sys.stderr)
+    return 3
+
+
 @core.one_run
 def run(config: dict) -> int:
     """Validate and execute one run; returns the process exit status.  The output
     directory and its files are made only once the runner has succeeded."""
     try:
-        config = validate_config(config)
-        outdir = config.get("output", ".")
-        if os.path.exists(outdir) and not os.path.isdir(outdir):
-            raise ConfigError(f"config.output: {outdir}: not a directory")
-        model = _build_model(config)
-        results, files = _RUNNERS[config["algorithm"]](
-            model, config, config.get("settings", {}))
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        config, model, settings = _prepare(config)
+        results, files = _RUNNERS[config["algorithm"]](model, config, settings)
     except PompKitError as err:
-        print(f"algorithm failure: {err}", file=sys.stderr)
-        return 3
+        return _refused(err)
     payload = {
         "schema": 1,
         "algorithm": config["algorithm"],
@@ -582,6 +582,7 @@ def run(config: dict) -> int:
         "results": results,
         "files": {stem: f"{stem}.csv" for stem in files},
     }
+    outdir = config.get("output", ".")
     result_path = os.path.join(outdir, "result.json")
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -668,13 +669,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            validate_config(load_config(args.config))
+            _prepare(load_config(args.config))
             print("valid")
             return 0
         config = _merge_flags(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except PompKitError as err:
+        return _refused(err)
     return run(config)
 
 
