@@ -11,6 +11,11 @@ in ``result.json`` but has no effect.  Repeated filters run batched instead:
 pfilter replicates, mif starts and mif evaluations each run as the blocks of
 one particle swarm.
 
+A run and ``validate`` share one preparation step, ``_prepare``, which owns
+every check that exits 2, so ``validate`` refuses exactly what a run refuses
+with that status.  It builds the model, reading the data and covariate files
+or simulating the dataset, but runs no algorithm and writes nothing.
+
 Exit status: 0 success, 2 validation error (an unusable ``output`` included),
 3 algorithm failure.  The output directory and its files are written only once
 the run has succeeded.
@@ -25,6 +30,7 @@ import datetime
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -101,13 +107,13 @@ SETTINGS_SCHEMAS = {
             "rw_sd": _SD_MAP,
             "ivp_names": {"type": "array", "items": {"type": "string"}},
             "ic_lag": {"type": "integer", "minimum": 1},
-            "var_factor": {"type": "number", "exclusiveMinimum": 0},
+            "var_factor": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": math.inf},
             "cooling_factor": {"type": "number"},
             "cooling_fraction": {"type": "number"},
             "transform": {"type": "boolean"},
             "max_fail": {"type": "integer", "minimum": 0},
             "starts": {"type": "integer", "minimum": 1},
-            "start_jitter_sdlog": {"type": "number", "minimum": 0},
+            "start_jitter_sdlog": {"type": "number", "minimum": 0, "exclusiveMaximum": math.inf},
             "eval_replicates": {"type": "integer", "minimum": 1},
             "eval_np": {"type": "integer", "minimum": 1},
         },
@@ -327,8 +333,7 @@ def _load_input(config, field, loader, **kwargs):
 
 
 def _prepare(config: dict):
-    """``(config, model, settings)`` after every check that exits 2, for ``validate`` and
-    a run alike: the model carries its data and any prior, ``settings`` built probes."""
+    """Every check that exits 2, in one place: ``validate`` and a run both start here."""
     config = validate_config(config)
     outdir = config.get("output", ".")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
@@ -338,8 +343,7 @@ def _prepare(config: dict):
     if "prior" in settings:
         with _config_field("config.settings.prior"):
             require_names("parameters", settings["prior"], model.params.names)
-            rprior, dprior = uniform_box_prior(
-                {name: (float(lo), float(hi)) for name, (lo, hi) in settings["prior"].items()})
+            rprior, dprior = uniform_box_prior(settings["prior"])
         model = dataclasses.replace(model, rprior=rprior, dprior=dprior)
     if "probes" in settings:
         built = []
@@ -478,9 +482,11 @@ def _run_pmcmc(model, config, settings):
 def _run_abc(model, config, settings):
     scale = settings.get("scale", "auto")
     if scale == "auto":
-        scale = compute_probe_scales(model, model.params, settings["probes"],
-                                     seed=child_seeds(config["seed"], "abc-scale", 1)[0],
-                                     **_given(settings, nsim="scale_nsim"))
+        scale = compute_probe_scales(
+            model, model.params, settings["probes"],
+            seed=child_seeds(config["seed"], "abc-scale", 1)[0],
+            **_given(settings, nsim="scale_nsim"),
+        )
     aset = AbcSettings(
         probes=settings["probes"],
         scale=scale,
@@ -602,6 +608,14 @@ def run(config: dict) -> int:
 # Argument parsing
 
 
+# the flags that set one settings key of their subcommand: subcommand -> key -> help
+_SETTINGS_FLAGS = {
+    "simulate": {"nsim": "number of realizations"},
+    "pfilter": {"np": "number of particles", "replicates": "replicate filter runs"},
+    "probe": {"nsim": "number of simulations"},
+}
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON run configuration")
     sub.add_argument("--model", help="built-in model name")
@@ -624,14 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ALGORITHMS:
         sub = subs.add_parser(name, help=f"run {name}")
         _add_common(sub)
-        if name == "simulate":
-            sub.add_argument("--nsim", type=int, help="number of realizations")
-        if name == "pfilter":
-            sub.add_argument("--np", type=int, dest="np_particles",
-                             help="number of particles")
-            sub.add_argument("--replicates", type=int, help="replicate filter runs")
-        if name == "probe":
-            sub.add_argument("--nsim", type=int, help="number of simulations")
+        for key, help_text in _SETTINGS_FLAGS.get(name, {}).items():
+            sub.add_argument(f"--{key}", type=int, help=help_text)
     val = subs.add_parser("validate", help="check a config file")
     val.add_argument("--config", required=True)
     return parser
@@ -653,12 +661,9 @@ def _merge_flags(args) -> dict:
     settings = config.setdefault("settings", {})
     if not isinstance(settings, dict):
         raise ConfigError(f"config.settings: {settings!r} is not of type 'object'")
-    if getattr(args, "nsim", None) is not None:
-        settings["nsim"] = args.nsim
-    if getattr(args, "np_particles", None) is not None:
-        settings["np"] = args.np_particles
-    if getattr(args, "replicates", None) is not None:
-        settings["replicates"] = args.replicates
+    for key in _SETTINGS_FLAGS.get(args.command, ()):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return config
 
 

@@ -77,8 +77,8 @@ class MifSettings:
         object.__setattr__(self, "_sigma", core._walk_scales("rw_sd", self.rw_sd, self.start.names))
         object.__setattr__(self, "ivp_names",
                            require_names("ivp_names", self.ivp_names, self.start.names))
-        if not self.var_factor > 0:
-            raise DomainError(f"var_factor must be positive, got {self.var_factor!r}")
+        if not 0 < self.var_factor < np.inf:
+            raise DomainError(f"var_factor must be positive and finite, got {self.var_factor!r}")
         if self.cooling_factor is not None and self.cooling_fraction is not None:
             raise DomainError("give cooling_factor or cooling_fraction, not both")
         for name, value in (("cooling_factor", self.cooling_factor),

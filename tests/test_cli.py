@@ -753,3 +753,16 @@ def test_a_probe_of_an_unknown_observable_exits_2_naming_its_place(tmp_path, cap
     assert run_cli([algorithm, "--config", write_config(tmp_path, "c.json", config)]) == 2
     line = _one_error_line(capsys, "error: config.settings.probes[0]: ")
     assert line.endswith("unknown observables ['Z']; known: ['Y']")
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["simulate", "--nsim", "3"], "nsim", 3),
+    (["pfilter", "--np", "40"], "np", 40),
+    (["pfilter", "--replicates", "2"], "replicates", 2),
+    (["probe", "--nsim", "30"], "nsim", 30),
+    (["probe"], "nsim", 99),
+], ids=["simulate-nsim", "pfilter-np", "pfilter-replicates", "probe-nsim", "no-flag"])
+def test_a_settings_flag_overrides_its_config_key(tmp_path, argv, key, value):
+    cfg = write_config(tmp_path, "c.json", {"settings": {key: 99}})
+    args = cli.build_parser().parse_args([*argv, "--config", cfg])
+    assert cli._merge_flags(args)["settings"] == {key: value}
