@@ -180,6 +180,11 @@ def test_an_infinite_epsilon_is_still_accepted():
     assert _abc_settings(epsilon=np.inf).epsilon == np.inf
 
 
+def test_an_infinite_var_factor_is_refused():
+    with pytest.raises(DomainError, match="var_factor must be positive and finite"):
+        _mif_settings(var_factor=np.inf)
+
+
 @pytest.mark.parametrize("bad", [2.5, 0, True, "3"], ids=["fraction", "zero", "bool", "text"])
 def test_a_nelder_mead_maxit_that_is_not_a_whole_number_of_at_least_1_names_it(bad):
     with pytest.raises(DomainError, match=r"\bmaxit must be a whole number of at least 1"):

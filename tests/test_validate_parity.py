@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-import pompkit as pk
 from pompkit import cli
 
 _PMCMC = {"steps": 2, "np": 10, "proposal_sd": {"r": 0.01}, "prior": {"r": [0.01, 1.0]}}
@@ -96,13 +95,6 @@ def test_an_infinite_mif_setting_exits_2_naming_it(tmp_path, capsys, field):
         status, line = _status_and_line(capsys, [command, "--config", path])
         assert status == 2
         assert line.startswith(f"error: config.settings.{field}: inf is greater than")
-
-
-def test_mif_settings_refuse_an_infinite_var_factor():
-    start = pk.gompertz_model().params
-    with pytest.raises(pk.DomainError, match="var_factor must be positive and finite"):
-        pk.MifSettings(start=start, n_iterations=1, num_particles=10, rw_sd={"r": 0.02},
-                       var_factor=np.inf)
 
 
 def test_validate_exits_3_with_the_line_of_a_run_whose_preparation_fails(tmp_path, capsys):
