@@ -203,12 +203,23 @@ def _validators():
     on first use and then reused, which keeps jsonschema out of ``import
     pompkit.cli``.  Both schemas are constants, checked against the metaschema
     by the test suite rather than on every run.  A count is a JSON integer:
-    JSON Schema's "integer" also admits 2.0, which these validators refuse."""
+    JSON Schema's "integer" also admits 2.0, which these validators refuse.  A
+    "number" is read as a float, so an integer too large for one is refused."""
     import jsonschema
 
+    base = jsonschema.Draft202012Validator
+
+    def type_keyword(validator, types, instance, schema):
+        yield from base.VALIDATORS["type"](validator, types, instance, schema)
+        if types == "number" and isinstance(instance, int):
+            try:
+                float(instance)
+            except OverflowError:
+                yield jsonschema.ValidationError("integer too large for a float")
+
     validator = jsonschema.validators.extend(
-        jsonschema.Draft202012Validator,
-        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        base, validators={"type": type_keyword},
+        type_checker=base.TYPE_CHECKER.redefine(
             "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
     return (validator(CONFIG_SCHEMA),
             {name: validator(schema) for name, schema in SETTINGS_SCHEMAS.items()})
@@ -244,14 +255,22 @@ def validate_config(config: dict) -> dict:
 def load_config(path) -> dict:
     """The JSON object in the file ``path``; :class:`ConfigError` naming the
     file unless it is UTF-8 text holding one strict-JSON object, which has no
-    ``NaN``, ``Infinity`` or ``-Infinity``."""
+    ``NaN``, ``Infinity`` or ``-Infinity`` and no integer longer than Python
+    converts (``sys.get_int_max_str_digits()``)."""
 
     def refuse_constant(name):
         raise ConfigError(f"{path}: {name} is not a JSON number")
 
+    def parse_int(digits):
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            raise ConfigError(f"{path}: an integer has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
+
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=refuse_constant)
+            config = json.load(fh, parse_constant=refuse_constant, parse_int=parse_int)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     except UnicodeDecodeError as err:
@@ -506,11 +525,11 @@ def _run_probe(model, config, settings):
                           **_given(settings, "nsim"))
     # the datasets the probe values derive from, for plotting or re-ingesting
     times_full = np.concatenate(([model.data.t0], model.data.times))
+    no_states = np.empty((model.data.n_obs + 1, 0))
     records = [
         core.SimulationRecord(
-            times=times_full, states=np.empty((model.data.n_obs + 1, 0)),
-            observations=obs, state_names=(), obs_names=model.obs_names,
-            params=model.params)
+            times=times_full, states=no_states, observations=obs, state_names=(),
+            obs_names=model.obs_names, params=model.params)
         for obs in result.simulated_obs
     ]
     out = {

@@ -179,6 +179,24 @@ def test_probes_with_a_nan_probe_value_match_reference(tmp_path):
     assert out.splitlines()[1] == b"observed,NA,inf,-inf"
 
 
+def test_probe_shaped_simulations_with_signed_zero_counts_match_reference(tmp_path):
+    # what pomp-kit probe writes: many realisations of counts on one time grid,
+    # where a cached cell text must not merge -0.0 into 0.0
+    n_obs, nsim = 51, 200
+    times = np.arange(n_obs + 1.0)
+    no_states = np.empty((n_obs + 1, 0))
+    counts = np.random.default_rng(50).poisson(3.0, size=(nsim, n_obs, 1)).astype(float)
+    counts[counts == 0.0] *= np.resize([1.0, -1.0], int((counts == 0.0).sum()))
+    records = [SimulationRecord(times=times, states=no_states, observations=obs,
+                                state_names=(), obs_names=("y",),
+                                params=pk.ParamVector({"r": 1.0}))
+               for obs in counts]
+    out = assert_same_bytes(tmp_path, dataio.write_simulations_csv, reference_simulations,
+                            records, include_states=False)
+    assert b",-0.0\r\n" in out and b",0.0\r\n" in out
+    assert out.count(b"\r\n") == nsim * n_obs + 1
+
+
 # -- rejected input ----------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ both go through one preparation step, so they print the same single line and
 neither makes the output directory."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -114,3 +115,36 @@ def test_validate_accepts_a_runnable_config_and_writes_nothing(tmp_path, capsys,
     assert cli.main(["validate", "--config", path]) == 0
     assert capsys.readouterr().out == "valid\n"
     assert _outputs_untouched(tmp_path)
+
+
+# an integer that no float can hold, in each kind of number field a run reads as a float
+HUGE = 10 ** 400
+OVERSIZED = {
+    "config.params.r": ("pfilter", {"params": {"r": HUGE}}, {"np": 10}),
+    "config.settings.prior.r[1]": ("pmcmc", {}, {**_PMCMC, "prior": {"r": [0.01, HUGE]}}),
+    "config.settings.var_factor": ("mif", {}, {**_MIF, "var_factor": HUGE}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OVERSIZED))
+def test_an_integer_too_large_for_a_float_exits_2_naming_its_field(tmp_path, capsys, field):
+    algorithm, top, settings = OVERSIZED[field]
+    path = _config_path(tmp_path, algorithm, top, settings)
+    validated = _status_and_line(capsys, ["validate", "--config", path])
+    assert validated[0] == 2
+    assert validated[1].startswith(f"error: {field}: integer too large for a float")
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == validated
+    assert _outputs_untouched(tmp_path)
+
+
+def test_an_integer_past_the_digit_limit_exits_2_naming_the_config_file(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    path = tmp_path / "c.json"
+    path.write_text('{"schema": 1, "algorithm": "pfilter", "model": "gompertz", "seed": '
+                    + "1" * (limit + 1) + f', "output": {json.dumps(str(tmp_path / "out"))}}}')
+    for command in ("validate", "pfilter"):
+        status, line = _status_and_line(capsys, [command, "--config", str(path)])
+        assert (status, line) == (2, f"error: {path}: an integer has more than {limit} digits")
+    assert not (tmp_path / "out").exists()

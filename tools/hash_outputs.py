@@ -25,7 +25,9 @@ Gompertz and on the toy model; ``probe_match``, ``nlf_quasi_loglik`` and
 ``nlf_fit``; and the CLI's ``result.json`` (minus ``generated_at``) and CSV
 files for ``simulate`` (three realizations with states, and one without),
 ``pfilter`` (with three replicates and with one), ``mif``, ``pmcmc``,
-``probe``, ``abc`` and ``kalman`` (with the exact MLE), each of whose output
+``probe``, ``abc`` and ``kalman`` (with the exact MLE), and for ``simulate``
+on seasonal SIR (two realizations, whose integer-valued compartments sit next
+to the continuous ``Phi`` and ``noise``), each of whose output
 directories must hold exactly ``result.json`` and the files it names.  All
 runs are small; the whole script takes well under a minute.
 """
@@ -245,7 +247,9 @@ def library_hashes():
 
 
 PRIOR = {"r": [0.01, 1.0], "sigma": [0.01, 1.0], "tau": [0.01, 1.0]}
-CLI_RUNS = {  # name: (subcommand, settings)
+# name: (subcommand, settings); a run named "<name>/<model>" is on that model, the
+# others on gompertz
+CLI_RUNS = {
     "simulate": ("simulate", {"nsim": 3}),
     "simulate-no-states": ("simulate", {"nsim": 1, "include_states": False}),
     "pfilter": ("pfilter", {"np": 200, "replicates": 3, "max_fail": 1}),
@@ -264,16 +268,19 @@ CLI_RUNS = {  # name: (subcommand, settings)
                     "probes": [{"type": "mean", "var": "Y", "transform": "sqrt"},
                                {"type": "acf", "var": "Y", "lags": [1, 2]}]}),
     "kalman": ("kalman", {"mle": True}),
+    # integer-valued compartments next to the continuous Phi and noise
+    "simulate/sir-seasonal": ("simulate", {"nsim": 2}),
 }
 
 
 def cli_hashes(workdir):
     out = {}
     for name, (algorithm, settings) in CLI_RUNS.items():
-        outdir = os.path.join(workdir, name)
-        config = os.path.join(workdir, f"{name}.json")
+        model = name.split("/")[1] if "/" in name else "gompertz"
+        outdir = os.path.join(workdir, name.replace("/", "-"))
+        config = f"{outdir}.json"
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({"schema": 1, "algorithm": algorithm, "model": "gompertz",
+            json.dump({"schema": 1, "algorithm": algorithm, "model": model,
                        "seed": 2024, "output": outdir, "settings": settings}, fh)
         with contextlib.redirect_stdout(sys.stderr):
             status = cli.main([algorithm, "--config", config])
