@@ -11,14 +11,15 @@ in ``result.json`` but has no effect.  Repeated filters run batched instead:
 pfilter replicates, mif starts and mif evaluations each run as the blocks of
 one particle swarm.
 
-A run and ``validate`` share one preparation step, ``_prepare``, which owns
-every check that exits 2, so ``validate`` refuses exactly what a run refuses
-with that status.  It builds the model, reading the data and covariate files
-or simulating the dataset, but runs no algorithm and writes nothing.
+A run and ``validate`` share one preparation step, ``_prepare``, so
+``validate`` refuses every config that a run refuses before its algorithm
+starts, with the same status and line.  It builds the model and the library's
+settings objects, but runs no algorithm and writes nothing.
 
 Exit status: 0 success, 2 validation error (an unusable ``output`` included),
-3 algorithm failure.  The output directory and its files are written only once
-the run has succeeded.
+3 algorithm failure (a setting the library refuses, or a run out of memory,
+included).  The output directory and its files are written only once the run
+has succeeded.
 """
 
 from __future__ import annotations
@@ -53,15 +54,20 @@ logger = logging.getLogger("pompkit")
 
 ALGORITHMS = ("simulate", "pfilter", "mif", "pmcmc", "probe", "abc", "nlf", "kalman")
 
+
+def _count(minimum=-2**63):  # numpy's int64 range, which bounds every array size
+    return {"type": "integer", "minimum": minimum, "maximum": 2**63 - 1}
+
+
 _PROBE_SPEC = {
     "type": "object",
     "properties": {
         "type": {"enum": ["mean", "acf", "nlar", "marginal"]},
         "var": {"type": "string"},
         "transform": {"enum": ["sqrt", "log", "identity", None]},
-        "lags": {"type": "array", "items": {"type": "integer"}},
-        "powers": {"type": "array", "items": {"type": "integer"}},
-        "npoly": {"type": "integer", "minimum": 1},
+        "lags": {"type": "array", "items": _count()},
+        "powers": {"type": "array", "items": _count()},
+        "npoly": _count(1),
         "ref": {"enum": ["data"]},
     },
     "required": ["type", "var"],
@@ -80,7 +86,7 @@ SETTINGS_SCHEMAS = {
     "simulate": {
         "type": "object",
         "properties": {
-            "nsim": {"type": "integer", "minimum": 1},
+            "nsim": _count(1),
             "include_states": {"type": "boolean"},
         },
         "additionalProperties": False,
@@ -88,9 +94,9 @@ SETTINGS_SCHEMAS = {
     "pfilter": {
         "type": "object",
         "properties": {
-            "np": {"type": "integer", "minimum": 1},
-            "max_fail": {"type": "integer", "minimum": 0},
-            "replicates": {"type": "integer", "minimum": 1},
+            "np": _count(1),
+            "max_fail": _count(0),
+            "replicates": _count(1),
         },
         "additionalProperties": False,
     },
@@ -102,20 +108,20 @@ SETTINGS_SCHEMAS = {
     "mif": {
         "type": "object",
         "properties": {
-            "iterations": {"type": "integer", "minimum": 0},
-            "np": {"type": "integer", "minimum": 1},
+            "iterations": _count(0),
+            "np": _count(1),
             "rw_sd": _SD_MAP,
             "ivp_names": {"type": "array", "items": {"type": "string"}},
-            "ic_lag": {"type": "integer", "minimum": 1},
+            "ic_lag": _count(1),
             "var_factor": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": math.inf},
             "cooling_factor": {"type": "number"},
             "cooling_fraction": {"type": "number"},
             "transform": {"type": "boolean"},
-            "max_fail": {"type": "integer", "minimum": 0},
-            "starts": {"type": "integer", "minimum": 1},
+            "max_fail": _count(0),
+            "starts": _count(1),
             "start_jitter_sdlog": {"type": "number", "minimum": 0, "exclusiveMaximum": math.inf},
-            "eval_replicates": {"type": "integer", "minimum": 1},
-            "eval_np": {"type": "integer", "minimum": 1},
+            "eval_replicates": _count(1),
+            "eval_np": _count(1),
         },
         "required": ["rw_sd"],
         "additionalProperties": False,
@@ -123,11 +129,11 @@ SETTINGS_SCHEMAS = {
     "pmcmc": {
         "type": "object",
         "properties": {
-            "steps": {"type": "integer", "minimum": 1},
-            "np": {"type": "integer", "minimum": 1},
+            "steps": _count(1),
+            "np": _count(1),
             "proposal_sd": _SD_MAP,
             "prior": _PRIOR,
-            "max_fail": {"type": "integer", "minimum": 0},
+            "max_fail": _count(0),
         },
         "required": ["proposal_sd", "prior"],
         "additionalProperties": False,
@@ -135,7 +141,7 @@ SETTINGS_SCHEMAS = {
     "abc": {
         "type": "object",
         "properties": {
-            "steps": {"type": "integer", "minimum": 1},
+            "steps": _count(1),
             "probes": {"type": "array", "items": _PROBE_SPEC, "minItems": 1},
             "epsilon": {"type": "number", "exclusiveMinimum": 0},
             "scale": {
@@ -144,7 +150,7 @@ SETTINGS_SCHEMAS = {
                     {"type": "array", "items": {"type": "number"}},
                 ]
             },
-            "scale_nsim": {"type": "integer", "minimum": 2},
+            "scale_nsim": _count(2),
             "proposal_sd": _SD_MAP,
             "prior": _PRIOR,
         },
@@ -155,7 +161,7 @@ SETTINGS_SCHEMAS = {
         "type": "object",
         "properties": {
             "probes": {"type": "array", "items": _PROBE_SPEC, "minItems": 1},
-            "nsim": {"type": "integer", "minimum": 2},
+            "nsim": _count(2),
         },
         "required": ["probes"],
         "additionalProperties": False,
@@ -163,14 +169,13 @@ SETTINGS_SCHEMAS = {
     "nlf": {
         "type": "object",
         "properties": {
-            "lags": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                     "minItems": 1},
-            "nrbf": {"type": "integer", "minimum": 2},
-            "transient": {"type": "integer", "minimum": 1},
-            "sim_length": {"type": "integer", "minimum": 1},
+            "lags": {"type": "array", "items": _count(1), "minItems": 1},
+            "nrbf": _count(2),
+            "transient": _count(1),
+            "sim_length": _count(1),
             "est": {"type": "array", "items": {"type": "string"}},
             "transform": {"type": "boolean"},
-            "maxit": {"type": "integer", "minimum": 1},
+            "maxit": _count(1),
         },
         "required": ["lags"],
         "additionalProperties": False,
@@ -351,14 +356,25 @@ def _load_input(config, field, loader, **kwargs):
             raise ConfigError(f"{config[field]}: {err.strerror or err}") from None
 
 
+def _given(settings, *names, **renamed):
+    """The settings named in ``names`` or ``renamed`` (library keyword =
+    settings key) that the config gives, under the library's keywords; the
+    library's own defaults apply to the rest."""
+    keys = dict(zip(names, names), **renamed)
+    return {kw: settings[key] for kw, key in keys.items() if key in settings}
+
+
 def _prepare(config: dict):
-    """Every check that exits 2, in one place: ``validate`` and a run both start here."""
+    """Every refusal before an algorithm starts, in one place: ``validate`` and a run
+    both start here.  The settings it returns hold the library's objects: the built
+    probes, the ``proposal``, and the algorithm's settings object under its name."""
     config = validate_config(config)
+    algorithm = config["algorithm"]
     outdir = config.get("output", ".")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"config.output: {outdir}: not a directory")
     model = _build_model(config)
-    settings = config.get("settings", {})
+    settings = dict(config.get("settings", {}))
     if "prior" in settings:
         with _config_field("config.settings.prior"):
             require_names("parameters", settings["prior"], model.params.names)
@@ -369,32 +385,40 @@ def _prepare(config: dict):
         for i, spec in enumerate(settings["probes"]):
             with _config_field(f"config.settings.probes[{i}]"):
                 built.append(_build_probe(spec, model))
-        settings = {**settings, "probes": built}
-    if config["algorithm"] == "kalman" and model.name != "gompertz":
+        settings["probes"] = built
+    if algorithm == "kalman" and model.name != "gompertz":
         raise ConfigError("the kalman subcommand applies to the gompertz model only")
-    if config["algorithm"] == "kalman" and np.isnan(model.data.observations).any():
+    if algorithm == "kalman" and np.isnan(model.data.observations).any():
         raise ConfigError("kalman needs complete data (no missing values)")
+    if "proposal_sd" in settings:  # pmcmc and abc; the names check _metropolis starts with
+        settings["proposal"] = mvn_diag_rw(settings["proposal_sd"])
+        settings["proposal"].scales(model.params.names)
+    if algorithm == "mif":
+        settings["mif"] = MifSettings(
+            start=model.params, n_iterations=settings.get("iterations", 50),
+            num_particles=settings.get("np", 1000), rw_sd=settings["rw_sd"],
+            **_given(settings, "ivp_names", "ic_lag", "var_factor", "cooling_factor",
+                     "cooling_fraction", "transform", "max_fail"))
+    elif algorithm == "abc":  # an "auto" scale exists only once the run has simulated it
+        aset = functools.partial(AbcSettings, settings["probes"], proposal=settings["proposal"],
+                                 n_steps=settings.get("steps", 5000),
+                                 **_given(settings, "epsilon"))
+        scale = settings.get("scale", "auto")
+        settings["abc"] = aset if scale == "auto" else aset(scale)
+    elif algorithm == "nlf":
+        settings["nlf"] = nlf.NlfSettings(lags=settings["lags"], **_given(
+            settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
+        require_names("est names", settings["nlf"].est, model.params.names)
     return config, model, settings
 
 
-def _given(settings, *names, **renamed):
-    """The settings named in ``names`` or ``renamed`` (library keyword =
-    settings key) that the config gives, under the library's keywords; the
-    library's own defaults apply to the rest."""
-    keys = dict(zip(names, names), **renamed)
-    return {kw: settings[key] for kw, key in keys.items() if key in settings}
-
-
-def _chain_summary(chain, burn_in=0):
-    ess = {}
-    for name in chain.param_names:
-        col = chain.column(name)[burn_in:]
-        ess[name] = (effective_sample_size(col)
-                     if col.size >= 10 else float("nan"))
+def _chain_summary(chain):
+    ess = {name: effective_sample_size(chain.column(name)) if chain.n_steps >= 10
+           else float("nan") for name in chain.param_names}
     return {
         "acceptance_rate": chain.acceptance_rate,
-        "posterior_mean": chain.posterior_mean(burn_in),
-        "posterior_sd": chain.posterior_sd(burn_in),
+        "posterior_mean": chain.posterior_mean(),
+        "posterior_sd": chain.posterior_sd(),
         "ess": ess,
         "n_steps": chain.n_steps,
     }
@@ -439,14 +463,7 @@ def _run_kalman(model, config, settings):
 
 
 def _run_mif(model, config, settings):
-    mset = MifSettings(
-        start=model.params,
-        n_iterations=settings.get("iterations", 50),
-        num_particles=settings.get("np", 1000),
-        rw_sd=settings["rw_sd"],
-        **_given(settings, "ivp_names", "ic_lag", "var_factor", "cooling_factor",
-                 "cooling_fraction", "transform", "max_fail"),
-    )
+    mset = settings["mif"]
     starts = settings.get("starts", 1)
     jitter = settings.get("start_jitter_sdlog", 1.0)
     theta0s = [model.params] * starts
@@ -487,32 +504,19 @@ def _run_mif(model, config, settings):
 
 
 def _run_pmcmc(model, config, settings):
-    chain = run_pmcmc(
-        model, model.params,
-        n_steps=settings.get("steps", 2000),
-        num_particles=settings.get("np", 100),
-        proposal=mvn_diag_rw(settings["proposal_sd"]),
-        seed=config["seed"],
-        **_given(settings, "max_fail"),
-    )
+    chain = run_pmcmc(model, model.params, n_steps=settings.get("steps", 2000),
+                      num_particles=settings.get("np", 100), proposal=settings["proposal"],
+                      seed=config["seed"], **_given(settings, "max_fail"))
     return _chain_summary(chain), {"chain": lambda path: dataio.write_chain_csv(path, chain)}
 
 
 def _run_abc(model, config, settings):
-    scale = settings.get("scale", "auto")
-    if scale == "auto":
-        scale = compute_probe_scales(
+    aset = settings["abc"]
+    if not isinstance(aset, AbcSettings):  # waiting for its "auto" scale
+        aset = aset(compute_probe_scales(
             model, model.params, settings["probes"],
             seed=child_seeds(config["seed"], "abc-scale", 1)[0],
-            **_given(settings, nsim="scale_nsim"),
-        )
-    aset = AbcSettings(
-        probes=settings["probes"],
-        scale=scale,
-        proposal=mvn_diag_rw(settings["proposal_sd"]),
-        n_steps=settings.get("steps", 5000),
-        **_given(settings, "epsilon"),
-    )
+            **_given(settings, nsim="scale_nsim")))
     chain = run_abc(model, model.params, aset, seed=config["seed"])
     out = _chain_summary(chain)
     out["scale"] = aset.scale.tolist()
@@ -544,9 +548,7 @@ def _run_probe(model, config, settings):
 
 
 def _run_nlf(model, config, settings):
-    nset = nlf.NlfSettings(lags=settings["lags"], **_given(
-        settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
-    result = nlf.nlf_fit(model, model.params, nset, seed=config["seed"],
+    result = nlf.nlf_fit(model, model.params, settings["nlf"], seed=config["seed"],
                          **_given(settings, "maxit"))
     return {
         "theta": result.theta.as_dict(),
@@ -579,12 +581,12 @@ class _JsonEncoder(json.JSONEncoder):
         return super().default(o)
 
 
-def _refused(err: PompKitError) -> int:
+def _refused(err: Exception) -> int:
     """Print ``err`` as one line; returns its exit status, 2 for a ConfigError, else 3."""
     if isinstance(err, ConfigError):
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(f"algorithm failure: {err}", file=sys.stderr)
+    print(f"algorithm failure: {str(err) or type(err).__name__}", file=sys.stderr)
     return 3
 
 
@@ -595,7 +597,7 @@ def run(config: dict) -> int:
     try:
         config, model, settings = _prepare(config)
         results, files = _RUNNERS[config["algorithm"]](model, config, settings)
-    except PompKitError as err:
+    except (PompKitError, MemoryError) as err:  # a count can outgrow the memory
         return _refused(err)
     payload = {
         "schema": 1,

@@ -75,15 +75,15 @@ def _read_table(path, time_col):
     return header, np.array(rows, dtype=float)
 
 
-def load_time_series(path, t0, time_col="time", observables=None, sim=None) -> TimeSeriesData:
-    """Read a dataset CSV: a time column plus observable columns.
+def load_time_series(path, t0, observables=None, sim=None) -> TimeSeriesData:
+    """Read a dataset CSV: a ``time`` column plus observable columns.
 
     ``observables`` selects and orders columns (default: every non-time
     column).  A ``sim`` column (written for multi-realization files) requires
     choosing one realization via ``sim=``.
     """
-    header, table = _read_table(path, time_col)
-    if "sim" in header and time_col != "sim":
+    header, table = _read_table(path, "time")
+    if "sim" in header:
         if sim is None:
             sims = sorted(set(table[:, header.index("sim")]))
             raise DomainError(
@@ -94,10 +94,10 @@ def load_time_series(path, t0, time_col="time", observables=None, sim=None) -> T
             raise DomainError(f"{path}: no rows with sim={sim}")
         table = table[mask]
     if observables is None:
-        observables = [h for h in header if h not in (time_col, "sim")]
+        observables = [h for h in header if h not in ("time", "sim")]
     try:
         require_names("observable columns", observables, header)
-        times = table[:, header.index(time_col)]
+        times = table[:, header.index("time")]
         obs = np.column_stack([table[:, header.index(c)] for c in observables])
         return TimeSeriesData(t0=t0, times=times, observations=obs,
                               obs_names=tuple(observables))
@@ -105,14 +105,14 @@ def load_time_series(path, t0, time_col="time", observables=None, sim=None) -> T
         raise DomainError(f"{path}: {err}") from None
 
 
-def load_covariates(path, time_col="time") -> CovariateTable:
-    header, table = _read_table(path, time_col)
-    names = [h for h in header if h != time_col]
+def load_covariates(path) -> CovariateTable:
+    header, table = _read_table(path, "time")
+    names = [h for h in header if h != "time"]
     if not names:
         raise DomainError(f"{path}: covariate file has no value columns")
     values = np.column_stack([table[:, header.index(c)] for c in names])
     try:
-        return CovariateTable(times=table[:, header.index(time_col)], values=values,
+        return CovariateTable(times=table[:, header.index("time")], values=values,
                               names=tuple(names))
     except DomainError as err:
         raise DomainError(f"{path}: {err}") from None

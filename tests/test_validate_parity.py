@@ -1,6 +1,7 @@
-"""``pomp-kit validate`` refuses exactly what a run refuses with exit status 2:
-both go through one preparation step, so they print the same single line and
-neither makes the output directory."""
+"""``pomp-kit validate`` refuses every config that a run refuses before its
+algorithm starts: both go through one preparation step, so they exit with the
+same status, print the same single line and neither makes the output
+directory."""
 
 import json
 import sys
@@ -148,3 +149,59 @@ def test_an_integer_past_the_digit_limit_exits_2_naming_the_config_file(tmp_path
         status, line = _status_and_line(capsys, [command, "--config", str(path)])
         assert (status, line) == (2, f"error: {path}: an integer has more than {limit} digits")
     assert not (tmp_path / "out").exists()
+
+
+_NLF = {"lags": [1], "nrbf": 2, "transient": 10, "sim_length": 20, "maxit": 1}
+
+# configs whose refusal comes from the library's own settings objects, which
+# the preparation step builds: exit 3 from validate as from the run
+LIBRARY_REFUSED = {
+    "mif-cooling_factor-above-1": ("mif", {}, {**_MIF, "cooling_factor": 2.0}),
+    "mif-unknown-ivp_names": ("mif", {}, {**_MIF, "ivp_names": ["bogus"]}),
+    "mif-infinite-rw_sd": ("mif", {}, {**_MIF, "rw_sd": {"r": np.inf}}),
+    "pmcmc-unknown-proposal_sd": ("pmcmc", {}, {**_PMCMC, "proposal_sd": {"bogus": 0.01}}),
+    "abc-scale-of-wrong-length": ("abc", {}, {**_ABC, "scale": [1.0, 2.0]}),
+    "nlf-transient-within-lags": ("nlf", {}, {**_NLF, "lags": [3], "transient": 2}),
+    "nlf-unknown-est": ("nlf", {}, {**_NLF, "est": ["bogus"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSED))
+def test_validate_exits_3_with_the_line_of_a_run_the_library_refuses(tmp_path, capsys, case):
+    algorithm, top, settings = LIBRARY_REFUSED[case]
+    path = _config_path(tmp_path, algorithm, top, settings)
+    validated = _status_and_line(capsys, ["validate", "--config", path])
+    assert validated[0] == 3 and validated[1].startswith("algorithm failure: ")
+    assert _outputs_untouched(tmp_path)
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == validated
+    assert _outputs_untouched(tmp_path)
+
+
+@pytest.mark.parametrize("algorithm,field", [("simulate", "nsim"), ("pfilter", "np"),
+                                             ("mif", "np"), ("probe", "nsim")])
+def test_a_count_past_numpy_sizes_exits_2_naming_its_field(tmp_path, capsys, algorithm, field):
+    base = {"mif": _MIF, "probe": _PROBE}.get(algorithm, {})
+    path = _config_path(tmp_path, algorithm, {}, {**base, field: HUGE})
+    validated = _status_and_line(capsys, ["validate", "--config", path])
+    assert validated[0] == 2
+    assert validated[1].startswith(f"error: config.settings.{field}: {HUGE} is greater than")
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == validated
+    assert _outputs_untouched(tmp_path)
+
+
+def test_a_run_out_of_memory_exits_3_and_writes_nothing(tmp_path, capsys):
+    # 2**50 particles need 8 PiB, past any address space, so no memory is touched
+    path = _config_path(tmp_path, "pfilter", {}, {"np": 2 ** 50})
+    status, line = _status_and_line(capsys, ["pfilter", "--config", path])
+    assert status == 3 and line.startswith("algorithm failure: ")
+    assert _outputs_untouched(tmp_path)
+
+
+@pytest.mark.parametrize("algorithm,settings", [("mif", _MIF), ("nlf", {**_NLF, "est": ["r"]}),
+                                                ("abc", {**_ABC, "scale": [1.0]})])
+def test_validate_accepts_the_library_settings_of_a_runnable_config(tmp_path, capsys,
+                                                                    algorithm, settings):
+    path = _config_path(tmp_path, algorithm, {}, settings)
+    assert cli.main(["validate", "--config", path]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert _outputs_untouched(tmp_path)
