@@ -6,27 +6,27 @@ ball AND a Metropolis draw passes the prior ratio.  The per-step scaled
 distance (and the simulated probes behind it) are kept on the chain for
 audit.
 
-The chain is the random-walk Metropolis kernel :func:`pompkit.pmcmc._metropolis`
-that PMMH uses, with a different score: 0 inside the tolerance ball and -inf
-outside it.  The start scores 0 unsimulated, since the chain starts where it
-is told; each proposal inside the prior support is simulated once, and the
-incumbent is never re-simulated.  Each step draws the proposal normals, then
-one uniform (also on steps rejected for the prior or the ball), then
-simulates.
+The chain is the one the random-walk Metropolis kernel of PMMH
+(:func:`pompkit.pmcmc._metropolis`) returns, with its ``logliks`` and
+``extras`` replaced; its score is 0 inside the tolerance ball and -inf outside
+it.  The start scores 0 unsimulated, since the chain starts where it is told;
+each proposal inside the prior support is simulated once, and the incumbent is
+never re-simulated.  Each step draws the proposal normals, then one uniform
+(also on steps rejected for the prior or the ball), then simulates.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import core
 from .exceptions import DomainError, require_integer
 from .pmcmc import Chain, Proposal, _metropolis
-from .probes import _probe_batch, apply_probes, probe_labels
+from .probes import _probe_batch, _refuse_probes, apply_probes, probe_labels
 from .rng import stream
 
 __all__ = ["AbcSettings", "abc", "compute_probe_scales"]
@@ -68,18 +68,17 @@ def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,
                          seed=0) -> np.ndarray:
     """Per-probe standard deviations across ``nsim`` simulations at ``params``.
 
-    The natural relative scaling for the ABC ball; a zero-variance probe is an
-    error naming the probe.
+    The natural relative scaling for the ABC ball; a probe of zero or
+    non-finite spread is an error naming the probe.
     """
     nsim = require_integer("nsim", nsim, 2)
     _, obs_arrays = core.simulate_paths(model, model.default_params(params),
                                         stream(seed, "probe-scales"), nsim)
     values = apply_probes(probes, _probe_batch(model, obs_arrays))
-    scales = values.std(axis=0, ddof=1)
-    labels = probe_labels(probes)
-    degenerate = [labels[i] for i in np.where(~(scales > 0))[0]]
-    if degenerate:
-        raise DomainError(f"zero-variance probes cannot be scaled: {degenerate}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        scales = values.std(axis=0, ddof=1)
+    _refuse_probes("probes of zero or non-finite spread cannot be scaled",
+                   probe_labels(probes), ~(np.isfinite(scales) & (scales > 0)))
     return scales
 
 
@@ -96,6 +95,8 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
     tau = settings.scale
     eps2 = settings.epsilon**2
     observed = apply_probes(settings.probes, _probe_batch(model))[0]
+    _refuse_probes("observed probes are not finite", probe_labels(settings.probes),
+                   ~np.isfinite(observed))
 
     M = settings.n_steps
     distances = np.full(M, np.nan)
@@ -111,14 +112,10 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
         sim_probes[m - 1] = sim_vals
         return 0.0 if dist2 < eps2 else -math.inf
 
-    samples, _, log_priors, accepted = _metropolis(
-        model, start, settings.proposal, M, stream(seed, "abc-chain"), log_target, "abc")
-    return Chain(
-        param_names=start.names,
-        samples=samples,
+    chain = _metropolis(model, start, settings.proposal, M, seed, log_target, "abc")
+    return replace(
+        chain,
         logliks=np.full(M, np.nan),
-        log_priors=log_priors,
-        accepted=accepted,
         extras={
             "distance": distances,
             "sim_probes": sim_probes,

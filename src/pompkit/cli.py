@@ -68,7 +68,6 @@ _PROBE_SPEC = {
         "lags": {"type": "array", "items": _count()},
         "powers": {"type": "array", "items": _count()},
         "npoly": _count(1),
-        "ref": {"enum": ["data"]},
     },
     "required": ["type", "var"],
     "additionalProperties": False,
@@ -112,7 +111,6 @@ SETTINGS_SCHEMAS = {
             "np": _count(1),
             "rw_sd": _SD_MAP,
             "ivp_names": {"type": "array", "items": {"type": "string"}},
-            "ic_lag": _count(1),
             "var_factor": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": math.inf},
             "cooling_factor": {"type": "number"},
             "cooling_fraction": {"type": "number"},
@@ -397,7 +395,7 @@ def _prepare(config: dict):
         settings["mif"] = MifSettings(
             start=model.params, n_iterations=settings.get("iterations", 50),
             num_particles=settings.get("np", 1000), rw_sd=settings["rw_sd"],
-            **_given(settings, "ivp_names", "ic_lag", "var_factor", "cooling_factor",
+            **_given(settings, "ivp_names", "var_factor", "cooling_factor",
                      "cooling_fraction", "transform", "max_fail"))
     elif algorithm == "abc":  # an "auto" scale exists only once the run has simulated it
         aset = functools.partial(AbcSettings, settings["probes"], proposal=settings["proposal"],
@@ -572,15 +570,6 @@ _RUNNERS = {
 }
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-
 def _refused(err: Exception) -> int:
     """Print ``err`` as one line; returns its exit status, 2 for a ConfigError, else 3."""
     if isinstance(err, ConfigError):
@@ -599,6 +588,10 @@ def run(config: dict) -> int:
         results, files = _RUNNERS[config["algorithm"]](model, config, settings)
     except (PompKitError, MemoryError) as err:  # a count can outgrow the memory
         return _refused(err)
+    except ValueError as err:  # numpy's MemoryError for a size past the address space
+        if not str(err).startswith("array is too big"):
+            raise
+        return _refused(err)
     payload = {
         "schema": 1,
         "algorithm": config["algorithm"],
@@ -616,7 +609,7 @@ def run(config: dict) -> int:
         for stem, write in files.items():
             write(os.path.join(outdir, f"{stem}.csv"))
         with open(result_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, cls=_JsonEncoder)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as err:
         print(f"error: {err.filename or outdir}: {err.strerror or err}", file=sys.stderr)

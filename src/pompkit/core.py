@@ -181,7 +181,7 @@ class ParamVector(Mapping):
         )
 
     def __hash__(self):
-        return hash((self._names, self._values.tobytes()))
+        return hash((self._names, (self._values + 0.0).tobytes()))  # -0.0 == 0.0
 
 
 def _unique(names, what) -> tuple:

@@ -8,11 +8,13 @@ estimated.  Proposals are a symmetric diagonal-normal random walk, so
 the acceptance ratio needs no proposal terms.
 
 The chain itself is :func:`_metropolis`, which ABC-MCMC (:mod:`pompkit.abc`)
-shares; the two differ only in how a proposal is scored.  The kernel scores
-the start once (``log_target(start, 0)``) after checking that it has positive
-prior density, and then only the proposals ``m = 1..M`` that lie inside the
-prior support; the incumbent's score is carried, never recomputed.  Each step
-draws the proposal normals, then one uniform, then scores the proposal.
+shares; the two differ only in how a proposal is scored.  Like the filter
+kernel, it derives its own stream from the seed and returns its result, a
+:class:`Chain`.  It scores the start once (``log_target(start, 0)``) after
+checking that it has positive prior density, and then only the proposals
+``m = 1..M`` inside the prior support, as the dict the prior saw; the
+incumbent's score is carried, never recomputed.  Each step draws the proposal
+normals, then one uniform, then scores the proposal.
 """
 
 from __future__ import annotations
@@ -162,28 +164,28 @@ def effective_sample_size(samples, with_flag=False):
 
 @core.one_run
 def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Proposal,
-                n_steps: int, rng, log_target, operation: str):
-    """Random-walk Metropolis chain of ``n_steps`` steps from ``start``.
+                n_steps: int, seed, log_target, operation: str) -> Chain:
+    """Random-walk Metropolis chain of ``n_steps`` steps from ``start``, on the
+    stream ``"<operation>-chain"`` under ``seed``.
 
     Accepts a proposal with probability min(1, prior ratio times
     exp(log_target ratio)).  ``log_target(params, m)`` is called once for the
     start (m = 0) and once for each proposal m that has positive prior
     density; prior-zero proposals are rejected unscored, so the model never
-    sees parameters outside the prior support.  Returns ``(samples, targets,
-    log_priors, accepted)``, where row m-1 holds the retained state after
-    step m.
+    sees parameters outside the prior support.  Row m-1 of the chain holds
+    the retained state after step m, and ``logliks`` its carried score.
     """
-    if model.dprior is None:
-        raise DomainError(f"{operation} requires a dprior callback on the model")
+    M = require_integer("n_steps", n_steps, 1)
+    rng = stream(seed, f"{operation}-chain")
+    model.require(operation, "dprior")
     names = start.names
-    theta = np.array(start.values)
+    theta = start.values
     logprior = float(model.dprior(dict(zip(names, theta)), True))
     if not np.isfinite(logprior):
         raise DomainError("starting parameters have zero prior density")
     scales = proposal.scales(names)
     target = log_target(start, 0)
 
-    M = n_steps
     samples = np.empty((M, len(names)))
     targets = np.empty(M)
     log_priors = np.empty(M)
@@ -195,7 +197,7 @@ def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Propos
         logprior_prop = float(model.dprior(params_prop, True))
         log_u = math.log(rng.random())
         if np.isfinite(logprior_prop):
-            target_prop = log_target(core.ParamVector(params_prop), m)
+            target_prop = log_target(params_prop, m)
             log_ratio = (logprior_prop + target_prop) - (logprior + target)
         else:
             target_prop, log_ratio = -math.inf, -math.inf
@@ -205,7 +207,7 @@ def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Propos
         samples[m - 1] = theta
         targets[m - 1] = target
         log_priors[m - 1] = logprior
-    return samples, targets, log_priors, accepted
+    return Chain(names, samples, logliks=targets, log_priors=log_priors, accepted=accepted)
 
 
 def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
@@ -230,13 +232,4 @@ def pmcmc(model: core.ModelSpec, start: core.ParamVector, n_steps: int,
             logger.warning("proposal auto-rejected: %s", err)
             return -math.inf
 
-    samples, logliks, log_priors, accepted = _metropolis(
-        model, start, proposal, require_integer("n_steps", n_steps, 1),
-        stream(seed, "pmcmc-chain"), log_target, "pmcmc")
-    return Chain(
-        param_names=start.names,
-        samples=samples,
-        logliks=logliks,
-        log_priors=log_priors,
-        accepted=accepted,
-    )
+    return _metropolis(model, start, proposal, n_steps, seed, log_target, "pmcmc")

@@ -105,7 +105,8 @@ def probe_nlar(var: str, lags, powers, transform=None) -> Probe:
 
     Fits y_t ~ sum_j a_j * y_{t-lag_j} ** power_j with no intercept over all t
     where every lag is available.  A singular design falls back to the
-    minimum-norm solution (logged).
+    minimum-norm solution (logged); a series whose design or target is not
+    finite has no such fit, and gets NaN coefficients.
     """
     lags = tuple(require_integer("lags", lag, 1) for lag in lags)
     powers = tuple(require_integer("powers", p) for p in powers)
@@ -129,9 +130,10 @@ def probe_nlar(var: str, lags, powers, transform=None) -> Probe:
             return np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             logger.warning("singular autoregression design; using minimum-norm fit")
-            coefs = np.empty((y.shape[0], len(lags)))
+            coefs = np.full((y.shape[0], len(lags)), np.nan)
             for b in range(y.shape[0]):
-                coefs[b] = np.linalg.lstsq(design[b], target[b], rcond=None)[0]
+                if np.isfinite(design[b]).all() and np.isfinite(target[b]).all():
+                    coefs[b] = np.linalg.lstsq(design[b], target[b], rcond=None)[0]
             return coefs
 
     name = f"nlar.{var}"
@@ -145,13 +147,20 @@ def probe_marginal(var: str, ref, npoly: int = 3, transform=None) -> Probe:
     The reference series is transformed, sorted, interpolated to the series
     length, and centered; the probe values are the least-squares coefficients
     of its first ``npoly`` powers (an intercept absorbs location).  An affine
-    image of the reference therefore maps to (slope, 0, ..., 0).
+    image of the reference therefore maps to (slope, 0, ..., 0).  It needs
+    ``npoly`` below the reference length and a finite transformed reference.
     """
     npoly = require_integer("npoly", npoly, 1)
     ref = np.asarray(ref, dtype=float).ravel()
     if ref.size < 2:
         raise DomainError("reference series must have at least 2 points")
-    ref_t = np.sort(transform(ref) if transform is not None else ref)
+    if npoly >= ref.size:
+        raise DomainError(f"npoly must be less than the reference length {ref.size}, "
+                          f"got {npoly}")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ref_t = np.sort(transform(ref) if transform is not None else ref)
+    if not np.isfinite(ref_t).all():
+        raise DomainError("reference series is not finite after its transform")
     if ref_t[0] == ref_t[-1]:
         raise DomainError("reference series has zero variance")
 
@@ -178,40 +187,43 @@ def _probe_batch(model: core.ModelSpec, obs_arrays=None) -> dict:
 
 
 def apply_probes(probes, batch: dict) -> np.ndarray:
-    """Stack all probe values for a batch of series: (batch, total arity)."""
-    return np.concatenate([np.asarray(p.apply(batch), dtype=float) for p in probes], axis=1)
+    """Stack all probe values for a batch of series: (batch, total arity).  An
+    overflow or a value outside a transform's domain comes back non-finite, unwarned."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.concatenate([np.asarray(p.apply(batch), dtype=float) for p in probes], 1)
 
 
 def probe_labels(probes) -> tuple:
     return tuple(label for p in probes for label in p.labels)
 
 
+def _refuse_probes(what, labels, bad) -> None:
+    """:class:`DomainError` ``"<what>: [...]"`` naming the ``labels`` flagged in ``bad``."""
+    if bad.any():
+        raise DomainError(f"{what}: {[labels[i] for i in np.flatnonzero(bad)]}")
+
+
 def _diagnose_singular(simulated: np.ndarray, labels) -> list:
-    suspects = []
-    sd = simulated.std(axis=0, ddof=1)
-    for i, s in enumerate(sd):
-        if s == 0 or not np.isfinite(s):
-            suspects.append(labels[i])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        sd = simulated.std(axis=0, ddof=1)
+        corr = np.corrcoef(simulated.T).reshape(len(labels), len(labels))
+    suspects = [labels[i] for i, s in enumerate(sd) if s == 0 or not np.isfinite(s)]
     if len(suspects) < len(labels):
-        with np.errstate(invalid="ignore"):
-            corr = np.corrcoef(simulated.T)
         for i in range(len(labels)):
             for k in range(i + 1, len(labels)):
                 if abs(corr[i, k]) > 1 - 1e-10:
                     suspects.extend([labels[i], labels[k]])
-    seen = []
-    for s in suspects:
-        if s not in seen:
-            seen.append(s)
-    return seen
+    return list(dict.fromkeys(suspects))
 
 
 def synth_loglik(simulated, observed, labels=None) -> float:
     """Gaussian log density of the observed probes under the simulated sample.
 
     Uses the sample mean and covariance (divisor J-1) of the J simulated probe
-    vectors.  A singular covariance raises, naming the collinear probes; no
-    silent regularization is applied.
+    vectors.  A probe value, mean or variance that is not finite raises
+    :class:`DomainError`, and a singular covariance
+    :class:`SingularCovarianceError`, each naming the probes; no silent
+    regularization is applied.
     """
     import scipy.linalg
 
@@ -224,8 +236,12 @@ def synth_loglik(simulated, observed, labels=None) -> float:
         raise DomainError(f"need more simulations ({J}) than probes ({d}) "
                           "for an invertible covariance")
     labels = tuple(labels) if labels is not None else tuple(f"probe[{i}]" for i in range(d))
-    mu = sims.mean(axis=0)
-    cov = np.cov(sims, rowvar=False, ddof=1).reshape(d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = sims.mean(axis=0)
+        cov = np.cov(sims, rowvar=False, ddof=1).reshape(d, d)
+    _refuse_probes("probes whose observed or simulated values or moments are not finite",
+                   labels, ~(np.isfinite(obs) & np.isfinite(sims).all(axis=0)
+                             & np.isfinite(mu + np.diag(cov))))
     try:
         chol = scipy.linalg.cholesky(cov, lower=True)
     except scipy.linalg.LinAlgError as err:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,23 @@ def test_settings_validation(toy_model):
     with pytest.raises(DomainError):
         pk.AbcSettings(probes=(pk.probe_mean("y"),), scale=np.array([0.0]),
                        proposal=pk.mvn_diag_rw({"mu": 0.1}), n_steps=10)
+
+
+def test_scales_error_on_a_probe_of_non_finite_spread(toy_model):
+    # the log of an N(0.3, 1) draw is NaN about 38% of the time
+    log_last = pk.Probe(name="log-last", arity=1, apply=lambda batch: np.log(batch["y"][:, -1:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"non-finite spread cannot be scaled: "
+                                              r"\['log-last'\]"):
+            pk.compute_probe_scales(toy_model, None, [log_last], nsim=50, seed=8)
+
+
+def test_observed_probes_that_are_not_finite_are_an_error(toy_model):
+    log_mean = pk.probe_mean("y", transform=np.log)  # the data hold negative values
+    settings = pk.AbcSettings(probes=(pk.probe_acf("y", [0]), log_mean), scale=[1.0, 1.0],
+                              proposal=pk.mvn_diag_rw({"mu": 0.4}), n_steps=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"observed probes are not finite: \['mean.y'\]"):
+            pk.abc(toy_model, toy_model.params, settings, seed=5)

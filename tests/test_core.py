@@ -566,3 +566,10 @@ def test_duplicate_observation_and_state_names_are_rejected():
                           obs_names=("y",))
     with pytest.raises(DomainError, match="state"):
         core.ModelSpec(data=data, state_names=("X", "X"))
+
+
+def test_param_vector_hash_agrees_with_equality_for_signed_zeros():
+    plus, minus = ParamVector(a=0.0, b=1.0), ParamVector(a=-0.0, b=1.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1
+    assert hash(ParamVector(a=1.0)) != hash(ParamVector(a=2.0))

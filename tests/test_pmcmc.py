@@ -7,7 +7,7 @@ import pytest
 
 import pompkit as pk
 from pompkit.core import ModelSpec, ParamVector, TimeSeriesData
-from pompkit.exceptions import DomainError
+from pompkit.exceptions import DomainError, ModelComponentError
 
 # the pmcmc *module*; the package attribute of the same name is the function
 pmcmc_mod = importlib.import_module("pompkit.pmcmc")
@@ -254,3 +254,45 @@ def test_chain_scores_each_in_prior_proposal_once(method, monkeypatch):
     # pmcmc scores the start once; abc starts where it is told, unsimulated
     start_scores = 1 if method == "pmcmc" else 0
     assert calls["scored"] == in_prior_proposals + start_scores
+
+
+def _run_chain(method, model, n_steps=3, seed=9):
+    proposal = pk.mvn_diag_rw({"theta": 0.5})
+    if method == "pmcmc":
+        return pk.pmcmc(model, model.params, n_steps=n_steps, num_particles=1,
+                        proposal=proposal, seed=seed)
+    settings = pk.AbcSettings(probes=(pk.probe_mean("y"),), scale=[1.0], proposal=proposal,
+                              n_steps=n_steps, epsilon=2.0)
+    return pk.abc(model, model.params, settings, seed=seed)
+
+
+@pytest.mark.parametrize("method", ["pmcmc", "abc"])
+def test_a_model_without_dprior_is_a_model_component_error(method):
+    model = dataclasses.replace(stub_model(0.4), dprior=None)
+    with pytest.raises(ModelComponentError) as err:
+        _run_chain(method, model)
+    assert (err.value.component, err.value.operation) == ("dprior", method)
+    # the seed is refused before the missing prior
+    with pytest.raises(DomainError, match=r"\bseed must be a whole number"):
+        _run_chain(method, model, seed=-1)
+    if method == "pmcmc":  # and before the seed, the step count
+        with pytest.raises(DomainError, match=r"\bn_steps must be a whole number"):
+            _run_chain(method, model, n_steps=0, seed=-1)
+
+
+def test_the_kernel_scores_the_start_and_plain_dicts_and_returns_the_chain():
+    model = stub_model(0.4)
+    seen = []
+
+    def log_target(params, m):
+        seen.append((m, type(params), params["theta"]))
+        return -0.5 * (params["theta"] - 0.4) ** 2
+
+    chain = pmcmc_mod._metropolis(model, model.params, pk.mvn_diag_rw({"theta": 0.5}),
+                                  20, 3, log_target, "toy")
+    assert seen[0] == (0, ParamVector, 0.0)
+    assert len(seen) > 1 and all(kind is dict for _, kind, _ in seen[1:])
+    # the first proposal is the first normal of the stream "toy-chain" under the seed
+    assert seen[1][::2] == (1, 0.5 * pk.stream(3, "toy-chain").standard_normal(2)[0])
+    assert isinstance(chain, pmcmc_mod.Chain) and chain.param_names == ("theta", "x.0")
+    np.testing.assert_array_equal(chain.logliks, -0.5 * (chain.column("theta") - 0.4) ** 2)

@@ -1,3 +1,7 @@
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -279,3 +283,85 @@ def test_probe_match_runs_with_sigma_fixed_at_zero_under_the_log_transform():
 def test_nlar_without_lags_is_a_domain_error():
     with pytest.raises(DomainError, match="non-empty"):
         pk.probe_nlar("Y", [], [])
+
+
+# ---------------------------------------------------------------------------
+# probe inputs that cannot be computed
+
+
+def test_marginal_npoly_must_be_less_than_the_reference_length():
+    ref = np.random.default_rng(20).normal(size=30)
+    # refused before a label is built: a huge npoly returns at once
+    for npoly in (30, 2**63 - 1):
+        with pytest.raises(DomainError, match=rf"npoly must be less than the reference "
+                                              rf"length 30, got {npoly}"):
+            pk.probe_marginal("y", ref, npoly=npoly)
+    assert pk.probe_marginal("y", ref, npoly=29).arity == 29
+
+
+@pytest.mark.parametrize("ref,transform", [([0.0, 1.0, 2.0], np.log), ([1.0, np.nan, 2.0], None),
+                                           ([-1.0, 1.0, 2.0], np.sqrt)],
+                         ids=["log-of-zero", "nan", "sqrt-of-negative"])
+def test_marginal_reference_must_be_finite_after_its_transform(ref, transform):
+    with pytest.raises(DomainError, match="reference series is not finite after its transform"):
+        pk.probe_marginal("y", ref, npoly=1, transform=transform)
+
+
+def test_synth_loglik_names_the_probes_with_non_finite_values():
+    sims = np.random.default_rng(21).normal(size=(20, 3))
+    sims[4, 1] = np.inf
+    obs = np.array([0.0, 0.0, np.nan])
+    with pytest.raises(DomainError, match=r"observed or simulated values or moments are not "
+                                          r"finite: \['b', 'c'\]"):
+        pk.synth_loglik(sims, obs, labels=("a", "b", "c"))
+
+
+def test_synth_loglik_names_the_probes_whose_variance_overflows():
+    rng = np.random.default_rng(23)
+    sims = np.column_stack([rng.normal(size=20), 1e300 * rng.normal(size=20)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"moments are not finite: \['huge'\]"):
+            pk.synth_loglik(sims, np.zeros(2), labels=("unit", "huge"))
+
+
+@pytest.mark.parametrize("probe", [pk.probe_mean("y", transform=np.log),
+                                   pk.probe_nlar("y", [1], [2**62])], ids=["log-mean", "nlar"])
+def test_a_probe_with_non_finite_values_is_a_domain_error_without_warnings(ricker_fitted,
+                                                                           probe):
+    # the Ricker data hold zero counts; 2**62 overflows every power but 0 and 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"values or moments are not finite: "
+                                              rf"\[{re.escape(repr(probe.labels[0]))}\]"):
+            pk.probe(ricker_fitted, None, [probe], nsim=20, seed=1)
+
+
+def test_probe_match_scores_a_non_finite_probe_as_minus_inf(ricker_fitted, caplog):
+    log_mean = [pk.probe_mean("y", transform=np.log)]
+    with caplog.at_level(logging.WARNING, logger="pompkit"):
+        with pytest.raises(DomainError, match="finite at the starting point"):
+            pk.probe_match(ricker_fitted, ricker_fitted.params, ("r",), log_mean,
+                           nsim=20, seed=1, maxit=5)
+    assert "observed or simulated values or moments are not finite" in caplog.text
+
+
+def test_nlar_gives_a_series_with_a_non_finite_design_nan_coefficients():
+    # log(y) ** 0 is 1 and log(y) ** -2**63 is 0 for y = 0 or y > e, so the first
+    # series' design is singular and sends the batch to the minimum-norm fit; the
+    # second series' design holds log(2) ** -2**63 = inf, which has no such fit
+    series = [[3.0, 0.0, 4.0, 0.0, 5.0, 6.0], [3.0, 2.0, 5.0, 6.0, 7.0, 8.0]]
+    probe = pk.probe_nlar("y", [1, 2], [0, -2**63], transform=np.log)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coefs = probe.apply(batch(series))
+    assert coefs.shape == (2, 2) and np.isnan(coefs).all()
+
+
+def test_a_probe_of_underflowing_variance_is_named_without_warnings():
+    # squares of 1e-170 underflow: the variance reads 0 beside a non-zero covariance
+    rng = np.random.default_rng(22)
+    sims = np.column_stack([1e-170 * rng.normal(size=20), 1e10 * rng.normal(size=20)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularCovarianceError, match="degenerate probes: tiny"):
+            pk.synth_loglik(sims, np.zeros(2), labels=("tiny", "large"))

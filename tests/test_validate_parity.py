@@ -205,3 +205,91 @@ def test_validate_accepts_the_library_settings_of_a_runnable_config(tmp_path, ca
     assert cli.main(["validate", "--config", path]) == 0
     assert capsys.readouterr().out == "valid\n"
     assert _outputs_untouched(tmp_path)
+
+
+# probe specs whose probe cannot be built: exit 2 naming the probe, from validate as
+# from the run; the seed-1 Ricker dataset holds zero counts, which have no log
+UNBUILDABLE_PROBES = {
+    "npoly-past-the-data": ("gompertz", {"type": "marginal", "var": "Y", "npoly": 2**63 - 1},
+                            "npoly must be less than the reference length 100, "
+                            f"got {2**63 - 1}"),
+    "log-of-a-zero-count": ("ricker", {"type": "marginal", "var": "y", "transform": "log"},
+                            "reference series is not finite after its transform"),
+}
+
+
+@pytest.mark.parametrize("algorithm", ["probe", "abc"])
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE_PROBES))
+def test_a_probe_that_cannot_be_built_exits_2_naming_it(tmp_path, capsys, algorithm, case):
+    model, spec, message = UNBUILDABLE_PROBES[case]
+    buildable = {"type": "mean", "var": spec["var"]}
+    settings = {**(_ABC if algorithm == "abc" else _PROBE), "probes": [buildable, spec]}
+    path = _config_path(tmp_path, algorithm, {"model": model}, settings)
+    validated = _status_and_line(capsys, ["validate", "--config", path])
+    assert validated == (2, f"error: config.settings.probes[1]: {message}")
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == validated
+    assert _outputs_untouched(tmp_path)
+
+
+# probes whose values are not finite once simulated or observed: validate passes,
+# the run exits 3; the seed-1 Ricker dataset holds zero counts, which have no log
+_LOG_MEAN = {"type": "mean", "var": "y", "transform": "log"}
+_RICKER_ABC = {"steps": 2, "scale_nsim": 20, "proposal_sd": {"r": 0.1},
+               "prior": {"r": [1.0, 100.0]}, "probes": [_LOG_MEAN]}
+NON_FINITE_PROBES = {
+    "probe-log-mean": ("probe", {"nsim": 20, "probes": [_LOG_MEAN]},
+                       "probes whose observed or simulated values or moments are not finite: "
+                       "['mean.y']"),
+    "probe-nlar-huge-power": (
+        "probe", {"nsim": 20, "probes": [{"type": "nlar", "var": "y", "lags": [1],
+                                           "powers": [2**62]}]},
+        f"probes whose observed or simulated values or moments are not finite: "
+        f"['nlar.y[1^{2**62}]']"),
+    "abc-auto-scale": ("abc", _RICKER_ABC,
+                       "probes of zero or non-finite spread cannot be scaled: ['mean.y']"),
+    "abc-observed": ("abc", {**_RICKER_ABC, "scale": [1.0]},
+                     "observed probes are not finite: ['mean.y']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PROBES))
+def test_a_probe_with_non_finite_values_exits_3_with_one_line(tmp_path, capsys, case):
+    algorithm, settings, message = NON_FINITE_PROBES[case]
+    path = _config_path(tmp_path, algorithm, {"model": "ricker"}, settings)
+    assert cli.main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == (
+        3, f"algorithm failure: {message}")
+    assert _outputs_untouched(tmp_path)
+
+
+@pytest.mark.parametrize("algorithm,field", [("simulate", "nsim"), ("pfilter", "np")])
+def test_a_count_no_array_can_hold_exits_3_with_one_line(tmp_path, capsys, algorithm, field):
+    # numpy refuses the size before touching any memory
+    path = _config_path(tmp_path, algorithm, {}, {field: 2**63 - 1})
+    status, line = _status_and_line(capsys, [algorithm, "--config", path])
+    assert status == 3 and line.startswith("algorithm failure: array is too big")
+    assert _outputs_untouched(tmp_path)
+
+
+def test_a_run_lets_any_other_value_error_through(tmp_path, monkeypatch):
+    def failing_runner(model, config, settings):
+        raise ValueError("not a size")
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", failing_runner)
+    path = _config_path(tmp_path, "simulate", {}, {})
+    with pytest.raises(ValueError, match="not a size"):
+        cli.main(["simulate", "--config", path])
+    assert _outputs_untouched(tmp_path)
+
+
+@pytest.mark.parametrize("algorithm,settings,key", [
+    ("probe", {**_PROBE, "probes": [{"type": "mean", "var": "Y", "ref": "data"}]}, "ref"),
+    ("mif", {**_MIF, "ic_lag": 3}, "ic_lag"),
+])
+def test_a_dropped_settings_key_exits_2_as_unknown(tmp_path, capsys, algorithm, settings, key):
+    path = _config_path(tmp_path, algorithm, {}, settings)
+    validated = _status_and_line(capsys, ["validate", "--config", path])
+    assert validated[0] == 2 and f"'{key}' was unexpected" in validated[1]
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == validated
+    assert _outputs_untouched(tmp_path)
