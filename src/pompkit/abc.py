@@ -26,7 +26,7 @@ import numpy as np
 from . import core
 from .exceptions import DomainError, require_integer
 from .pmcmc import Chain, Proposal, _metropolis
-from .probes import _probe_batch, _refuse_probes, apply_probes, probe_labels
+from .probes import _refuse_probes, apply_probes, probe_labels
 from .rng import stream
 
 __all__ = ["AbcSettings", "abc", "compute_probe_scales"]
@@ -72,9 +72,8 @@ def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,
     non-finite spread is an error naming the probe.
     """
     nsim = require_integer("nsim", nsim, 2)
-    _, obs_arrays = core.simulate_paths(model, model.default_params(params),
-                                        stream(seed, "probe-scales"), nsim)
-    values = apply_probes(probes, _probe_batch(model, obs_arrays))
+    _, obs_arrays = core.simulate_paths(model, params, stream(seed, "probe-scales"), nsim)
+    values = apply_probes(probes, model, obs_arrays)
     with np.errstate(invalid="ignore", over="ignore"):
         scales = values.std(axis=0, ddof=1)
     _refuse_probes("probes of zero or non-finite spread cannot be scaled",
@@ -94,7 +93,7 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
     model.require("abc", "rprocess", "rmeasure")
     tau = settings.scale
     eps2 = settings.epsilon**2
-    observed = apply_probes(settings.probes, _probe_batch(model))[0]
+    observed = apply_probes(settings.probes, model)[0]
     _refuse_probes("observed probes are not finite", probe_labels(settings.probes),
                    ~np.isfinite(observed))
 
@@ -106,7 +105,7 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
         if m == 0:
             return 0.0
         _, obs_arrays = core.simulate_paths(model, params, stream(seed, "abc-sim", m - 1), 1)
-        sim_vals = apply_probes(settings.probes, _probe_batch(model, obs_arrays))[0]
+        sim_vals = apply_probes(settings.probes, model, obs_arrays)[0]
         dist2 = float(np.sum(((sim_vals - observed) / tau) ** 2))
         distances[m - 1] = dist2
         sim_probes[m - 1] = sim_vals

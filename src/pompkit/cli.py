@@ -39,7 +39,7 @@ import numpy as np
 
 from . import core, dataio, models, nlf, oracle, probes, smc
 from .abc import AbcSettings, abc as run_abc, compute_probe_scales
-from .exceptions import ConfigError, DomainError, PompKitError, require_names
+from .exceptions import ConfigError, DomainError, PompKitError, require_batch, require_names
 from .mif import MifSettings, _mif_blocks
 from .mif import mif as run_mif  # noqa: F401  (perfbench's tracer patches cli.run_mif)
 from .pmcmc import (
@@ -48,7 +48,7 @@ from .pmcmc import (
     pmcmc as run_pmcmc,
     uniform_box_prior,
 )
-from .rng import child_seeds, stream  # noqa: F401  (perfbench's tracer patches cli.stream)
+from .rng import child_seeds, stream
 
 logger = logging.getLogger("pompkit")
 
@@ -463,6 +463,10 @@ def _run_kalman(model, config, settings):
 def _run_mif(model, config, settings):
     mset = settings["mif"]
     starts = settings.get("starts", 1)
+    n_evals = settings.get("eval_replicates", 10)
+    eval_np = settings.get("eval_np", mset.num_particles)
+    require_batch(starts * n_evals * eval_np, f"{starts} start(s) x {n_evals} evaluation "
+                  f"replicate(s) of {eval_np} particles")
     jitter = settings.get("start_jitter_sdlog", 1.0)
     theta0s = [model.params] * starts
     if starts > 1 and jitter > 0:
@@ -470,17 +474,15 @@ def _run_mif(model, config, settings):
         work = core._to_estimation(model, model.params, walked)
         theta0s = []
         for jitter_seed in child_seeds(config["seed"], "mif-jitter", starts):
-            g = np.random.default_rng(jitter_seed)
+            g = stream(jitter_seed)
             moved = {n: w + jitter * g.standard_normal() for n, w in work.items()}
             theta0s.append(core.ParamVector(core._from_estimation(model, model.params, moved)))
     # the starts run as the blocks of one swarm, and then every start's
     # evaluation replicates as the blocks of one filter, on the seeds of start 0
     seed = child_seeds(config["seed"], "mif-starts", 1)[0]
     results = _mif_blocks(model, mset, theta0s, seed)
-    n_evals = settings.get("eval_replicates", 10)
     evals = smc._pfilter_blocks(
-        model, [r.theta_hat for r in results for _ in range(n_evals)],
-        settings.get("eval_np", mset.num_particles),
+        model, [r.theta_hat for r in results for _ in range(n_evals)], eval_np,
         child_seeds(seed, "mif-eval", 1)[0], mset.max_fail, diagnostics=False)
     runs = []
     for k, result in enumerate(results):
@@ -526,14 +528,9 @@ def _run_probe(model, config, settings):
     result = probes.probe(model, model.params, settings["probes"], seed=config["seed"],
                           **_given(settings, "nsim"))
     # the datasets the probe values derive from, for plotting or re-ingesting
-    times_full = np.concatenate(([model.data.t0], model.data.times))
-    no_states = np.empty((model.data.n_obs + 1, 0))
-    records = [
-        core.SimulationRecord(
-            times=times_full, states=no_states, observations=obs, state_names=(),
-            obs_names=model.obs_names, params=model.params)
-        for obs in result.simulated_obs
-    ]
+    obs = result.simulated_obs
+    records = core._records(model, model.params, np.empty((len(obs), obs.shape[1] + 1, 0)),
+                            obs, ())
     out = {
         "synth_loglik": result.synth_loglik,
         "labels": list(result.labels),
@@ -692,7 +689,7 @@ def main(argv=None) -> int:
             print("valid")
             return 0
         config = _merge_flags(args)
-    except PompKitError as err:
+    except (PompKitError, MemoryError) as err:  # MemoryError: a batch no array can hold
         return _refused(err)
     return run(config)
 

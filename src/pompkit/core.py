@@ -781,19 +781,17 @@ def simulate(model: ModelSpec, params=None, seed=0, nsim=1):
     Deterministic given ``(seed, nsim)``.
     """
     pv = model.default_params(params)
-    states, obs = simulate_paths(model, pv, seed, nsim)
-    times_full = np.concatenate(([model.data.t0], model.data.times))
-    return [
-        SimulationRecord(
-            times=times_full,
-            states=path,
-            observations=path_obs,
-            state_names=model.state_names,
-            obs_names=model.obs_names,
-            params=pv,
-        )
-        for path, path_obs in zip(states, obs)
-    ]
+    return _records(model, pv, *simulate_paths(model, pv, seed, nsim), model.state_names)
+
+
+def _records(model: ModelSpec, params, states, obs, state_names) -> list:
+    """One :class:`SimulationRecord` per realization of (nsim, N+1, q) ``states``
+    and (nsim, N, r) ``obs`` on the model's time grid, all sharing one times array."""
+    times = np.concatenate(([model.data.t0], model.data.times))
+    return [SimulationRecord(times=times, states=path, observations=path_obs,
+                             state_names=state_names, obs_names=model.obs_names,
+                             params=params)
+            for path, path_obs in zip(states, obs)]
 
 
 def attach_data(model: ModelSpec, record: SimulationRecord) -> ModelSpec:

@@ -211,11 +211,10 @@ def write_trace_csv(path, result):
 
 
 def write_chain_csv(path, chain: Chain):
-    """Write an MCMC chain: params, loglik, logprior, accepted, plus any
-    per-step extras (e.g. the ABC scaled distance)."""
+    """Write an MCMC chain: params, loglik, logprior, accepted and, for ABC, the
+    per-step scaled probe distance; the other extras are not per step."""
     M = chain.n_steps
-    extra_cols = [k for k, v in chain.extras.items()
-                  if isinstance(v, np.ndarray) and v.ndim == 1 and v.size == M]
+    extra_cols = ["distance"] if "distance" in chain.extras else []
     columns = [list(map(str, range(1, M + 1)))]
     columns += [_fmt_column(col) for col in chain.samples.T]
     columns += [_fmt_column(chain.logliks[:M]), _fmt_column(chain.log_priors[:M]),

@@ -1,11 +1,14 @@
 """Exception hierarchy for pomp-kit.
 
 Every error raised deliberately by the library derives from :class:`PompKitError`,
-so callers can catch the whole family with one clause.  Errors that are really
-argument-domain violations also derive from ``ValueError``.  The module also
-holds the boundary checks: :func:`require_integer`, the one check for counts
-and seeds, which refuses a ``bool``, and :func:`require_names`, the one check
-that a set of names (random-walk scales, estimated parameters, accumulators,
+so callers can catch the whole family with one clause; the one exception is
+a batch that no array can hold, which raises :class:`MemoryError` as its
+allocation would.  Errors that are really argument-domain violations also
+derive from ``ValueError``.  The module also holds the boundary checks:
+:func:`require_integer`, the one check for counts and seeds, which refuses a
+``bool``; :func:`require_batch`, the one check that a batch formed from
+several counts can be sized; and :func:`require_names`, the one check that a
+set of names (random-walk scales, estimated parameters, accumulators,
 observables, column lookups) draws only on the names an operation knows.
 """
 
@@ -94,6 +97,18 @@ def require_integer(name, value, minimum=None) -> int:
             or (minimum is not None and whole < minimum)):
         raise DomainError(f"{name} must be a whole number{bound}, got {value!r}")
     return whole
+
+
+# float64 values in the largest array numpy sizes: its byte count must fit an int64
+_MAX_BATCH = (2**63 - 1) // 8
+
+
+def require_batch(size, sizes) -> None:
+    """:class:`MemoryError` naming ``sizes`` when no array can hold ``size`` float64
+    values, a batch formed from several counts.  Each count fits an int64, but their
+    product or sum need not, and numpy then fails with a message naming neither."""
+    if size > _MAX_BATCH:
+        raise MemoryError(f"array is too big: {sizes}")
 
 
 def require_names(what, names, known) -> tuple:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .exceptions import DomainError, require_integer
+from .exceptions import DomainError, require_batch, require_integer
 from .oracle import FitResult, fit_on_estimation_scale
 from .rng import stream
 
@@ -35,7 +35,8 @@ class NlfSettings:
     """Controls for the quasi-likelihood: lags, basis size, simulation lengths.
 
     ``transient`` observations are simulated and discarded before the
-    ``sim_length`` used for fitting; both must exceed the largest lag.
+    ``sim_length`` used for fitting; both must exceed the largest lag, and
+    an array must be able to hold their sum.
     """
 
     lags: tuple
@@ -55,6 +56,8 @@ class NlfSettings:
         for name in ("sim_length", "transient"):  # each must exceed max(lags)
             object.__setattr__(self, name,
                                require_integer(name, getattr(self, name), max(lags) + 1))
+        require_batch(self.transient + self.sim_length,
+                      f"{self.transient} transient + {self.sim_length} fitted observations")
 
 
 def rbf_centers(ymin: float, ymax: float, n_rbf: int):
@@ -118,8 +121,7 @@ def nlf_quasi_loglik(model: core.ModelSpec, params=None,
         raise DomainError("quasi-likelihood fitting requires evenly spaced observations")
     total = settings.transient + settings.sim_length
     sim_times = data.t0 + dt * np.arange(1, total + 1)
-    _, obs_arrays = core.simulate_paths(model, model.default_params(params),
-                                        stream(seed, "nlf"), 1,
+    _, obs_arrays = core.simulate_paths(model, params, stream(seed, "nlf"), 1,
                                         times=sim_times, t0=data.t0)
     series = obs_arrays[0, :, 0]
     fitted = series[settings.transient:]

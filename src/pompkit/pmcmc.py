@@ -122,8 +122,10 @@ class Chain:
                 zip(self.param_names, self.samples[burn_in:].mean(axis=0))}
 
     def posterior_sd(self, burn_in=0) -> dict:
-        return {n: float(v) for n, v in
-                zip(self.param_names, self.samples[burn_in:].std(axis=0, ddof=1))}
+        """Sample standard deviations (divisor n-1); NaN with fewer than two samples."""
+        kept = self.samples[burn_in:]
+        sd = kept.std(axis=0, ddof=1) if len(kept) > 1 else np.full(kept.shape[1], np.nan)
+        return {n: float(v) for n, v in zip(self.param_names, sd)}
 
 
 def effective_sample_size(samples, with_flag=False):

@@ -179,16 +179,12 @@ def probe_marginal(var: str, ref, npoly: int = 3, transform=None) -> Probe:
                  labels=tuple(f"{name}[{k}]" for k in range(1, npoly + 1)))
 
 
-def _probe_batch(model: core.ModelSpec, obs_arrays=None) -> dict:
-    """``{observable: (batch, N) series}`` from (batch, N, r) simulated
-    observations of ``model``, or from its data as a batch of one."""
+def apply_probes(probes, model: core.ModelSpec, obs_arrays=None) -> np.ndarray:
+    """Stack all probe values, (batch, total arity), for (batch, N, r) simulated
+    observations of ``model``, or for its data as a batch of one.  An overflow or
+    a value outside a transform's domain comes back non-finite, unwarned."""
     obs = model.data.observations[None] if obs_arrays is None else obs_arrays
-    return {name: obs[:, :, i] for i, name in enumerate(model.obs_names)}
-
-
-def apply_probes(probes, batch: dict) -> np.ndarray:
-    """Stack all probe values for a batch of series: (batch, total arity).  An
-    overflow or a value outside a transform's domain comes back non-finite, unwarned."""
+    batch = {name: obs[:, :, i] for i, name in enumerate(model.obs_names)}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.concatenate([np.asarray(p.apply(batch), dtype=float) for p in probes], 1)
 
@@ -290,10 +286,9 @@ def probe(model: core.ModelSpec, params=None, probes=(), nsim=1000, seed=0) -> P
     if not probes:
         raise DomainError("probe list is empty")
     nsim = require_integer("nsim", nsim, 2)
-    observed = apply_probes(probes, _probe_batch(model))[0]
-    _, obs_arrays = core.simulate_paths(model, model.default_params(params),
-                                        stream(seed, "probe"), nsim)
-    simulated = apply_probes(probes, _probe_batch(model, obs_arrays))
+    observed = apply_probes(probes, model)[0]
+    _, obs_arrays = core.simulate_paths(model, params, stream(seed, "probe"), nsim)
+    simulated = apply_probes(probes, model, obs_arrays)
     labels = probe_labels(probes)
     with np.errstate(invalid="ignore", divide="ignore"):
         correlations = np.corrcoef(simulated.T).reshape(len(labels), len(labels))

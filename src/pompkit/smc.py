@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import core
-from .exceptions import DomainError, FilteringFailureError, require_integer
+from .exceptions import DomainError, FilteringFailureError, require_batch, require_integer
 from .rng import stream
 
 __all__ = ["FilterResult", "pfilter", "systematic_resample", "ess", "logmeanexp"]
@@ -187,8 +187,10 @@ def _block_params(dicts, J) -> dict:
 
     A parameter with the same value in every block stays a scalar; any other
     becomes a per-particle (K*J,) array holding block k's value in rows
-    k*J..(k+1)*J-1.
+    k*J..(k+1)*J-1.  The kernels build it before anything else of K*J rows,
+    so it refuses a swarm that no array can hold.
     """
+    require_batch(len(dicts) * J, f"{len(dicts)} block(s) of {J} particles")
     if len(dicts) == 1:
         return dicts[0]
     out = {}

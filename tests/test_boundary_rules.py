@@ -1,24 +1,28 @@
-"""Name sets, random-walk scales and scalar settings each meet one boundary rule.
+"""Name sets, random-walk scales, scalar settings and batch sizes each meet one
+boundary rule.
 
 An unknown name raises a DomainError that names the input, the unknown names
-and the known ones; a random-walk scale must be finite and non-negative; and a
-scalar setting compared against a bound refuses NaN.
+and the known ones; a random-walk scale must be finite and non-negative; a
+scalar setting compared against a bound refuses NaN; and a batch formed from
+several counts that no array can hold raises a MemoryError naming the counts.
 """
 
 import dataclasses
+import importlib
 import re
 
 import numpy as np
 import pytest
 
 import pompkit as pk
-from pompkit import core, dataio
-from pompkit.exceptions import DomainError, require_names
+from pompkit import core, dataio, smc
+from pompkit.exceptions import DomainError, require_batch, require_names
 from pompkit.oracle import LinearGaussianSSM, fit_on_estimation_scale, nelder_mead
 
 GOMP = pk.gompertz_model(n_obs=8)
 GOMP = pk.attach_data(GOMP, pk.simulate(GOMP, seed=3)[0])
 RECORD = pk.simulate(GOMP, seed=4)[0]
+mif_mod = importlib.import_module("pompkit.mif")  # pompkit.mif is the function
 _RPRIOR, _DPRIOR = pk.uniform_box_prior({"r": (0.01, 1.0)})
 PRIOR_GOMP = dataclasses.replace(GOMP, rprior=_RPRIOR, dprior=_DPRIOR)
 MEAN = [pk.probe_mean("Y")]
@@ -201,3 +205,34 @@ def test_a_whole_float_maxit_runs_exactly_as_the_integer():
     want = nelder_mead(f, np.array([1.0, 2.0]), maxit=20)
     np.testing.assert_array_equal(got.x, want.x)
     assert (got.fun, got.n_evals, got.status) == (want.fun, want.n_evals, want.status)
+
+
+# ---------------------------------------------------------------------------
+# batch sizes
+
+
+def test_require_batch_admits_the_largest_float64_array_numpy_can_size():
+    largest = (2**63 - 1) // 8
+    require_batch(largest, "largest")
+    with pytest.raises(MemoryError, match=r"^array is too big: one more$"):
+        require_batch(largest + 1, "one more")
+
+
+# (a call given counts that each fit an int64, whose batch no array can hold)
+OVERSIZED_BATCHES = {
+    "pfilter blocks": (lambda: smc._pfilter_blocks(GOMP, [None, None], 2**62),
+                       f"2 block(s) of {2**62} particles"),
+    "mif blocks": (lambda: mif_mod._mif_blocks(GOMP, _mif_settings(num_particles=2**62),
+                                               [GOMP.params] * 2, 1),
+                   f"2 block(s) of {2**62} particles"),
+    "nlf simulation": (lambda: pk.NlfSettings(lags=[1], transient=2**63 - 1,
+                                              sim_length=2**63 - 1),
+                       f"{2**63 - 1} transient + {2**63 - 1} fitted observations"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_BATCHES))
+def test_a_batch_no_array_can_hold_raises_a_memory_error_naming_its_counts(case):
+    call, sizes = OVERSIZED_BATCHES[case]
+    with pytest.raises(MemoryError, match=f"^array is too big: {re.escape(sizes)}$"):
+        call()

@@ -766,3 +766,43 @@ def test_a_settings_flag_overrides_its_config_key(tmp_path, argv, key, value):
     cfg = write_config(tmp_path, "c.json", {"settings": {key: 99}})
     args = cli.build_parser().parse_args([*argv, "--config", cfg])
     assert cli._merge_flags(args)["settings"] == {key: value}
+
+
+_STEPS_1 = {"steps": 1, "proposal_sd": {"r": 0.01}, "prior": _PRIOR_R}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithm,settings", [
+    ("pmcmc", {**_STEPS_1, "np": 10}),
+    ("abc", {**_STEPS_1, "scale_nsim": 10, "probes": [{"type": "mean", "var": "Y"}]}),
+])
+def test_a_one_step_chain_exits_0_with_empty_stderr_and_nan_posterior_sd(tmp_path, capsys,
+                                                                         algorithm, settings):
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, "c.json", {"schema": 1, "algorithm": algorithm,
+                                             "model": "gompertz", "seed": 1, "output": out,
+                                             "settings": settings})
+    assert run_cli([algorithm, "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+    sd = load_result(out)["results"]["posterior_sd"]
+    assert sorted(sd) == ["K", "X.0", "r", "sigma", "tau"]
+    assert all(np.isnan(v) for v in sd.values())
+
+
+def test_an_abc_chain_csv_holds_only_per_step_columns_when_the_probes_match_the_steps(
+        tmp_path):
+    # 3 probe dimensions over 3 steps: the run constants are not columns
+    out = str(tmp_path / "out")
+    log_y = {"var": "Y", "transform": "log"}
+    path = write_config(tmp_path, "c.json", {
+        "schema": 1, "algorithm": "abc", "model": "gompertz", "seed": 1, "output": out,
+        "settings": {"steps": 3, "probes": [{"type": "mean", **log_y},
+                                            {"type": "acf", "lags": [0, 1], **log_y}],
+                     "scale": [0.1, 0.01, 0.01], "proposal_sd": {"r": 0.01},
+                     "prior": _PRIOR_R}})
+    assert run_cli(["abc", "--config", path]) == 0
+    with open(os.path.join(out, "chain.csv"), newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "r", "K", "sigma", "tau", "X.0", "loglik", "logprior",
+                       "accepted", "distance"]
+    assert [len(row) for row in rows[1:]] == [10, 10, 10]

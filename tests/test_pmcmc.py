@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -296,3 +297,14 @@ def test_the_kernel_scores_the_start_and_plain_dicts_and_returns_the_chain():
     assert seen[1][::2] == (1, 0.5 * pk.stream(3, "toy-chain").standard_normal(2)[0])
     assert isinstance(chain, pmcmc_mod.Chain) and chain.param_names == ("theta", "x.0")
     np.testing.assert_array_equal(chain.logliks, -0.5 * (chain.column("theta") - 0.4) ** 2)
+
+
+@pytest.mark.parametrize("n_steps,burn_in", [(1, 0), (3, 2), (3, 3)])
+def test_posterior_sd_of_fewer_than_two_samples_is_nan_unwarned(n_steps, burn_in):
+    chain = pk.Chain(param_names=("a", "b"), samples=np.ones((n_steps, 2)),
+                     logliks=np.zeros(n_steps), log_priors=np.zeros(n_steps),
+                     accepted=np.ones(n_steps, dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sd = chain.posterior_sd(burn_in)
+    assert list(sd) == ["a", "b"] and all(np.isnan(v) for v in sd.values())

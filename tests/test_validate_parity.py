@@ -272,6 +272,36 @@ def test_a_count_no_array_can_hold_exits_3_with_one_line(tmp_path, capsys, algor
     assert _outputs_untouched(tmp_path)
 
 
+# batches formed from several counts, each within int64, that no array can hold:
+# (algorithm, settings, the sizes the one line names)
+OVERSIZED_BATCHES = {
+    "pfilter-replicates": ("pfilter", {"np": 2**62, "replicates": 2},
+                           f"2 block(s) of {2**62} particles"),
+    "mif-starts": ("mif", {**_MIF, "np": 2**62, "eval_np": 1},
+                   f"2 block(s) of {2**62} particles"),
+    "mif-eval_replicates": ("mif", {**_MIF, "starts": 1, "eval_replicates": 2**62},
+                            f"1 start(s) x {2**62} evaluation replicate(s) of 10 particles"),
+    "mif-starts-evaluated": ("mif", {**_MIF, "np": 2**62},
+                             f"2 start(s) x 1 evaluation replicate(s) of {2**62} particles"),
+    "nlf-simulation-length": ("nlf", {**_NLF, "transient": 2**63 - 1, "sim_length": 2**63 - 1},
+                              f"{2**63 - 1} transient + {2**63 - 1} fitted observations"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_BATCHES))
+def test_a_batch_no_array_can_hold_exits_3_naming_its_counts(tmp_path, capsys, monkeypatch,
+                                                             case):
+    algorithm, settings, sizes = OVERSIZED_BATCHES[case]
+    if case == "mif-eval_replicates":  # refused before any filtering, let alone the list
+        monkeypatch.setattr(cli, "_mif_blocks", None)
+    path = _config_path(tmp_path, algorithm, {}, settings)
+    line = f"algorithm failure: array is too big: {sizes}"
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == (3, line)
+    assert _outputs_untouched(tmp_path)
+    if algorithm == "nlf":  # NlfSettings is built by the preparation step
+        assert _status_and_line(capsys, ["validate", "--config", path]) == (3, line)
+
+
 def test_a_run_lets_any_other_value_error_through(tmp_path, monkeypatch):
     def failing_runner(model, config, settings):
         raise ValueError("not a size")
