@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .exceptions import DomainError, require_integer
+from .exceptions import DomainError, require_batch, require_integer
 from .pmcmc import Chain, Proposal, _metropolis
 from .probes import _refuse_probes, apply_probes, probe_labels
 from .rng import stream
@@ -62,6 +62,7 @@ class AbcSettings:
         if not self.epsilon >= 0:
             raise DomainError(f"epsilon must be non-negative, got {self.epsilon!r}")
         object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps, 1))
+        require_batch(self.n_steps * dim, f"{self.n_steps} step(s) of {dim} probe values")
 
 
 def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,

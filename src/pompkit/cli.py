@@ -13,8 +13,11 @@ one particle swarm.
 
 A run and ``validate`` share one preparation step, ``_prepare``, so
 ``validate`` refuses every config that a run refuses before its algorithm
-starts, with the same status and line.  It builds the model and the library's
-settings objects, but runs no algorithm and writes nothing.
+starts, with the same status and line.  It builds the model, the prior and the
+probes, then starts the algorithm's runner: a generator that builds and checks
+its library settings and stops at its first ``yield``.  ``validate`` ends
+there, so it runs no algorithm and writes nothing; a run resumes the runner
+for its results and then writes them.
 
 Exit status: 0 success, 2 validation error (an unusable ``output`` included),
 3 algorithm failure (a setting the library refuses, or a run out of memory,
@@ -59,19 +62,21 @@ def _count(minimum=-2**63):  # numpy's int64 range, which bounds every array siz
     return {"type": "integer", "minimum": minimum, "maximum": 2**63 - 1}
 
 
-_PROBE_SPEC = {
-    "type": "object",
-    "properties": {
-        "type": {"enum": ["mean", "acf", "nlar", "marginal"]},
-        "var": {"type": "string"},
-        "transform": {"enum": ["sqrt", "log", "identity", None]},
-        "lags": {"type": "array", "items": _count()},
-        "powers": {"type": "array", "items": _count()},
-        "npoly": _count(1),
-    },
-    "required": ["type", "var"],
-    "additionalProperties": False,
-}
+def _closed(properties, *required):
+    """An object schema with ``properties``, the ``required`` keys and no other key."""
+    return {"type": "object", "properties": properties,
+            **({"required": list(required)} if required else {}),
+            "additionalProperties": False}
+
+
+_PROBE_SPEC = _closed({
+    "type": {"enum": ["mean", "acf", "nlar", "marginal"]},
+    "var": {"type": "string"},
+    "transform": {"enum": ["sqrt", "log", "identity", None]},
+    "lags": {"type": "array", "items": _count()},
+    "powers": {"type": "array", "items": _count()},
+    "npoly": _count(1),
+}, "type", "var")
 
 _SD_MAP = {"type": "object", "additionalProperties": {"type": "number", "minimum": 0}}
 _PRIOR = {
@@ -82,122 +87,80 @@ _PRIOR = {
 }
 
 SETTINGS_SCHEMAS = {
-    "simulate": {
-        "type": "object",
-        "properties": {
-            "nsim": _count(1),
-            "include_states": {"type": "boolean"},
+    "simulate": _closed({
+        "nsim": _count(1),
+        "include_states": {"type": "boolean"},
+    }),
+    "pfilter": _closed({
+        "np": _count(1),
+        "max_fail": _count(0),
+        "replicates": _count(1),
+    }),
+    "kalman": _closed({"mle": {"type": "boolean"}}),
+    "mif": _closed({
+        "iterations": _count(0),
+        "np": _count(1),
+        "rw_sd": _SD_MAP,
+        "ivp_names": {"type": "array", "items": {"type": "string"}},
+        "var_factor": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": math.inf},
+        "cooling_factor": {"type": "number"},
+        "cooling_fraction": {"type": "number"},
+        "transform": {"type": "boolean"},
+        "max_fail": _count(0),
+        "starts": _count(1),
+        "start_jitter_sdlog": {"type": "number", "minimum": 0, "exclusiveMaximum": math.inf},
+        "eval_replicates": _count(1),
+        "eval_np": _count(1),
+    }, "rw_sd"),
+    "pmcmc": _closed({
+        "steps": _count(1),
+        "np": _count(1),
+        "proposal_sd": _SD_MAP,
+        "prior": _PRIOR,
+        "max_fail": _count(0),
+    }, "proposal_sd", "prior"),
+    "abc": _closed({
+        "steps": _count(1),
+        "probes": {"type": "array", "items": _PROBE_SPEC, "minItems": 1},
+        "epsilon": {"type": "number", "exclusiveMinimum": 0},
+        "scale": {
+            "anyOf": [
+                {"enum": ["auto"]},
+                {"type": "array", "items": {"type": "number"}},
+            ]
         },
-        "additionalProperties": False,
-    },
-    "pfilter": {
-        "type": "object",
-        "properties": {
-            "np": _count(1),
-            "max_fail": _count(0),
-            "replicates": _count(1),
-        },
-        "additionalProperties": False,
-    },
-    "kalman": {
-        "type": "object",
-        "properties": {"mle": {"type": "boolean"}},
-        "additionalProperties": False,
-    },
-    "mif": {
-        "type": "object",
-        "properties": {
-            "iterations": _count(0),
-            "np": _count(1),
-            "rw_sd": _SD_MAP,
-            "ivp_names": {"type": "array", "items": {"type": "string"}},
-            "var_factor": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": math.inf},
-            "cooling_factor": {"type": "number"},
-            "cooling_fraction": {"type": "number"},
-            "transform": {"type": "boolean"},
-            "max_fail": _count(0),
-            "starts": _count(1),
-            "start_jitter_sdlog": {"type": "number", "minimum": 0, "exclusiveMaximum": math.inf},
-            "eval_replicates": _count(1),
-            "eval_np": _count(1),
-        },
-        "required": ["rw_sd"],
-        "additionalProperties": False,
-    },
-    "pmcmc": {
-        "type": "object",
-        "properties": {
-            "steps": _count(1),
-            "np": _count(1),
-            "proposal_sd": _SD_MAP,
-            "prior": _PRIOR,
-            "max_fail": _count(0),
-        },
-        "required": ["proposal_sd", "prior"],
-        "additionalProperties": False,
-    },
-    "abc": {
-        "type": "object",
-        "properties": {
-            "steps": _count(1),
-            "probes": {"type": "array", "items": _PROBE_SPEC, "minItems": 1},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0},
-            "scale": {
-                "anyOf": [
-                    {"enum": ["auto"]},
-                    {"type": "array", "items": {"type": "number"}},
-                ]
-            },
-            "scale_nsim": _count(2),
-            "proposal_sd": _SD_MAP,
-            "prior": _PRIOR,
-        },
-        "required": ["probes", "proposal_sd", "prior"],
-        "additionalProperties": False,
-    },
-    "probe": {
-        "type": "object",
-        "properties": {
-            "probes": {"type": "array", "items": _PROBE_SPEC, "minItems": 1},
-            "nsim": _count(2),
-        },
-        "required": ["probes"],
-        "additionalProperties": False,
-    },
-    "nlf": {
-        "type": "object",
-        "properties": {
-            "lags": {"type": "array", "items": _count(1), "minItems": 1},
-            "nrbf": _count(2),
-            "transient": _count(1),
-            "sim_length": _count(1),
-            "est": {"type": "array", "items": {"type": "string"}},
-            "transform": {"type": "boolean"},
-            "maxit": _count(1),
-        },
-        "required": ["lags"],
-        "additionalProperties": False,
-    },
+        "scale_nsim": _count(2),
+        "proposal_sd": _SD_MAP,
+        "prior": _PRIOR,
+    }, "probes", "proposal_sd", "prior"),
+    "probe": _closed({
+        "probes": {"type": "array", "items": _PROBE_SPEC, "minItems": 1},
+        "nsim": _count(2),
+    }, "probes"),
+    "nlf": _closed({
+        "lags": {"type": "array", "items": _count(1), "minItems": 1},
+        "nrbf": _count(2),
+        "transient": _count(1),
+        "sim_length": _count(1),
+        "est": {"type": "array", "items": {"type": "string"}},
+        "transform": {"type": "boolean"},
+        "maxit": _count(1),
+    }, "lags"),
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema": {"const": 1},
-        "algorithm": {"enum": list(ALGORITHMS)},
-        "model": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
-        "output": {"type": "string", "minLength": 1},
-        "data": {"type": "string"},
-        "t0": {"type": "number"},
-        "covariates": {"type": "string"},
-        "params": {"type": "object", "additionalProperties": {"type": "number"}},
-        "settings": {"type": "object"},
-    },
-    "required": ["schema", "algorithm", "model", "seed"],
-    "additionalProperties": False,
-}
+CONFIG_SCHEMA = _closed({
+    "schema": {"const": 1},
+    "algorithm": {"enum": list(ALGORITHMS)},
+    "model": {"type": "string"},
+    "seed": {"type": "integer", "minimum": 0},
+    "threads": {"type": "integer", "minimum": 1},
+    "output": {"type": "string", "minLength": 1},
+    "data": {"type": "string"},
+    "t0": {"type": "number"},
+    "covariates": {"type": "string"},
+    "params": {"type": "object", "additionalProperties": {"type": "number"}},
+    "settings": {"type": "object"},
+}, "schema", "algorithm", "model", "seed")
 
 
 @functools.cache
@@ -364,10 +327,9 @@ def _given(settings, *names, **renamed):
 
 def _prepare(config: dict):
     """Every refusal before an algorithm starts, in one place: ``validate`` and a run
-    both start here.  The settings it returns hold the library's objects: the built
-    probes, the ``proposal``, and the algorithm's settings object under its name."""
+    both start here.  Returns the algorithm's runner advanced to its first ``yield``,
+    where it has built and checked its library settings; ``validate`` stops there."""
     config = validate_config(config)
-    algorithm = config["algorithm"]
     outdir = config.get("output", ".")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"config.output: {outdir}: not a directory")
@@ -384,30 +346,9 @@ def _prepare(config: dict):
             with _config_field(f"config.settings.probes[{i}]"):
                 built.append(_build_probe(spec, model))
         settings["probes"] = built
-    if algorithm == "kalman" and model.name != "gompertz":
-        raise ConfigError("the kalman subcommand applies to the gompertz model only")
-    if algorithm == "kalman" and np.isnan(model.data.observations).any():
-        raise ConfigError("kalman needs complete data (no missing values)")
-    if "proposal_sd" in settings:  # pmcmc and abc; the names check _metropolis starts with
-        settings["proposal"] = mvn_diag_rw(settings["proposal_sd"])
-        settings["proposal"].scales(model.params.names)
-    if algorithm == "mif":
-        settings["mif"] = MifSettings(
-            start=model.params, n_iterations=settings.get("iterations", 50),
-            num_particles=settings.get("np", 1000), rw_sd=settings["rw_sd"],
-            **_given(settings, "ivp_names", "var_factor", "cooling_factor",
-                     "cooling_fraction", "transform", "max_fail"))
-    elif algorithm == "abc":  # an "auto" scale exists only once the run has simulated it
-        aset = functools.partial(AbcSettings, settings["probes"], proposal=settings["proposal"],
-                                 n_steps=settings.get("steps", 5000),
-                                 **_given(settings, "epsilon"))
-        scale = settings.get("scale", "auto")
-        settings["abc"] = aset if scale == "auto" else aset(scale)
-    elif algorithm == "nlf":
-        settings["nlf"] = nlf.NlfSettings(lags=settings["lags"], **_given(
-            settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
-        require_names("est names", settings["nlf"].est, model.params.names)
-    return config, model, settings
+    runner = _RUNNERS[config["algorithm"]](model, config, settings)
+    next(runner)
+    return runner
 
 
 def _chain_summary(chain):
@@ -423,13 +364,15 @@ def _chain_summary(chain):
 
 
 def _run_simulate(model, config, settings):
+    yield
     records = core.simulate(model, seed=config["seed"], **_given(settings, "nsim"))
     out = {"n_sim": len(records), "n_obs": model.data.n_obs}
-    return out, {"simulations": lambda path: dataio.write_simulations_csv(
+    yield out, {"simulations": lambda path: dataio.write_simulations_csv(
         path, records, **_given(settings, "include_states"))}
 
 
 def _run_pfilter(model, config, settings):
+    yield
     reps = settings.get("replicates", 1)
     # all replicates run as the blocks of one pass, on the seed of replicate 0
     seed = child_seeds(config["seed"], "pfilter-reps", 1)[0]
@@ -446,10 +389,15 @@ def _run_pfilter(model, config, settings):
         lme, se = smc.logmeanexp(np.array([r.loglik for r in results]), with_se=True)
         out["replicates"] = {"logliks": [r.loglik for r in results],
                              "logmeanexp": lme, "se": se}
-    return out, {}
+    yield out, {}
 
 
 def _run_kalman(model, config, settings):
+    if model.name != "gompertz":
+        raise ConfigError("the kalman subcommand applies to the gompertz model only")
+    if np.isnan(model.data.observations).any():
+        raise ConfigError("kalman needs complete data (no missing values)")
+    yield
     y_log, delta_t = oracle._gompertz_log_data(model.data)
     params = model.params.as_dict()
     out = {"loglik": oracle.kalman_loglik(oracle.gompertz_ssm(params, delta_t), y_log),
@@ -457,16 +405,21 @@ def _run_kalman(model, config, settings):
     if settings.get("mle"):
         theta, loglik, res = oracle.kalman_exact_mle(model.data, model.params)
         out["mle"] = {"params": theta.as_dict(), "loglik": loglik, "status": res.status}
-    return out, {}
+    yield out, {}
 
 
 def _run_mif(model, config, settings):
-    mset = settings["mif"]
+    mset = MifSettings(
+        start=model.params, n_iterations=settings.get("iterations", 50),
+        num_particles=settings.get("np", 1000), rw_sd=settings["rw_sd"],
+        **_given(settings, "ivp_names", "var_factor", "cooling_factor",
+                 "cooling_fraction", "transform", "max_fail"))
     starts = settings.get("starts", 1)
     n_evals = settings.get("eval_replicates", 10)
     eval_np = settings.get("eval_np", mset.num_particles)
     require_batch(starts * n_evals * eval_np, f"{starts} start(s) x {n_evals} evaluation "
                   f"replicate(s) of {eval_np} particles")
+    yield
     jitter = settings.get("start_jitter_sdlog", 1.0)
     theta0s = [model.params] * starts
     if starts > 1 and jitter > 0:
@@ -500,20 +453,29 @@ def _run_mif(model, config, settings):
             for r, lme, se in runs
         ],
     }
-    return out, {"trace": lambda path: dataio.write_trace_csv(path, best)}
+    yield out, {"trace": lambda path: dataio.write_trace_csv(path, best)}
 
 
 def _run_pmcmc(model, config, settings):
+    proposal = mvn_diag_rw(settings["proposal_sd"])
+    proposal.scales(model.params.names)  # the names check _metropolis starts with
+    yield
     chain = run_pmcmc(model, model.params, n_steps=settings.get("steps", 2000),
-                      num_particles=settings.get("np", 100), proposal=settings["proposal"],
+                      num_particles=settings.get("np", 100), proposal=proposal,
                       seed=config["seed"], **_given(settings, "max_fail"))
-    return _chain_summary(chain), {"chain": lambda path: dataio.write_chain_csv(path, chain)}
+    yield _chain_summary(chain), {"chain": lambda path: dataio.write_chain_csv(path, chain)}
 
 
 def _run_abc(model, config, settings):
-    aset = settings["abc"]
-    if not isinstance(aset, AbcSettings):  # waiting for its "auto" scale
-        aset = aset(compute_probe_scales(
+    proposal = mvn_diag_rw(settings["proposal_sd"])
+    proposal.scales(model.params.names)
+    make = functools.partial(AbcSettings, settings["probes"], proposal=proposal,
+                             n_steps=settings.get("steps", 5000), **_given(settings, "epsilon"))
+    scale = settings.get("scale", "auto")
+    aset = None if scale == "auto" else make(scale)  # an "auto" scale is simulated by the run
+    yield
+    if aset is None:
+        aset = make(compute_probe_scales(
             model, model.params, settings["probes"],
             seed=child_seeds(config["seed"], "abc-scale", 1)[0],
             **_given(settings, nsim="scale_nsim")))
@@ -521,10 +483,11 @@ def _run_abc(model, config, settings):
     out = _chain_summary(chain)
     out["scale"] = aset.scale.tolist()
     out["epsilon"] = aset.epsilon
-    return out, {"chain": lambda path: dataio.write_chain_csv(path, chain)}
+    yield out, {"chain": lambda path: dataio.write_chain_csv(path, chain)}
 
 
 def _run_probe(model, config, settings):
+    yield
     result = probes.probe(model, model.params, settings["probes"], seed=config["seed"],
                           **_given(settings, "nsim"))
     # the datasets the probe values derive from, for plotting or re-ingesting
@@ -537,24 +500,30 @@ def _run_probe(model, config, settings):
         "observed": result.observed.tolist(),
         "p_values": result.p_values.tolist(),
     }
-    return out, {"probes": lambda path: dataio.write_probes_csv(path, result),
-                 "simulations": lambda path: dataio.write_simulations_csv(
-                     path, records, include_states=False)}
+    yield out, {"probes": lambda path: dataio.write_probes_csv(path, result),
+                "simulations": lambda path: dataio.write_simulations_csv(
+                    path, records, include_states=False)}
 
 
 def _run_nlf(model, config, settings):
-    result = nlf.nlf_fit(model, model.params, settings["nlf"], seed=config["seed"],
+    nset = nlf.NlfSettings(lags=settings["lags"], **_given(
+        settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
+    require_names("est names", nset.est, model.params.names)
+    yield
+    result = nlf.nlf_fit(model, model.params, nset, seed=config["seed"],
                          **_given(settings, "maxit"))
-    return {
+    yield {
         "theta": result.theta.as_dict(),
         "quasi_loglik": result.value,
         "status": result.status,
     }, {}
 
 
-# a runner only computes: it returns (results, files), ``files`` mapping a stem to a
-# writer of ``<stem>.csv`` that looks ``dataio.write_*`` up when called (perfbench
-# traces those attributes)
+# a runner is a generator over (model, config, settings): it builds its library
+# settings and makes their refusals, yields once (where ``validate`` stops), then
+# computes and yields (results, files), ``files`` mapping a stem to a writer of
+# ``<stem>.csv`` that looks ``dataio.write_*`` up when called (perfbench traces
+# those attributes)
 _RUNNERS = {
     "simulate": _run_simulate,
     "pfilter": _run_pfilter,
@@ -576,19 +545,10 @@ def _refused(err: Exception) -> int:
     return 3
 
 
-@core.one_run
-def run(config: dict) -> int:
-    """Validate and execute one run; returns the process exit status.  The output
-    directory and its files are made only once the runner has succeeded."""
-    try:
-        config, model, settings = _prepare(config)
-        results, files = _RUNNERS[config["algorithm"]](model, config, settings)
-    except (PompKitError, MemoryError) as err:  # a count can outgrow the memory
-        return _refused(err)
-    except ValueError as err:  # numpy's MemoryError for a size past the address space
-        if not str(err).startswith("array is too big"):
-            raise
-        return _refused(err)
+def write_outputs(config: dict, results: dict, files: dict) -> str:
+    """Make the config's output directory and write each of ``files`` and then
+    ``result.json`` into it; returns the path of ``result.json``.  An
+    :class:`OSError` becomes a :class:`ConfigError` naming the path."""
     payload = {
         "schema": 1,
         "algorithm": config["algorithm"],
@@ -609,10 +569,8 @@ def run(config: dict) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as err:
-        print(f"error: {err.filename or outdir}: {err.strerror or err}", file=sys.stderr)
-        return 2
-    print(result_path)
-    return 0
+        raise ConfigError(f"{err.filename or outdir}: {err.strerror or err}") from None
+    return result_path
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +636,10 @@ def _merge_flags(args) -> dict:
     return config
 
 
+@core.one_run
 def main(argv=None) -> int:
+    """Run ``pomp-kit`` on ``argv``; returns the process exit status.  The output
+    directory and its files are made only once the runner has succeeded."""
     logging.basicConfig(level=os.environ.get("PK_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
@@ -686,12 +647,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             _prepare(load_config(args.config))
-            print("valid")
-            return 0
-        config = _merge_flags(args)
-    except (PompKitError, MemoryError) as err:  # MemoryError: a batch no array can hold
+            line = "valid"
+        else:
+            config = _merge_flags(args)
+            line = write_outputs(config, *next(_prepare(config)))
+    except (PompKitError, MemoryError) as err:  # a count can outgrow the memory
         return _refused(err)
-    return run(config)
+    except ValueError as err:  # numpy's MemoryError for a size past the address space
+        if not str(err).startswith("array is too big"):
+            raise
+        return _refused(err)
+    print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from . import core, smc
-from .exceptions import DomainError, FilteringFailureError, require_integer, require_names
+from .exceptions import (DomainError, FilteringFailureError, require_batch, require_integer,
+                         require_names)
 from .rng import stream
 
 __all__ = ["MifSettings", "MifResult", "mif", "perturbation_sd"]
@@ -167,6 +168,7 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
     J = settings.num_particles
     M = settings.n_iterations
     C = settings.var_factor
+    require_batch(K * M * p, f"{K} start(s) x {M} iteration(s) of {p} parameters")
 
     sigma = settings._sigma
     is_ivp = np.array([n in settings.ivp_names for n in names])

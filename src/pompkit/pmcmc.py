@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, smc
-from .exceptions import DomainError, FilteringFailureError, require_integer, require_names
+from .exceptions import (DomainError, FilteringFailureError, require_batch, require_integer,
+                         require_names)
 from .rng import stream
 from .smc import pfilter  # noqa: F401  (perfbench's tracer patches pmcmc.pfilter)
 
@@ -118,14 +119,19 @@ class Chain:
         return self.samples[:, self.param_names.index(name)].copy()
 
     def posterior_mean(self, burn_in=0) -> dict:
-        return {n: float(v) for n, v in
-                zip(self.param_names, self.samples[burn_in:].mean(axis=0))}
+        """Sample means; NaN when no sample is left after ``burn_in``."""
+        return self._summary(burn_in, 1, lambda kept: kept.mean(axis=0))
 
     def posterior_sd(self, burn_in=0) -> dict:
         """Sample standard deviations (divisor n-1); NaN with fewer than two samples."""
-        kept = self.samples[burn_in:]
-        sd = kept.std(axis=0, ddof=1) if len(kept) > 1 else np.full(kept.shape[1], np.nan)
-        return {n: float(v) for n, v in zip(self.param_names, sd)}
+        return self._summary(burn_in, 2, lambda kept: kept.std(axis=0, ddof=1))
+
+    def _summary(self, burn_in, fewest, stat) -> dict:
+        """``stat`` of the samples after the first ``burn_in`` steps, per parameter;
+        NaN with fewer than ``fewest`` of them left."""
+        kept = self.samples[require_integer("burn_in", burn_in, 0):]
+        values = stat(kept) if len(kept) >= fewest else np.full(kept.shape[1], np.nan)
+        return {n: float(v) for n, v in zip(self.param_names, values)}
 
 
 def effective_sample_size(samples, with_flag=False):
@@ -181,6 +187,7 @@ def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Propos
     rng = stream(seed, f"{operation}-chain")
     model.require(operation, "dprior")
     names = start.names
+    require_batch(M * len(names), f"{M} step(s) of {len(names)} parameters")
     theta = start.values
     logprior = float(model.dprior(dict(zip(names, theta)), True))
     if not np.isfinite(logprior):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -308,3 +309,25 @@ def test_posterior_sd_of_fewer_than_two_samples_is_nan_unwarned(n_steps, burn_in
         warnings.simplefilter("error")
         sd = chain.posterior_sd(burn_in)
     assert list(sd) == ["a", "b"] and all(np.isnan(v) for v in sd.values())
+
+
+@pytest.mark.parametrize("n_steps,burn_in", [(1, 1), (3, 3), (3, 2**70)])
+def test_posterior_mean_with_no_sample_left_is_nan_unwarned(n_steps, burn_in):
+    chain = pk.Chain(param_names=("a", "b"), samples=np.ones((n_steps, 2)),
+                     logliks=np.zeros(n_steps), log_priors=np.zeros(n_steps),
+                     accepted=np.ones(n_steps, dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = chain.posterior_mean(burn_in)
+    assert list(mean) == ["a", "b"] and all(np.isnan(v) for v in mean.values())
+    assert chain.posterior_mean(n_steps - 1) == {"a": 1.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("burn_in", [-1, -2, 2.5, True, "1"])
+def test_a_burn_in_that_is_not_a_whole_number_of_at_least_0_is_refused(burn_in):
+    chain = pk.Chain(param_names=("a",), samples=np.arange(4.0)[:, None], logliks=np.zeros(4),
+                     log_priors=np.zeros(4), accepted=np.ones(4, dtype=bool))
+    for summary in (chain.posterior_mean, chain.posterior_sd):
+        with pytest.raises(DomainError, match=f"^burn_in must be a whole number of at least 0, "
+                                              f"got {re.escape(repr(burn_in))}$"):
+            summary(burn_in)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pompkit import cli
+from pompkit import cli, core, nlf, oracle, probes, smc
 
 _PMCMC = {"steps": 2, "np": 10, "proposal_sd": {"r": 0.01}, "prior": {"r": [0.01, 1.0]}}
 _ABC = {"steps": 2, "scale_nsim": 10, "proposal_sd": {"r": 0.01},
@@ -43,10 +43,16 @@ REFUSED = {
     "covariates-absent": ("pfilter", {"covariates": "absent.csv"}, {"np": 10}),
     "mif-infinite-var_factor": ("mif", {}, {**_MIF, "var_factor": np.inf}),
     "mif-infinite-start_jitter_sdlog": ("mif", {}, {**_MIF, "start_jitter_sdlog": np.inf}),
+    "probe-acf-without-lags": ("probe", {}, {**_PROBE, "probes": [{"type": "acf", "var": "Y"}]}),
+    "probe-nlar-without-powers": (
+        "probe", {}, {**_PROBE, "probes": [{"type": "nlar", "var": "Y", "lags": [1]}]}),
+    "probe-marginal-missing-data": ("probe", {"data": "missing.csv"},
+                                    {**_PROBE, "probes": [{"type": "marginal", "var": "Y"}]}),
 }
 
 FILES = {
     "missing.csv": "time,Y\n1,1.1\n2,NA\n3,1.0\n",
+    "complete.csv": "time,Y\n1,1.1\n2,0.9\n3,1.0\n",
     "malformed.csv": "time,Y\n1.0,1.1\n2.0,abc\n",
     "taken": "keep me\n",
 }
@@ -285,7 +291,15 @@ OVERSIZED_BATCHES = {
                              f"2 start(s) x 1 evaluation replicate(s) of {2**62} particles"),
     "nlf-simulation-length": ("nlf", {**_NLF, "transient": 2**63 - 1, "sim_length": 2**63 - 1},
                               f"{2**63 - 1} transient + {2**63 - 1} fitted observations"),
+    "mif-iterations": ("mif", {**_MIF, "iterations": 2**62},
+                       f"2 start(s) x {2**62} iteration(s) of 5 parameters"),
+    "pmcmc-steps": ("pmcmc", {**_PMCMC, "steps": 2**62}, f"{2**62} step(s) of 5 parameters"),
+    "abc-steps": ("abc", {**_ABC, "steps": 2**62, "scale": [1.0]},
+                  f"{2**62} step(s) of 1 probe values"),
 }
+# the batches a runner checks before its first yield, which validate refuses too
+REFUSED_BY_VALIDATE = {"nlf-simulation-length", "mif-eval_replicates", "mif-starts-evaluated",
+                       "abc-steps"}
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED_BATCHES))
@@ -298,8 +312,25 @@ def test_a_batch_no_array_can_hold_exits_3_naming_its_counts(tmp_path, capsys, m
     line = f"algorithm failure: array is too big: {sizes}"
     assert _status_and_line(capsys, [algorithm, "--config", path]) == (3, line)
     assert _outputs_untouched(tmp_path)
-    if algorithm == "nlf":  # NlfSettings is built by the preparation step
+    if case in REFUSED_BY_VALIDATE:
         assert _status_and_line(capsys, ["validate", "--config", path]) == (3, line)
+
+
+@pytest.mark.parametrize("algorithm,settings", [
+    ("simulate", {}), ("pfilter", {"np": 10}), ("kalman", {}), ("mif", _MIF),
+    ("pmcmc", _PMCMC), ("abc", _ABC), ("probe", _PROBE), ("nlf", _NLF)])
+def test_validate_runs_no_algorithm(tmp_path, capsys, monkeypatch, algorithm, settings):
+    def ran(*args, **kwargs):
+        pytest.fail("validate ran an algorithm")
+
+    for owner, name in [(core, "simulate"), (smc, "_pfilter_blocks"), (cli, "_mif_blocks"),
+                        (cli, "run_pmcmc"), (cli, "run_abc"), (cli, "compute_probe_scales"),
+                        (probes, "probe"), (nlf, "nlf_fit"), (oracle, "kalman_loglik")]:
+        monkeypatch.setattr(owner, name, ran)
+    path = _config_path(tmp_path, algorithm, {"data": "complete.csv"}, settings)
+    assert cli.main(["validate", "--config", path]) == 0
+    assert capsys.readouterr() == ("valid\n", "")
+    assert _outputs_untouched(tmp_path)
 
 
 def test_a_run_lets_any_other_value_error_through(tmp_path, monkeypatch):
