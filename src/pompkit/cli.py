@@ -372,12 +372,14 @@ def _run_simulate(model, config, settings):
 
 
 def _run_pfilter(model, config, settings):
+    reps, J = settings.get("replicates", 1), settings.get("np", 1000)
+    require_batch(reps * J, f"{reps} block(s) of {J} particles")
     yield
-    reps = settings.get("replicates", 1)
-    # all replicates run as the blocks of one pass, on the seed of replicate 0
+    # all replicates run as the blocks of one pass, on the seed of replicate 0;
+    # only replicate 0's diagnostics are written
     seed = child_seeds(config["seed"], "pfilter-reps", 1)[0]
-    results = smc._pfilter_blocks(model, [None] * reps, seed=seed,
-                                  **_given(settings, "max_fail", num_particles="np"))
+    results = smc._pfilter_blocks(model, [None] * reps, J, seed,
+                                  **_given(settings, "max_fail"), diagnostics=1)
     primary = results[0]
     out = {
         "loglik": primary.loglik,

@@ -17,20 +17,25 @@ raises :class:`~pompkit.exceptions.DomainError` without a separate scan.
 The kernel also runs K independent filters as the K blocks of one swarm of
 K*J particles, whose parameters may differ per block (per-particle arrays,
 the form mif uses).  The simulator and the measurement density run once per
-step on the whole swarm; each block is then weighted and resampled on its
-own, by the same operations as a one-block pass, and counts its own
-filtering failures.  The private ``_pfilter_blocks`` runs replicate filters
-this way, for the CLI's ``replicates`` and mif evaluations; :func:`pfilter`
-is its one-block case.  A batched replicate draws from the shared stream, so
-it is not the standalone :func:`pfilter` run on any seed.
+step on the whole swarm.  The blocks are then weighted together, each numpy
+operation taken along the rows of the (K, J) array of log weights, and
+resampled from one uniform per block; each block counts its own filtering
+failures.  A row operation gives what it gives on that row alone, so every
+block's numbers are those of a one-block pass that drew the same uniforms.
+The private ``_pfilter_blocks`` runs replicate filters this way, for the
+CLI's ``replicates`` and mif evaluations; :func:`pfilter` is its one-block
+case.  A batched replicate draws from the shared stream, so it is not the
+standalone :func:`pfilter` run on any seed.
 
 Each step's effective sample size and weighted state mean are diagnostics
-that only :func:`pfilter` and the CLI's ``pfilter`` runner report.  The
+that only :func:`pfilter` and the CLI's ``pfilter`` runner report, and the
+runner writes only replicate 0's ESS, so only that block computes them.  The
 passes whose callers read the likelihood alone (each PMMH proposal, every
 mif iteration and the CLI's mif evaluations) run with ``diagnostics=False``:
 they skip both, and their results carry ``ess`` and ``filter_means`` as
-``None``.  No random draw depends on either, so the likelihood, the failure
-counts and the final swarm are the same with and without them.
+``None``, as the runner's other blocks do.  No random draw depends on
+either, so the likelihood, the failure counts and the final swarm are the
+same with and without them.
 
 The estimator is unbiased for the likelihood (not the log likelihood), which
 is why replicate estimates are combined with :func:`logmeanexp`.
@@ -61,9 +66,9 @@ class FilterResult:
     ``loglik`` always equals ``cond_logliks.sum()``; ``ess`` holds the
     effective sample size of the weights at each observation and
     ``filter_means`` the weighted state means before resampling.  Those two
-    are filled for :func:`pfilter` and the CLI's ``pfilter`` runner; the
-    internal passes of pmcmc, mif and the CLI's mif evaluations skip them and
-    carry ``None``.
+    are filled for :func:`pfilter` and replicate 0 of the CLI's ``pfilter``
+    runner; its other replicates and the internal passes of pmcmc, mif and
+    the CLI's mif evaluations skip them and carry ``None``.
     """
 
     loglik: float
@@ -168,8 +173,9 @@ def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles=1000,
     Block k has ``num_particles`` particles at ``params_per_block[k]`` (``None``
     for the model's defaults).  Every block counts its own failures against
     ``max_fail``.  Returns one :class:`FilterResult` per block, with its final
-    particles; K = 1 is :func:`pfilter`.  ``diagnostics=False`` skips the ESS
-    and filter means (see :func:`_filter_pass`).
+    particles; K = 1 is :func:`pfilter`.  ``diagnostics`` (every block, none,
+    or a number of leading blocks) picks the blocks that compute the ESS and
+    filter means (see :func:`_filter_pass`).
     """
     model.require("particle filtering", "rprocess", "dmeasure")
     num_particles = require_integer("num_particles", num_particles, 1)
@@ -215,28 +221,51 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
 
     ``blocks`` = K splits the swarm into K independent filters of J
     particles, rows k*J..(k+1)*J-1 for block k.  Advance and measurement
-    density run once per step on the whole swarm; each block is then
-    weighted and resampled on its own, by the same operations as a one-block
-    pass, and counts its own failures against ``max_fail``.  A failed block
-    stays unresampled and draws no uniform.  Returns one
-    :class:`FilterResult` per block; ``final_particles`` holds the block's
-    swarm after the last step.  With ``diagnostics=False`` the pass computes
-    no ESS or filter means, and its results carry ``None`` for both; nothing
-    else changes.
+    density run once per step on the whole swarm.  The K blocks are then
+    weighted on the (K, J) array of log weights, one numpy call per
+    operation along its rows, and resampled from one uniform per block,
+    drawn in block order.  Each block counts its own failures against
+    ``max_fail``; a failed block stays unresampled and draws no uniform.
+    Every row operation gives what the same operation gives on that row
+    alone, so each block's numbers are those of a one-block pass that drew
+    the same uniforms; K = 1 runs those one-block operations on the 1-D
+    swarm.  Returns one :class:`FilterResult` per block; ``final_particles``
+    holds the block's swarm after the last step.
+
+    ``diagnostics`` says which blocks compute the ESS and filter means: every
+    block (True), none (False) or the first ``diagnostics`` blocks.  The
+    others carry ``None`` for both; nothing else depends on them.
     """
     data = model.data
     K = blocks
     J = x.shape[0] // K
     N = data.n_obs
+    D = K if diagnostics is True else int(diagnostics)  # blocks with diagnostics
     cond_logliks = np.empty((K, N))
-    ess_vec = np.empty((K, N)) if diagnostics else [None] * K
-    filter_means = np.empty((K, N, model.n_states)) if diagnostics else [None] * K
+    ess_vec = np.empty((D, N))
+    filter_means = np.empty((D, N, model.n_states))
     n_failures = [0] * K
     records, all_missing = data._records, data._all_missing
     grid = np.arange(J)
-    # per block: its rows of the swarm and its rows of the outputs
-    spans = [(k, k * J, (k + 1) * J, cond_logliks[k], ess_vec[k], filter_means[k])
-             for k in range(K)]
+    float_grid = grid.astype(float)
+    offsets = np.repeat(np.arange(K) * J, J)  # each row's block's first row
+
+    def count_failures(n, t, max_logw):
+        """The blocks whose maximum log weight at step n is not finite, in block
+        order.  Each counts a failure against ``max_fail``, raising
+        :class:`FilteringFailureError` past it; NaN raises :class:`DomainError`."""
+        failed = np.flatnonzero(~np.isfinite(max_logw)).tolist()
+        for k in failed:
+            if max_logw[k] != max_logw[k]:  # the maximum propagates NaN from any particle
+                raise DomainError(f"dmeasure returned NaN at t={t}; "
+                                  "it must return finite values or -inf")
+            n_failures[k] += 1
+            if n_failures[k] > max_fail:
+                raise FilteringFailureError(n + 1, t)
+            logger.warning("filtering failure%s at step %d (t=%g): zero weights "
+                           "tolerated (%d of %s)", f" in block {k}" if K > 1 else "",
+                           n + 1, t, n_failures[k], max_fail)
+        return failed
 
     t_prev = data.t0
     for n, t in enumerate(data.times.tolist()):
@@ -247,40 +276,56 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
             logw = np.zeros(K * J)
         else:
             logw = core.measurement_logdensity(model, records[n], x, params, t)
-        parts = []  # each block's resampling indices into the whole swarm
-        resampled = False
-        for k, lo, hi, block_ll, block_ess, block_means in spans:
-            logw_k, x_k = (logw, x) if K == 1 else (logw[lo:hi], x[lo:hi])
-            max_logw = logw_k.max()
-            if max_logw != max_logw:  # the maximum propagates NaN from any particle
-                raise DomainError(f"dmeasure returned NaN at t={t}; "
-                                  "it must return finite values or -inf")
-            if not math.isfinite(max_logw):
-                n_failures[k] += 1
-                if n_failures[k] > max_fail:
-                    raise FilteringFailureError(n + 1, t)
-                logger.warning("filtering failure%s at step %d (t=%g): zero weights "
-                               "tolerated (%d of %s)", f" in block {k}" if K > 1 else "",
-                               n + 1, t, n_failures[k], max_fail)
-                block_ll[n] = -np.inf
-                if diagnostics:
-                    block_ess[n] = J
-                    block_means[n] = x_k.mean(axis=0)
-                parts.append(grid + lo)
-            else:
-                w = np.exp(logw_k - max_logw)
+        idx = None  # stays None after a step where every block failed
+        if K == 1:
+            max_logw = logw.max()
+            failed = [] if math.isfinite(max_logw) else count_failures(n, t, [max_logw])
+            if not failed:
+                w = np.exp(logw - max_logw)
                 sum_w = w.sum()
-                block_ll[n] = max_logw + np.log(sum_w / J)
+                cond_logliks[0, n] = max_logw + np.log(sum_w / J)
                 w_norm = w / sum_w
-                if diagnostics:
-                    block_ess[n] = 1.0 / (w_norm * w_norm).sum()
-                    block_means[n] = w_norm @ x_k
+                if D:
+                    ess_vec[0, n] = 1.0 / (w_norm * w_norm).sum()
+                    filter_means[0, n] = w_norm @ x
                 # exp() of finite-max log weights: finite, non-negative, max term 1
                 idx = _systematic_resample(w_norm, rng, grid)
-                parts.append(idx + lo if lo else idx)
-                resampled = True
-        if resampled:
-            idx = parts[0] if K == 1 else np.concatenate(parts)
+        else:
+            logw = logw.reshape(K, J)
+            max_logw = logw.max(axis=1)
+            # a sum of finite maxima is finite, but for overflow, which the count skips
+            failed = [] if math.isfinite(max_logw.sum()) else count_failures(n, t, max_logw)
+            if failed:  # weigh the failed rows as if uniform, then overwrite them
+                logw = logw.copy()
+                logw[failed] = max_logw[failed] = 0.0
+            w = logw - max_logw[:, None]
+            np.exp(w, out=w)
+            sum_w = w.sum(axis=1)
+            cond_logliks[:, n] = max_logw + np.log(sum_w / J)
+            w /= sum_w[:, None]
+            if D:
+                ess_vec[:, n] = 1.0 / (w[:D] * w[:D]).sum(axis=1)
+                for k in range(D):
+                    filter_means[k, n] = w[k] @ x[k * J:(k + 1) * J]
+            if len(failed) < K:
+                cumulative = np.add.accumulate(w, axis=1)  # each row's cumsum()
+                cumulative[:, -1] = 1.0
+                u = rng.random(K - len(failed))  # one per unfailed block, in block order
+                if failed:  # a 0 holds each failed block's place; its indices are replaced
+                    u = np.insert(u, np.subtract(failed, range(len(failed))), 0.0)
+                queries = u[:, None] + float_grid
+                queries /= J
+                parts = list(map(np.ndarray.searchsorted, cumulative, queries))
+                for k in failed:
+                    parts[k] = grid
+                idx = np.concatenate(parts)
+                idx += offsets
+        for k in failed:
+            cond_logliks[k, n] = -np.inf
+            if k < D:
+                ess_vec[k, n] = J
+                filter_means[k, n] = x[k * J:(k + 1) * J].mean(axis=0)
+        if idx is not None:
             x = x[idx]
             if on_resample is not None:
                 on_resample(idx)
@@ -290,13 +335,13 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
 
     return [
         FilterResult(
-            loglik=float(block_ll.sum()),
-            cond_logliks=block_ll,
-            ess=block_ess,
-            filter_means=block_means,
+            loglik=float(cond_logliks[k].sum()),
+            cond_logliks=cond_logliks[k],
+            ess=ess_vec[k] if k < D else None,
+            filter_means=filter_means[k] if k < D else None,
             num_particles=J,
             n_failures=n_failures[k],
-            final_particles=x[lo:hi],
+            final_particles=x[k * J:(k + 1) * J],
         )
-        for k, lo, hi, block_ll, block_ess, block_means in spans
+        for k in range(K)
     ]

@@ -271,14 +271,19 @@ def test_filter_without_diagnostics_matches_the_default(gompertz_fitted, K):
         model = fails_for_large_tau(gompertz_fitted, float(gompertz_fitted.data.times[3]))
         blocks, max_fail = [params, params.replace(tau=0.15), params.replace(r=0.2)], 1
     full = smc._pfilter_blocks(model, blocks, 30, 4, max_fail)
-    lean = smc._pfilter_blocks(model, blocks, 30, 4, max_fail, diagnostics=False)
-    for f, r in zip(full, lean):
-        assert (r.loglik, r.n_failures) == (f.loglik, f.n_failures)
-        assert np.array_equal(r.cond_logliks, f.cond_logliks)
-        assert np.array_equal(r.final_particles, f.final_particles)
-        assert r.ess is None and r.filter_means is None
-        assert f.ess.shape == (model.data.n_obs,)
-    assert [r.n_failures for r in lean] == ([0] if K == 1 else [0, 1, 0])
+    for diagnostics in (False, 1):  # none, or block 0's alone
+        lean = smc._pfilter_blocks(model, blocks, 30, 4, max_fail, diagnostics=diagnostics)
+        for k, (f, r) in enumerate(zip(full, lean)):
+            assert (r.loglik, r.n_failures) == (f.loglik, f.n_failures)
+            assert np.array_equal(r.cond_logliks, f.cond_logliks)
+            assert np.array_equal(r.final_particles, f.final_particles)
+            if k < diagnostics:
+                assert np.array_equal(r.ess, f.ess)
+                assert np.array_equal(r.filter_means, f.filter_means)
+            else:
+                assert r.ess is None and r.filter_means is None
+            assert f.ess.shape == (model.data.n_obs,)
+        assert [r.n_failures for r in lean] == ([0] if K == 1 else [0, 1, 0])
 
 
 def test_only_pfilter_passes_carry_diagnostics(gompertz_fitted, monkeypatch):

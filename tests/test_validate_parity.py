@@ -283,6 +283,10 @@ def test_a_count_no_array_can_hold_exits_3_with_one_line(tmp_path, capsys, algor
 OVERSIZED_BATCHES = {
     "pfilter-replicates": ("pfilter", {"np": 2**62, "replicates": 2},
                            f"2 block(s) of {2**62} particles"),
+    "pfilter-replicates-huge": ("pfilter", {"np": 2, "replicates": 2**62},
+                                 f"{2**62} block(s) of 2 particles"),
+    "pfilter-replicates-int64-max": ("pfilter", {"np": 2, "replicates": 2**63 - 1},
+                                   f"{2**63 - 1} block(s) of 2 particles"),
     "mif-starts": ("mif", {**_MIF, "np": 2**62, "eval_np": 1},
                    f"2 block(s) of {2**62} particles"),
     "mif-eval_replicates": ("mif", {**_MIF, "starts": 1, "eval_replicates": 2**62},
@@ -299,7 +303,8 @@ OVERSIZED_BATCHES = {
 }
 # the batches a runner checks before its first yield, which validate refuses too
 REFUSED_BY_VALIDATE = {"nlf-simulation-length", "mif-eval_replicates", "mif-starts-evaluated",
-                       "abc-steps"}
+                       "abc-steps", "pfilter-replicates", "pfilter-replicates-huge",
+                       "pfilter-replicates-int64-max"}
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED_BATCHES))

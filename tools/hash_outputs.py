@@ -8,7 +8,8 @@ bit-identical:
 
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
 tolerated filtering failure) and on Ricker; three Gompertz filters run as the
-blocks of one swarm (one block with a tolerated failure), and three SIR
+blocks of one swarm (one block with a tolerated failure), five more (two
+failing at one step and a third later), and three SIR
 filters likewise, whose differing ``gamma`` and ``mu`` become per-particle
 arrays; ``simulate_paths`` on SIR, seasonal SIR (also one 2-year
 realization), Ricker, Gompertz (also without measurements, and one
@@ -136,6 +137,14 @@ def library_hashes():
     broken = fails_at(gomp, float(gomp.data.times[3]), lambda params: params["tau"] > 0.11)
     results = smc._pfilter_blocks(broken, blocks, 100, 11, 1)
     out["pfilter-blocks/gompertz/max_fail"] = digest(*(part for res in results
+                                                       for part in filter_parts(res)))
+    # five blocks with differing r: blocks 1 and 3 fail at step 4, block 4 at step 7
+    blocks = [gomp.params.replace(r=r) for r in (0.1, 0.15, 0.2, 0.25, 0.3)]
+    broken = fails_at(fails_at(gomp, float(gomp.data.times[3]),
+                               lambda params: np.isin(params["r"], (0.15, 0.25))),
+                      float(gomp.data.times[6]), lambda params: params["r"] == 0.3)
+    results = smc._pfilter_blocks(broken, blocks, 50, 11, 1)
+    out["pfilter-blocks/gompertz/failures"] = digest(*(part for res in results
                                                        for part in filter_parts(res)))
     # SIR blocks with different gamma (and mu): per-particle rate arrays
     blocks = [sir.params, sir.params.replace(gamma=30.0), sir.params.replace(mu=0.03)]
