@@ -50,19 +50,33 @@ class AbcSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "probes", tuple(self.probes))
-        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float).ravel())
         if not self.probes:
             raise DomainError("probe list is empty")
-        dim = sum(p.arity for p in self.probes)
-        if self.scale.size != dim:
-            raise DomainError(f"scale has length {self.scale.size}, probes have "
-                              f"total dimension {dim}")
-        if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
-            raise DomainError("scales must be positive and finite")
+        object.__setattr__(self, "scale", _checked_scale(self.probes, self.scale))
         if not self.epsilon >= 0:
             raise DomainError(f"epsilon must be non-negative, got {self.epsilon!r}")
-        object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps, 1))
-        require_batch(self.n_steps * dim, f"{self.n_steps} step(s) of {dim} probe values")
+        object.__setattr__(self, "n_steps", _require_steps(self.probes, self.n_steps))
+
+
+def _checked_scale(probes, scale) -> np.ndarray:
+    """``scale`` as a float vector; :class:`DomainError` unless it holds one
+    positive, finite scale per value of ``probes``."""
+    scale = np.asarray(scale, dtype=float).ravel()
+    dim = sum(p.arity for p in probes)
+    if scale.size != dim:
+        raise DomainError(f"scale has length {scale.size}, probes have total dimension {dim}")
+    if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
+        raise DomainError("scales must be positive and finite")
+    return scale
+
+
+def _require_steps(probes, n_steps) -> int:
+    """``n_steps`` as an int; refuses a chain whose (n_steps, d) simulated values of
+    ``probes`` no array can hold, whatever the scale."""
+    n_steps = require_integer("n_steps", n_steps, 1)
+    dim = sum(p.arity for p in probes)
+    require_batch(n_steps * dim, f"{n_steps} step(s) of {dim} probe values")
+    return n_steps
 
 
 def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,

@@ -12,12 +12,15 @@ pfilter replicates, mif starts and mif evaluations each run as the blocks of
 one particle swarm.
 
 A run and ``validate`` share one preparation step, ``_prepare``, so
-``validate`` refuses every config that a run refuses before its algorithm
-starts, with the same status and line.  It builds the model, the prior and the
-probes, then starts the algorithm's runner: a generator that builds and checks
-its library settings and stops at its first ``yield``.  ``validate`` ends
-there, so it runs no algorithm and writes nothing; a run resumes the runner
-for its results and then writes them.
+``validate`` refuses every config that a run refuses before its first random
+draw, with the same status and line.  It builds the model, the prior and the
+probes, then starts the algorithm's runner: a generator that builds its library
+settings, calls the library function that owns each check the algorithm makes
+before its first draw (the size of each array a count sizes, the starts of the
+chain and of nlf's search, the probes on the data, the data rules of nlf and
+kalman), and stops at its first ``yield``.  ``validate`` ends there, so it runs
+no algorithm and writes nothing; a run resumes the runner for its results and
+then writes them.
 
 Exit status: 0 success, 2 validation error (an unusable ``output`` included),
 3 algorithm failure (a setting the library refuses, or a run out of memory,
@@ -41,11 +44,12 @@ import sys
 import numpy as np
 
 from . import core, dataio, models, nlf, oracle, probes, smc
-from .abc import AbcSettings, abc as run_abc, compute_probe_scales
-from .exceptions import ConfigError, DomainError, PompKitError, require_batch, require_names
-from .mif import MifSettings, _mif_blocks
+from .abc import AbcSettings, _checked_scale, _require_steps, abc as run_abc, compute_probe_scales
+from .exceptions import ConfigError, DomainError, PompKitError, require_names
+from .mif import MifSettings, _mif_blocks, _require_blocks
 from .mif import mif as run_mif  # noqa: F401  (perfbench's tracer patches cli.run_mif)
 from .pmcmc import (
+    _chain_start,
     effective_sample_size,
     mvn_diag_rw,
     pmcmc as run_pmcmc,
@@ -326,9 +330,10 @@ def _given(settings, *names, **renamed):
 
 
 def _prepare(config: dict):
-    """Every refusal before an algorithm starts, in one place: ``validate`` and a run
-    both start here.  Returns the algorithm's runner advanced to its first ``yield``,
-    where it has built and checked its library settings; ``validate`` stops there."""
+    """Every refusal before an algorithm's first draw, in one place: ``validate`` and a
+    run both start here.  Returns the algorithm's runner advanced to its first
+    ``yield``, where it has built its library settings and called the library's checks
+    that precede the first draw; ``validate`` stops there."""
     config = validate_config(config)
     outdir = config.get("output", ".")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
@@ -364,8 +369,10 @@ def _chain_summary(chain):
 
 
 def _run_simulate(model, config, settings):
+    nsim = settings.get("nsim", 1)
+    core._require_datasets(model, nsim, model.data.n_obs)
     yield
-    records = core.simulate(model, seed=config["seed"], **_given(settings, "nsim"))
+    records = core.simulate(model, seed=config["seed"], nsim=nsim)
     out = {"n_sim": len(records), "n_obs": model.data.n_obs}
     yield out, {"simulations": lambda path: dataio.write_simulations_csv(
         path, records, **_given(settings, "include_states"))}
@@ -373,7 +380,7 @@ def _run_simulate(model, config, settings):
 
 def _run_pfilter(model, config, settings):
     reps, J = settings.get("replicates", 1), settings.get("np", 1000)
-    require_batch(reps * J, f"{reps} block(s) of {J} particles")
+    smc._require_swarm(model, reps, J)
     yield
     # all replicates run as the blocks of one pass, on the seed of replicate 0;
     # only replicate 0's diagnostics are written
@@ -399,8 +406,8 @@ def _run_kalman(model, config, settings):
         raise ConfigError("the kalman subcommand applies to the gompertz model only")
     if np.isnan(model.data.observations).any():
         raise ConfigError("kalman needs complete data (no missing values)")
-    yield
     y_log, delta_t = oracle._gompertz_log_data(model.data)
+    yield
     params = model.params.as_dict()
     out = {"loglik": oracle.kalman_loglik(oracle.gompertz_ssm(params, delta_t), y_log),
            "params": params}
@@ -419,8 +426,9 @@ def _run_mif(model, config, settings):
     starts = settings.get("starts", 1)
     n_evals = settings.get("eval_replicates", 10)
     eval_np = settings.get("eval_np", mset.num_particles)
-    require_batch(starts * n_evals * eval_np, f"{starts} start(s) x {n_evals} evaluation "
-                  f"replicate(s) of {eval_np} particles")
+    smc._require_swarm(model, starts * n_evals, eval_np, what=f"{starts} start(s) x "
+                       f"{n_evals} evaluation replicate(s) of {eval_np} particles")
+    _require_blocks(model, mset, starts)
     yield
     jitter = settings.get("start_jitter_sdlog", 1.0)
     theta0s = [model.params] * starts
@@ -459,28 +467,32 @@ def _run_mif(model, config, settings):
 
 
 def _run_pmcmc(model, config, settings):
+    n_steps, J = settings.get("steps", 2000), settings.get("np", 100)
     proposal = mvn_diag_rw(settings["proposal_sd"])
-    proposal.scales(model.params.names)  # the names check _metropolis starts with
+    _chain_start(model, model.params, proposal, n_steps, "pmcmc")
+    smc._require_swarm(model, 1, J)  # each proposal's filter
     yield
-    chain = run_pmcmc(model, model.params, n_steps=settings.get("steps", 2000),
-                      num_particles=settings.get("np", 100), proposal=proposal,
+    chain = run_pmcmc(model, model.params, n_steps=n_steps, num_particles=J, proposal=proposal,
                       seed=config["seed"], **_given(settings, "max_fail"))
     yield _chain_summary(chain), {"chain": lambda path: dataio.write_chain_csv(path, chain)}
 
 
 def _run_abc(model, config, settings):
+    probe_list, n_steps = settings["probes"], settings.get("steps", 5000)
+    scale, scale_nsim = settings.get("scale", "auto"), settings.get("scale_nsim", 500)
     proposal = mvn_diag_rw(settings["proposal_sd"])
-    proposal.scales(model.params.names)
-    make = functools.partial(AbcSettings, settings["probes"], proposal=proposal,
-                             n_steps=settings.get("steps", 5000), **_given(settings, "epsilon"))
-    scale = settings.get("scale", "auto")
-    aset = None if scale == "auto" else make(scale)  # an "auto" scale is simulated by the run
+    _require_steps(probe_list, n_steps)
+    probes.apply_probes(probe_list, model)  # refuses a probe the data cannot give
+    _chain_start(model, model.params, proposal, n_steps, "abc")
+    if scale == "auto":  # simulated by the run
+        core._require_datasets(model, scale_nsim, model.data.n_obs)
+    else:
+        _checked_scale(probe_list, scale)
     yield
-    if aset is None:
-        aset = make(compute_probe_scales(
-            model, model.params, settings["probes"],
-            seed=child_seeds(config["seed"], "abc-scale", 1)[0],
-            **_given(settings, nsim="scale_nsim")))
+    if scale == "auto":
+        scale = compute_probe_scales(model, model.params, probe_list, nsim=scale_nsim,
+                                     seed=child_seeds(config["seed"], "abc-scale", 1)[0])
+    aset = AbcSettings(probe_list, scale, proposal, n_steps, **_given(settings, "epsilon"))
     chain = run_abc(model, model.params, aset, seed=config["seed"])
     out = _chain_summary(chain)
     out["scale"] = aset.scale.tolist()
@@ -489,9 +501,12 @@ def _run_abc(model, config, settings):
 
 
 def _run_probe(model, config, settings):
+    nsim = settings.get("nsim", 1000)
+    probes.apply_probes(settings["probes"], model)  # refuses a probe the data cannot give
+    core._require_datasets(model, nsim, model.data.n_obs)
     yield
     result = probes.probe(model, model.params, settings["probes"], seed=config["seed"],
-                          **_given(settings, "nsim"))
+                          nsim=nsim)
     # the datasets the probe values derive from, for plotting or re-ingesting
     obs = result.simulated_obs
     records = core._records(model, model.params, np.empty((len(obs), obs.shape[1] + 1, 0)),
@@ -510,7 +525,8 @@ def _run_probe(model, config, settings):
 def _run_nlf(model, config, settings):
     nset = nlf.NlfSettings(lags=settings["lags"], **_given(
         settings, "sim_length", "transient", "est", "transform", n_rbf="nrbf"))
-    require_names("est names", nset.est, model.params.names)
+    oracle._estimation_start(model, model.params, nset.est, nset.transform)
+    nlf._fitted_series(model, nset)
     yield
     result = nlf.nlf_fit(model, model.params, nset, seed=config["seed"],
                          **_given(settings, "maxit"))
@@ -522,10 +538,10 @@ def _run_nlf(model, config, settings):
 
 
 # a runner is a generator over (model, config, settings): it builds its library
-# settings and makes their refusals, yields once (where ``validate`` stops), then
-# computes and yields (results, files), ``files`` mapping a stem to a writer of
-# ``<stem>.csv`` that looks ``dataio.write_*`` up when called (perfbench traces
-# those attributes)
+# settings and calls the library's checks that precede the first draw, yields
+# once (where ``validate`` stops), then computes and yields (results, files),
+# ``files`` mapping a stem to a writer of ``<stem>.csv`` that looks
+# ``dataio.write_*`` up when called (perfbench traces those attributes)
 _RUNNERS = {
     "simulate": _run_simulate,
     "pfilter": _run_pfilter,
@@ -654,10 +670,6 @@ def main(argv=None) -> int:
             config = _merge_flags(args)
             line = write_outputs(config, *next(_prepare(config)))
     except (PompKitError, MemoryError) as err:  # a count can outgrow the memory
-        return _refused(err)
-    except ValueError as err:  # numpy's MemoryError for a size past the address space
-        if not str(err).startswith("array is too big"):
-            raise
         return _refused(err)
     print(line)
     return 0

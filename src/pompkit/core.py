@@ -71,6 +71,7 @@ from .exceptions import (
     PompKitError,
     SimulationDivergedError,
     TransformDomainError,
+    require_batch,
     require_integer,
     require_names,
 )
@@ -729,6 +730,7 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     if times is not model.data.times or t0 != model.data.t0:  # else checked at construction
         times = _checked_times(t0, times)
     n_steps = times.size
+    _require_datasets(model, nsim, n_steps)
     rng_proc = stream(seed, "simulate-process")
     rng_meas = stream(seed, "simulate-measure") if with_obs else None
     state_names, obs_names, covars = model.state_names, model.obs_names, model.covariates
@@ -773,6 +775,14 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     if not np.all(np.isfinite(states)):
         raise diverged(n_steps - 1)
     return states, obs
+
+
+def _require_datasets(model: ModelSpec, nsim, n_times) -> None:
+    """Refuse ``nsim`` simulated datasets of ``n_times`` time points that no array
+    can hold: their (nsim, n_times+1, q) states and (nsim, n_times, r)
+    observations, the largest arrays :func:`simulate_paths` builds."""
+    require_batch(nsim * (n_times + 1) * max(model.n_states, len(model.obs_names)),
+                  f"{nsim} dataset(s) of {n_times} time(s)")
 
 
 def simulate(model: ModelSpec, params=None, seed=0, nsim=1):

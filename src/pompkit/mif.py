@@ -148,6 +148,15 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
     return replace(result, final_filter=final)
 
 
+def _require_blocks(model: core.ModelSpec, settings: MifSettings, K) -> None:
+    """Refuse K starts whose arrays no array can hold: the (K, M, p) trace of M
+    iterations of p parameters, then the (p, K*J) parameter swarm and its states
+    (:func:`pompkit.smc._require_swarm`).  :func:`_mif_blocks` calls it first."""
+    p, M = len(settings.start.names), settings.n_iterations
+    require_batch(K * M * p, f"{K} start(s) x {M} iteration(s) of {p} parameters")
+    smc._require_swarm(model, K, settings.num_particles, p)
+
+
 @core.one_run
 def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> list:
     """IF2 from each of K starting points, run as the K blocks of one swarm.
@@ -168,7 +177,7 @@ def _mif_blocks(model: core.ModelSpec, settings: MifSettings, starts, seed) -> l
     J = settings.num_particles
     M = settings.n_iterations
     C = settings.var_factor
-    require_batch(K * M * p, f"{K} start(s) x {M} iteration(s) of {p} parameters")
+    _require_blocks(model, settings, K)
 
     sigma = settings._sigma
     is_ivp = np.array([n in settings.ivp_names for n in names])

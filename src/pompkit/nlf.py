@@ -36,7 +36,8 @@ class NlfSettings:
 
     ``transient`` observations are simulated and discarded before the
     ``sim_length`` used for fitting; both must exceed the largest lag, and
-    an array must be able to hold their sum.
+    an array must be able to hold their sum and the (sim_length, lags x
+    n_rbf) design of the radial basis.
     """
 
     lags: tuple
@@ -58,6 +59,9 @@ class NlfSettings:
                                require_integer(name, getattr(self, name), max(lags) + 1))
         require_batch(self.transient + self.sim_length,
                       f"{self.transient} transient + {self.sim_length} fitted observations")
+        require_batch(self.sim_length * len(lags) * self.n_rbf,
+                      f"{self.sim_length} fitted observations x {len(lags)} lag(s) x "
+                      f"{self.n_rbf} basis functions")
 
 
 def rbf_centers(ymin: float, ymax: float, n_rbf: int):
@@ -91,16 +95,10 @@ def _rbf_design(values: np.ndarray, lags, centers, scale) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def nlf_quasi_loglik(model: core.ModelSpec, params=None,
-                     settings: NlfSettings = None, seed=0) -> float:
-    """Simulated quasi-log-likelihood of the data at one parameter point.
-
-    Deterministic given ``(params, settings, seed)``.  Models with
-    time-varying covariates are rejected: the method assumes stationarity.
-    """
-    if settings is None:
-        raise DomainError("settings are required")
-    model.require("quasi-likelihood", "rprocess", "rmeasure")
+def _fitted_series(model: core.ModelSpec, settings: NlfSettings):
+    """The observed series and its time step; :class:`DomainError` for data the
+    quasi-likelihood cannot fit: covariates, more than one observable, no more
+    observations than the largest lag, a missing value or an uneven grid."""
     if model.covariates is not None:
         raise DomainError("quasi-likelihood fitting does not support models "
                           "with time-varying covariates")
@@ -113,16 +111,30 @@ def nlf_quasi_loglik(model: core.ModelSpec, params=None,
     y_star = data.observations[:, 0]
     if np.isnan(y_star).any():
         raise DomainError("quasi-likelihood fitting requires complete data")
-
     # spacing from the observation grid itself; t0 may coincide with the
     # first observation time (the long simulation is stationary either way)
     dt = core._even_step(data.times)
     if dt is None:
         raise DomainError("quasi-likelihood fitting requires evenly spaced observations")
+    return y_star, dt
+
+
+def nlf_quasi_loglik(model: core.ModelSpec, params=None,
+                     settings: NlfSettings = None, seed=0) -> float:
+    """Simulated quasi-log-likelihood of the data at one parameter point.
+
+    Deterministic given ``(params, settings, seed)``.  Models with
+    time-varying covariates are rejected: the method assumes stationarity.
+    """
+    if settings is None:
+        raise DomainError("settings are required")
+    model.require("quasi-likelihood", "rprocess", "rmeasure")
+    y_star, dt = _fitted_series(model, settings)
+    max_lag = max(settings.lags)
     total = settings.transient + settings.sim_length
-    sim_times = data.t0 + dt * np.arange(1, total + 1)
+    sim_times = model.data.t0 + dt * np.arange(1, total + 1)
     _, obs_arrays = core.simulate_paths(model, params, stream(seed, "nlf"), 1,
-                                        times=sim_times, t0=data.t0)
+                                        times=sim_times, t0=model.data.t0)
     series = obs_arrays[0, :, 0]
     fitted = series[settings.transient:]
 

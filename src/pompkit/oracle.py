@@ -251,6 +251,18 @@ class FitResult:
     n_evals: int
 
 
+def _estimation_start(model, start: ParamVector, est, transform=True):
+    """Every refusal :func:`fit_on_estimation_scale` makes before its first
+    evaluation: ``est`` names that ``start`` lacks, and ``est`` values the
+    transforms map to non-finite ones.  Returns the checked ``est``, the model
+    the search transforms with (none unless ``transform``) and the start on the
+    estimation scale."""
+    est = require_names("est names", est, start.names)
+    if not transform:
+        model = replace(model, to_estimation=None, from_estimation=None)
+    return est, model, np.array(list(_to_estimation(model, start, est).values()))
+
+
 @one_run
 def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform=True,
                             maxit=400, reltol=1e-6) -> FitResult:
@@ -264,12 +276,10 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
     point found, flagged in ``status``.  With ``est`` empty the objective is
     evaluated once at ``start``.
     """
-    est = require_names("est names", est, start.names)
+    est, model, x0 = _estimation_start(model, start, est, transform)
     if not est:
         return FitResult(theta=start, value=objective(start), status="converged",
                          n_evals=1)
-    if not transform:
-        model = replace(model, to_estimation=None, from_estimation=None)
 
     def unpack(x):
         return ParamVector(_from_estimation(model, start, dict(zip(est, x))))
@@ -281,7 +291,6 @@ def fit_on_estimation_scale(model, start: ParamVector, est, objective, transform
             logger.warning("objective degenerate at %s: %s", x, err)
             return math.inf
 
-    x0 = np.array(list(_to_estimation(model, start, est).values()))
     res = nelder_mead(negobjective, x0, maxit=maxit, reltol=reltol)
     status = res.status if res.status != "maxit" else "maxit (best found returned)"
     return FitResult(theta=unpack(res.x), value=-res.fun, status=status, n_evals=res.n_evals)

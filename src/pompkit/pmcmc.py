@@ -170,6 +170,21 @@ def effective_sample_size(samples, with_flag=False):
     return (ess_value, capped) if with_flag else ess_value
 
 
+def _chain_start(model: core.ModelSpec, start: core.ParamVector, proposal: Proposal,
+                 M: int, operation: str):
+    """Every refusal :func:`_metropolis` makes about a chain of ``M`` >= 1 steps
+    before its first draw: no ``dprior``, an (M, p) chain that no array can hold,
+    a start of zero prior density and proposal scales for unknown names.  Returns
+    the start's log prior density and the proposal scales."""
+    model.require(operation, "dprior")
+    names = start.names
+    require_batch(M * len(names), f"{M} step(s) of {len(names)} parameters")
+    logprior = float(model.dprior(dict(zip(names, start.values)), True))
+    if not np.isfinite(logprior):
+        raise DomainError("starting parameters have zero prior density")
+    return logprior, proposal.scales(names)
+
+
 @core.one_run
 def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Proposal,
                 n_steps: int, seed, log_target, operation: str) -> Chain:
@@ -185,14 +200,9 @@ def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Propos
     """
     M = require_integer("n_steps", n_steps, 1)
     rng = stream(seed, f"{operation}-chain")
-    model.require(operation, "dprior")
+    logprior, scales = _chain_start(model, start, proposal, M, operation)
     names = start.names
-    require_batch(M * len(names), f"{M} step(s) of {len(names)} parameters")
     theta = start.values
-    logprior = float(model.dprior(dict(zip(names, theta)), True))
-    if not np.isfinite(logprior):
-        raise DomainError("starting parameters have zero prior density")
-    scales = proposal.scales(names)
     target = log_target(start, 0)
 
     samples = np.empty((M, len(names)))

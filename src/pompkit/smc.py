@@ -180,6 +180,7 @@ def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles=1000,
     model.require("particle filtering", "rprocess", "dmeasure")
     num_particles = require_integer("num_particles", num_particles, 1)
     max_fail = require_integer("max_fail", max_fail, 0)
+    _require_swarm(model, len(params_per_block), num_particles)
     p = _block_params([core.params_to_dict(model.default_params(b))
                        for b in params_per_block], num_particles)
     rng = stream(seed, "pfilter")
@@ -188,15 +189,21 @@ def _pfilter_blocks(model: core.ModelSpec, params_per_block, num_particles=1000,
     return _filter_pass(model, x, p, rng, max_fail, blocks=K, diagnostics=diagnostics)
 
 
+def _require_swarm(model: core.ModelSpec, K, J, width=1, what=None) -> None:
+    """Refuse K blocks of J particles that no array can hold: the (K*J, q) states
+    of ``model``, or a (width, K*J) array of per-particle values (mif's
+    parameter swarm).  Every kernel that builds a swarm calls it first; ``what``
+    names the counts in the refusal (default ``"K block(s) of J particles"``)."""
+    require_batch(K * J * max(model.n_states, width), what or f"{K} block(s) of {J} particles")
+
+
 def _block_params(dicts, J) -> dict:
     """One parameter dict for K blocks of J particles, from the K blocks' dicts.
 
     A parameter with the same value in every block stays a scalar; any other
     becomes a per-particle (K*J,) array holding block k's value in rows
-    k*J..(k+1)*J-1.  The kernels build it before anything else of K*J rows,
-    so it refuses a swarm that no array can hold.
+    k*J..(k+1)*J-1.  The caller has sized the swarm (:func:`_require_swarm`).
     """
-    require_batch(len(dicts) * J, f"{len(dicts)} block(s) of {J} particles")
     if len(dicts) == 1:
         return dicts[0]
     out = {}
@@ -326,7 +333,7 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
                 ess_vec[k, n] = J
                 filter_means[k, n] = x[k * J:(k + 1) * J].mean(axis=0)
         if idx is not None:
-            x = x[idx]
+            x = x.take(idx, axis=0)
             if on_resample is not None:
                 on_resample(idx)
         if model.accumulators:

@@ -1,6 +1,8 @@
 """Properties: a drawn Ricker probe config, and a drawn batch size or short chain
 of the other subcommands, exits 0, 2 or 3 from ``validate`` and from the run; no
-exception escapes ``cli.main``."""
+exception escapes ``cli.main``.  A count that sizes an array, drawn past what any
+array can hold, is refused alike by ``validate`` and the run, with one line
+naming it."""
 
 import contextlib
 import io
@@ -114,3 +116,42 @@ def test_batch_sizes_and_short_chains_exit_0_2_or_3(drawn):
                 assert status == 3 and len(lines) == 1, err.getvalue()
                 assert lines[0].startswith("algorithm failure: ")
                 assert not os.path.exists(os.path.join(tmp, "out"))
+
+
+# the counts that size an array, each in settings that are otherwise runnable
+_MEAN_Y = [{"type": "mean", "var": "Y"}]
+SIZED = {
+    "simulate": ({}, ("nsim",)),
+    "pfilter": ({}, ("np", "replicates")),
+    "mif": ({"iterations": 1, "np": 10, "eval_replicates": 1, "rw_sd": {"r": 0.02}},
+            ("iterations", "np", "starts", "eval_replicates", "eval_np")),
+    "pmcmc": ({"steps": 2, "np": 10, **_WALK}, ("steps", "np")),
+    "abc": ({"steps": 2, "scale_nsim": 10, "probes": _MEAN_Y, **_WALK}, ("steps", "scale_nsim")),
+    "probe": ({"nsim": 10, "probes": _MEAN_Y}, ("nsim",)),
+    "nlf": ({"lags": [1], "nrbf": 2, "transient": 10, "sim_length": 20},
+            ("transient", "sim_length", "nrbf")),
+}
+SIZED_COUNTS = st.sampled_from([(algorithm, key) for algorithm, (_, keys) in SIZED.items()
+                                for key in keys])
+
+
+@hypothesis.settings(max_examples=80, deadline=None, database=None)
+@hypothesis.given(SIZED_COUNTS, st.integers(2**61, 2**63 - 1))
+def test_a_count_no_array_can_hold_is_refused_alike_by_validate_and_the_run(sized, value):
+    algorithm, key = sized
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema": 1, "algorithm": algorithm, "model": "gompertz", "seed": 1,
+                       "output": os.path.join(tmp, "out"),
+                       "settings": {**SIZED[algorithm][0], key: value}}, fh)
+        refusals = []
+        for argv in (["validate", "--config", path], [algorithm, "--config", path]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                refusals.append((cli.main(argv), err.getvalue()))
+            assert not os.path.exists(os.path.join(tmp, "out"))
+        assert refusals[0] == refusals[1]
+        status, line = refusals[0]
+        assert status == 3 and line.startswith("algorithm failure: array is too big: ")
+        assert line.count("\n") == 1 and str(value) in line, line

@@ -54,6 +54,8 @@ FILES = {
     "missing.csv": "time,Y\n1,1.1\n2,NA\n3,1.0\n",
     "complete.csv": "time,Y\n1,1.1\n2,0.9\n3,1.0\n",
     "malformed.csv": "time,Y\n1.0,1.1\n2.0,abc\n",
+    "zero.csv": "time,Y\n1,1.1\n2,0.0\n3,1.0\n",
+    "uneven.csv": "time,Y\n1,1.1\n2,0.9\n4,1.0\n",
     "taken": "keep me\n",
 }
 
@@ -169,6 +171,17 @@ LIBRARY_REFUSED = {
     "abc-scale-of-wrong-length": ("abc", {}, {**_ABC, "scale": [1.0, 2.0]}),
     "nlf-transient-within-lags": ("nlf", {}, {**_NLF, "lags": [3], "transient": 2}),
     "nlf-unknown-est": ("nlf", {}, {**_NLF, "est": ["bogus"]}),
+    "nlf-est-start-outside-the-transform": (
+        "nlf", {"data": "complete.csv", "params": {"r": -1.0}}, {**_NLF, "est": ["r"]}),
+    "kalman-data-with-a-zero": ("kalman", {"data": "zero.csv"}, {}),
+    "kalman-uneven-grid": ("kalman", {"data": "uneven.csv"}, {}),
+    "probe-acf-lag-past-the-data": (
+        "probe", {}, {**_PROBE, "probes": [{"type": "acf", "var": "Y", "lags": [2**61]}]}),
+    "abc-acf-lag-past-the-data": (
+        "abc", {}, {**_ABC, "probes": [{"type": "acf", "var": "Y", "lags": [2**61]}]}),
+    "nlf-missing-data": ("nlf", {"data": "missing.csv"}, _NLF),
+    "pmcmc-start-outside-the-prior": ("pmcmc", {"params": {"r": 2.0}}, _PMCMC),
+    "abc-start-outside-the-prior": ("abc", {"params": {"r": 2.0}}, _ABC),
 }
 
 
@@ -300,11 +313,21 @@ OVERSIZED_BATCHES = {
     "pmcmc-steps": ("pmcmc", {**_PMCMC, "steps": 2**62}, f"{2**62} step(s) of 5 parameters"),
     "abc-steps": ("abc", {**_ABC, "steps": 2**62, "scale": [1.0]},
                   f"{2**62} step(s) of 1 probe values"),
+    "pmcmc-np": ("pmcmc", {**_PMCMC, "np": 2**62}, f"1 block(s) of {2**62} particles"),
+    "abc-steps-auto-scale": ("abc", {**_ABC, "steps": 2**62},
+                             f"{2**62} step(s) of 1 probe values"),
+    "abc-scale_nsim": ("abc", {**_ABC, "scale_nsim": 2**62}, f"{2**62} dataset(s) of 100 time(s)"),
+    "simulate-nsim": ("simulate", {"nsim": 2**62}, f"{2**62} dataset(s) of 100 time(s)"),
+    "probe-nsim": ("probe", {**_PROBE, "nsim": 2**62}, f"{2**62} dataset(s) of 100 time(s)"),
+    "nlf-nrbf": ("nlf", {**_NLF, "nrbf": 2**61},
+                 f"20 fitted observations x 1 lag(s) x {2**61} basis functions"),
 }
 # the batches a runner checks before its first yield, which validate refuses too
 REFUSED_BY_VALIDATE = {"nlf-simulation-length", "mif-eval_replicates", "mif-starts-evaluated",
                        "abc-steps", "pfilter-replicates", "pfilter-replicates-huge",
-                       "pfilter-replicates-int64-max"}
+                       "pfilter-replicates-int64-max", "mif-starts", "mif-iterations",
+                       "pmcmc-steps", "pmcmc-np", "abc-steps-auto-scale", "abc-scale_nsim",
+                       "simulate-nsim", "probe-nsim", "nlf-nrbf"}
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED_BATCHES))
