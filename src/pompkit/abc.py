@@ -79,6 +79,15 @@ def _require_steps(probes, n_steps) -> int:
     return n_steps
 
 
+def _observed_probes(probes, model: core.ModelSpec) -> np.ndarray:
+    """The values of ``probes`` on the model's data; :class:`DomainError` naming the
+    probes whose values are not finite.  :func:`abc` calls it before its first draw."""
+    observed = apply_probes(probes, model)[0]
+    _refuse_probes("observed probes are not finite", probe_labels(probes),
+                   ~np.isfinite(observed))
+    return observed
+
+
 def compute_probe_scales(model: core.ModelSpec, params, probes, nsim=500,
                          seed=0) -> np.ndarray:
     """Per-probe standard deviations across ``nsim`` simulations at ``params``.
@@ -108,9 +117,7 @@ def abc(model: core.ModelSpec, start: core.ParamVector, settings: AbcSettings,
     model.require("abc", "rprocess", "rmeasure")
     tau = settings.scale
     eps2 = settings.epsilon**2
-    observed = apply_probes(settings.probes, model)[0]
-    _refuse_probes("observed probes are not finite", probe_labels(settings.probes),
-                   ~np.isfinite(observed))
+    observed = _observed_probes(settings.probes, model)
 
     M = settings.n_steps
     distances = np.full(M, np.nan)

@@ -44,7 +44,8 @@ import sys
 import numpy as np
 
 from . import core, dataio, models, nlf, oracle, probes, smc
-from .abc import AbcSettings, _checked_scale, _require_steps, abc as run_abc, compute_probe_scales
+from .abc import (AbcSettings, _checked_scale, _observed_probes, _require_steps, abc as run_abc,
+                  compute_probe_scales)
 from .exceptions import ConfigError, DomainError, PompKitError, require_names
 from .mif import MifSettings, _mif_blocks, _require_blocks
 from .mif import mif as run_mif  # noqa: F401  (perfbench's tracer patches cli.run_mif)
@@ -407,10 +408,10 @@ def _run_kalman(model, config, settings):
     if np.isnan(model.data.observations).any():
         raise ConfigError("kalman needs complete data (no missing values)")
     y_log, delta_t = oracle._gompertz_log_data(model.data)
-    yield
     params = model.params.as_dict()
-    out = {"loglik": oracle.kalman_loglik(oracle.gompertz_ssm(params, delta_t), y_log),
-           "params": params}
+    ssm = oracle.gompertz_ssm(params, delta_t)  # refuses parameters off the log scale
+    yield
+    out = {"loglik": oracle.kalman_loglik(ssm, y_log), "params": params}
     if settings.get("mle"):
         theta, loglik, res = oracle.kalman_exact_mle(model.data, model.params)
         out["mle"] = {"params": theta.as_dict(), "loglik": loglik, "status": res.status}
@@ -428,13 +429,15 @@ def _run_mif(model, config, settings):
     eval_np = settings.get("eval_np", mset.num_particles)
     smc._require_swarm(model, starts * n_evals, eval_np, what=f"{starts} start(s) x "
                        f"{n_evals} evaluation replicate(s) of {eval_np} particles")
-    _require_blocks(model, mset, starts)
-    yield
+    _require_blocks(model, mset, starts)  # and the start on mif's estimation scale
     jitter = settings.get("start_jitter_sdlog", 1.0)
+    work = None
+    if starts > 1 and jitter > 0:  # the jitter uses the model's transforms, even without mif's
+        work = core._to_estimation(model, model.params,
+                                   [n for n, v in mset.rw_sd.items() if v > 0])
+    yield
     theta0s = [model.params] * starts
-    if starts > 1 and jitter > 0:
-        walked = [n for n, v in mset.rw_sd.items() if v > 0]
-        work = core._to_estimation(model, model.params, walked)
+    if work is not None:
         theta0s = []
         for jitter_seed in child_seeds(config["seed"], "mif-jitter", starts):
             g = stream(jitter_seed)
@@ -482,11 +485,12 @@ def _run_abc(model, config, settings):
     scale, scale_nsim = settings.get("scale", "auto"), settings.get("scale_nsim", 500)
     proposal = mvn_diag_rw(settings["proposal_sd"])
     _require_steps(probe_list, n_steps)
-    probes.apply_probes(probe_list, model)  # refuses a probe the data cannot give
     _chain_start(model, model.params, proposal, n_steps, "abc")
-    if scale == "auto":  # simulated by the run
+    if scale == "auto":  # simulated by the run, whose spread check precedes abc's own
+        probes.apply_probes(probe_list, model)  # refuses a probe the data cannot give
         core._require_datasets(model, scale_nsim, model.data.n_obs)
-    else:
+    else:  # also refuses observed values that are not finite
+        _observed_probes(probe_list, model)
         _checked_scale(probe_list, scale)
     yield
     if scale == "auto":

@@ -151,10 +151,16 @@ def mif(model: core.ModelSpec, settings: MifSettings, seed=0,
 def _require_blocks(model: core.ModelSpec, settings: MifSettings, K) -> None:
     """Refuse K starts whose arrays no array can hold: the (K, M, p) trace of M
     iterations of p parameters, then the (p, K*J) parameter swarm and its states
-    (:func:`pompkit.smc._require_swarm`).  :func:`_mif_blocks` calls it first."""
+    (:func:`pompkit.smc._require_swarm`); then a start whose walked parameters
+    the transforms (none unless ``settings.transform``) map to non-finite
+    values.  :func:`_mif_blocks` calls it first."""
     p, M = len(settings.start.names), settings.n_iterations
     require_batch(K * M * p, f"{K} start(s) x {M} iteration(s) of {p} parameters")
     smc._require_swarm(model, K, settings.num_particles, p)
+    if not settings.transform:
+        model = replace(model, to_estimation=None, from_estimation=None)
+    core._to_estimation(model, settings.start,
+                        [n for n, sd in zip(settings.start.names, settings._sigma) if sd > 0])
 
 
 @core.one_run

@@ -104,19 +104,33 @@ def kalman_loglik(ssm: LinearGaussianSSM, y_log) -> float:
 def gompertz_ssm(params, delta_t=1.0) -> LinearGaussianSSM:
     """Log-scale linear-Gaussian form of the Gompertz model at ``params``.
 
-    ``params`` needs r, K, sigma, tau, and X.0 entries.
+    ``params`` needs r, K, sigma, tau, and X.0 entries.  Raises
+    :class:`DomainError` unless K and X.0 are positive and the model's
+    coefficients are finite (a large negative r overflows).  The CLI's
+    ``kalman`` runner calls it before its first computation, so ``validate``
+    refuses what the run would.
     """
     p = dict(params)
-    s = math.exp(-p["r"] * delta_t)
-    return LinearGaussianSSM(
-        a=s,
-        b=(1.0 - s) * math.log(p["K"]),
-        q=p["sigma"] ** 2,
-        c=0.0,
-        r_obs=p["tau"] ** 2,
-        x0_mean=math.log(p["X.0"]),
-        x0_var=0.0,
-    )
+    if not (p["K"] > 0 and p["X.0"] > 0):
+        raise DomainError(f"the log-scale Gompertz model needs positive K and X.0, "
+                          f"got K={p['K']!r}, X.0={p['X.0']!r}")
+    try:
+        s = math.exp(-p["r"] * delta_t)
+        ssm = LinearGaussianSSM(
+            a=s,
+            b=(1.0 - s) * math.log(p["K"]),
+            q=p["sigma"] ** 2,
+            c=0.0,
+            r_obs=p["tau"] ** 2,
+            x0_mean=math.log(p["X.0"]),
+            x0_var=0.0,
+        )
+    except OverflowError:
+        ssm = None
+    if ssm is None or not all(map(math.isfinite, (ssm.a, ssm.b, ssm.q, ssm.r_obs, ssm.x0_mean))):
+        raise DomainError(f"the log-scale Gompertz model is not finite at r={p['r']!r}, "
+                          f"sigma={p['sigma']!r}, tau={p['tau']!r}, K={p['K']!r}")
+    return ssm
 
 
 def _gompertz_log_data(data: TimeSeriesData):

@@ -22,6 +22,22 @@ operation taken along the rows of the (K, J) array of log weights, and
 resampled from one uniform per block; each block counts its own filtering
 failures.  A row operation gives what it gives on that row alone, so every
 block's numbers are those of a one-block pass that drew the same uniforms.
+A small swarm resamples each block by a binary search of its cumulative
+weights (``searchsorted``), one call per row.  From ``_COUNTING_MIN_SWARM``
+= 1500 particles on, where K row calls cost more than a few passes over the
+(K, J) array, the blocks are resampled by counting instead.  Row k's
+queries are q_j = fl(fl(u_k + j) / J), j < J, and particle i gets
+count_i - count_(i-1) copies, where count_i is the number of queries at or
+below its cumulative weight C_i.  That count is estimated by arithmetic, as
+floor(C_i*J - u_k + J * 2**-49) + 1, and made exact by one comparison of
+C_i with the last query the estimate counts.  The rounding in the query
+test q_j <= C_i and in the estimate moves the exact test u_k + j <= C_i*J
+by less than J * 2**-50 together, which the added J * 2**-49 outweighs, so
+the estimate misses no query; and for J < 2**48 (J << 2**50) the window it
+widens holds at most one integer j, so it is the count or one more
+(``_counting_resampler`` spells this out).  Both ways give the
+same indices, so the size changes no number.  K = 1 keeps the one search
+of ``_systematic_resample``.
 The private ``_pfilter_blocks`` runs replicate filters this way, for the
 CLI's ``replicates`` and mif evaluations; :func:`pfilter` is its one-block
 case.  A batched replicate draws from the shared stream, so it is not the
@@ -113,6 +129,64 @@ def _systematic_resample(w_norm, rng, grid) -> np.ndarray:
     cumulative = w_norm.cumsum()
     cumulative[-1] = 1.0
     return cumulative.searchsorted((rng.random() + grid) / grid.size, side="left")
+
+
+# the smallest swarm of K > 1 blocks that _filter_pass resamples by counting:
+# timed over a whole 100-step Gompertz pass on a 2-core x86 host (median of
+# 30 alternating pairs), counting takes 1.06x the per-row searches at 4 x 100
+# and 2 x 250, 0.97-0.99x at K*J = 1000, 0.94-0.96x at 1500, 0.83-0.93x at
+# 2000 (2 x 1000 to 40 x 50) and 0.83x at 8 x 1000
+_COUNTING_MIN_SWARM = 1500
+
+
+def _counting_resampler(K, J):
+    """Systematic resampling of K rows of J weights at once, by counting.
+
+    Returns ``resample(cumulative, u, failed)``.  It takes the (K, J) row
+    cumulative sums C (last column 1, as :func:`_systematic_resample` sets it),
+    one uniform u_k per row and a list of failed rows, and returns the (K*J,)
+    global indices that ``C[k].searchsorted(q, side="left") + k*J`` gives row
+    by row for the queries q_j = fl(fl(u_k + j) / J), j < J, with the identity
+    for each failed row.  Its (K, J) buffers are reused from call to call.
+
+    Query j picks the first particle i with q_j <= C_i, so particle i gets
+    count_i - count_(i-1) copies, where count_i = #{j < J : q_j <= C_i}.  Take
+    n_i = #{j >= 0 : q_j <= C_i}, the count over the queries continued past
+    J - 1; they ascend, so those j are 0..n_i - 1, and count_i = min(n_i, J).
+    The estimate is f + 1, with f = floor(C_i*J - u_k + J * 2**-49) in
+    floating point.  It is n_i or n_i + 1, so one exact comparison against
+    the query q_f, computed as above, corrects it: n_i = f + 1 - [q_f > C_i].
+    Both the query test q_j <= C_i and the test j <= C_i*J - u_k + J * 2**-49
+    as computed are the exact test u_k + j <= C_i*J (the second with the
+    margin added), up to rounding errors that together stay below
+    J * 2**-50.  The margin exceeds them, so f + 1 counts every j with
+    q_j <= C_i; it can count in addition only a j in a window of width below
+    3 * J * 2**-50 above C_i*J - u_k, which for J < 2**48 holds at most one
+    integer.
+    """
+    f, query = np.empty((K, J)), np.empty((K, J))
+    above = np.empty((K, J), dtype=bool)
+    copies = np.empty((K, J), dtype=np.intp)
+    rows = np.arange(K * J)
+    margin = J * 2.0**-49
+
+    def resample(cumulative, u, failed):
+        u = u[:, None]
+        np.multiply(cumulative, J, out=f)
+        np.subtract(f, u - margin, out=f)
+        np.floor(f, out=f)  # n - 1 or n
+        np.add(f, u, out=query)
+        np.divide(query, J, out=query)  # q_f
+        np.greater(query, cumulative, out=above)
+        np.subtract(f, above, out=f)  # n - 1
+        np.minimum(f, J - 1, out=f)  # count - 1
+        copies[:, 0] = f[:, 0] + 1
+        np.subtract(f[:, 1:], f[:, :-1], out=copies[:, 1:], casting="unsafe")
+        if failed:
+            copies[failed] = 1
+        return rows.repeat(copies.ravel())
+
+    return resample
 
 
 def ess(weights) -> float:
@@ -231,8 +305,18 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
     density run once per step on the whole swarm.  The K blocks are then
     weighted on the (K, J) array of log weights, one numpy call per
     operation along its rows, and resampled from one uniform per block,
-    drawn in block order.  Each block counts its own failures against
-    ``max_fail``; a failed block stays unresampled and draws no uniform.
+    drawn in block order: by one ``searchsorted`` per row, or, for a swarm
+    of at least ``_COUNTING_MIN_SWARM`` particles, by counting, row k's
+    particle i taking count_i - count_(i-1) copies, where count_i is the
+    number of queries fl(fl(u_k + j) / J), j < J, at or below its
+    cumulative weight C_i.  The count is estimated as
+    floor(C_i*J - u_k + J * 2**-49) + 1, which for J << 2**50 is the count
+    or one more (the queries and the estimate round the exact test
+    u_k + j <= C_i*J by less than J * 2**-50 together, which the margin
+    outweighs), and made exact by one comparison of C_i with the last query
+    the estimate counts (:func:`_counting_resampler`); both ways give the
+    same indices.  Each block counts its own failures against ``max_fail``; a
+    failed block stays unresampled and draws no uniform.
     Every row operation gives what the same operation gives on that row
     alone, so each block's numbers are those of a one-block pass that drew
     the same uniforms; K = 1 runs those one-block operations on the 1-D
@@ -256,6 +340,7 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
     grid = np.arange(J)
     float_grid = grid.astype(float)
     offsets = np.repeat(np.arange(K) * J, J)  # each row's block's first row
+    counted = _counting_resampler(K, J) if K > 1 and K * J >= _COUNTING_MIN_SWARM else None
 
     def count_failures(n, t, max_logw):
         """The blocks whose maximum log weight at step n is not finite, in block
@@ -315,18 +400,21 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
                 for k in range(D):
                     filter_means[k, n] = w[k] @ x[k * J:(k + 1) * J]
             if len(failed) < K:
-                cumulative = np.add.accumulate(w, axis=1)  # each row's cumsum()
+                cumulative = np.add.accumulate(w, axis=1, out=w)  # each row's cumsum()
                 cumulative[:, -1] = 1.0
                 u = rng.random(K - len(failed))  # one per unfailed block, in block order
                 if failed:  # a 0 holds each failed block's place; its indices are replaced
                     u = np.insert(u, np.subtract(failed, range(len(failed))), 0.0)
-                queries = u[:, None] + float_grid
-                queries /= J
-                parts = list(map(np.ndarray.searchsorted, cumulative, queries))
-                for k in failed:
-                    parts[k] = grid
-                idx = np.concatenate(parts)
-                idx += offsets
+                if counted is not None:
+                    idx = counted(cumulative, u, failed)
+                else:
+                    queries = u[:, None] + float_grid
+                    queries /= J
+                    parts = list(map(np.ndarray.searchsorted, cumulative, queries))
+                    for k in failed:
+                        parts[k] = grid
+                    idx = np.concatenate(parts)
+                    idx += offsets
         for k in failed:
             cond_logliks[k, n] = -np.inf
             if k < D:

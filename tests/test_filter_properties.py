@@ -114,3 +114,78 @@ def test_blocks_match_the_plain_per_block_loop(case):
         assert (g.loglik, g.n_failures, g.num_particles) == (w.loglik, w.n_failures, J)
         for field in ("cond_logliks", "ess", "filter_means", "final_particles"):
             assert np.array_equal(getattr(g, field), getattr(w, field)), field
+
+
+def searched_indices(cumulative, u, failed):
+    """Per-row ``searchsorted`` systematic resampling of (K, J) cumulative sums, as
+    global indices, with the identity for each failed row."""
+    K, J = cumulative.shape
+    queries = (u[:, None] + np.arange(J, dtype=float)) / J
+    idx = np.concatenate([row.searchsorted(q, side="left") + k * J
+                          for k, (row, q) in enumerate(zip(cumulative, queries))])
+    for k in failed:
+        idx[k * J:(k + 1) * J] = np.arange(k * J, (k + 1) * J)
+    return idx
+
+
+@st.composite
+def resampling_rows(draw, K, J):
+    """(K, J) row cumulative sums of normalized weights, made as the filter makes
+    them, one uniform per row and a list of failed rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    w = np.empty((K, J))
+    u = np.empty(K)
+    for k in range(K):
+        kind = draw(st.sampled_from(["equal", "counts", "sparse", "one", "spread"]))
+        if kind == "equal":
+            w[k] = 1.0
+        elif kind == "counts":  # small integers, many zeros: sums land on the query grid
+            w[k] = rng.integers(0, 4, J)
+        elif kind == "sparse":
+            w[k] = rng.exponential(size=J) * (rng.random(J) < 0.05)
+        elif kind == "one":
+            w[k] = 0.0
+        else:
+            w[k] = rng.exponential(size=J) ** 8
+        if not w[k].any():
+            w[k, draw(st.integers(0, J - 1))] = 1.0
+        u[k] = draw(st.one_of(st.sampled_from([0.0, np.nextafter(1.0, 0.0)]),
+                              st.integers(0, J - 1).map(lambda i: i / J),
+                              st.floats(0.0, 1.0, exclude_max=True)))
+    w /= w.sum(axis=1)[:, None]
+    cumulative = np.add.accumulate(w, axis=1)
+    cumulative[:, -1] = 1.0
+    failed = draw(st.lists(st.integers(0, K - 1), unique=True, max_size=K - 1).map(sorted))
+    u[failed] = 0.0
+    return cumulative, u, failed
+
+
+@st.composite
+def resampling_cases(draw):
+    K = draw(st.integers(1, 6))
+    J = draw(st.one_of(st.integers(1, 40), st.integers(1, 2000)))
+    return K, J, [draw(resampling_rows(K, J)) for _ in range(2)]
+
+
+@PROPERTY
+@hypothesis.given(resampling_cases())
+def test_counting_gives_the_indices_of_the_per_row_searches(case):
+    K, J, draws = case
+    resample = smc._counting_resampler(K, J)
+    for cumulative, u, failed in draws:  # the second call reuses the first one's buffers
+        assert np.array_equal(resample(cumulative, u, failed),
+                              searched_indices(cumulative, u, failed))
+
+
+def test_a_swarm_resampled_by_counting_matches_the_plain_per_block_loop():
+    K, J = 8, 600
+    assert K * J >= smc._COUNTING_MIN_SWARM
+    blocks = [GOMP.params.replace(r=0.05 * (k + 1)) for k in range(K)]
+    model = forcing(GOMP, J, [(5, 2, -np.inf)])
+    got = smc._pfilter_blocks(model, blocks, J, 17, 1)
+    want = plain_blocks(model, blocks, J, 17, 1)
+    assert [g.n_failures for g in got] == [0] * 5 + [1] + [0] * 2
+    for g, w in zip(got, want):
+        assert (g.loglik, g.n_failures) == (w.loglik, w.n_failures)
+        for field in ("cond_logliks", "ess", "filter_means", "final_particles"):
+            assert np.array_equal(getattr(g, field), getattr(w, field)), field

@@ -182,6 +182,13 @@ LIBRARY_REFUSED = {
     "nlf-missing-data": ("nlf", {"data": "missing.csv"}, _NLF),
     "pmcmc-start-outside-the-prior": ("pmcmc", {"params": {"r": 2.0}}, _PMCMC),
     "abc-start-outside-the-prior": ("abc", {"params": {"r": 2.0}}, _ABC),
+    "kalman-negative-K": ("kalman", {"data": "complete.csv", "params": {"K": -1.0}}, {}),
+    "kalman-zero-X.0": ("kalman", {"data": "complete.csv", "params": {"X.0": 0.0}}, {}),
+    "kalman-r-overflowing": ("kalman", {"data": "complete.csv", "params": {"r": -1000.0}}, {}),
+    "mif-start-outside-the-transform": (
+        "mif", {"data": "complete.csv", "params": {"r": -1.0}}, {**_MIF, "starts": 1}),
+    "mif-jittered-start-outside-the-transform": (
+        "mif", {"data": "complete.csv", "params": {"r": -1.0}}, {**_MIF, "transform": False}),
 }
 
 
@@ -250,8 +257,10 @@ def test_a_probe_that_cannot_be_built_exits_2_naming_it(tmp_path, capsys, algori
     assert _outputs_untouched(tmp_path)
 
 
-# probes whose values are not finite once simulated or observed: validate passes,
-# the run exits 3; the seed-1 Ricker dataset holds zero counts, which have no log
+# probes whose values are not finite once simulated or observed: the run exits 3,
+# and validate passes all but the observed values abc checks with a listed scale,
+# which it refuses with the run's line; the seed-1 Ricker dataset holds zero
+# counts, which have no log
 _LOG_MEAN = {"type": "mean", "var": "y", "transform": "log"}
 _RICKER_ABC = {"steps": 2, "scale_nsim": 20, "proposal_sd": {"r": 0.1},
                "prior": {"r": [1.0, 100.0]}, "probes": [_LOG_MEAN]}
@@ -271,14 +280,20 @@ NON_FINITE_PROBES = {
 }
 
 
+NON_FINITE_REFUSED_BY_VALIDATE = {"abc-observed"}
+
+
 @pytest.mark.parametrize("case", sorted(NON_FINITE_PROBES))
 def test_a_probe_with_non_finite_values_exits_3_with_one_line(tmp_path, capsys, case):
     algorithm, settings, message = NON_FINITE_PROBES[case]
     path = _config_path(tmp_path, algorithm, {"model": "ricker"}, settings)
-    assert cli.main(["validate", "--config", path]) == 0
+    line = f"algorithm failure: {message}"
+    if case in NON_FINITE_REFUSED_BY_VALIDATE:
+        assert _status_and_line(capsys, ["validate", "--config", path]) == (3, line)
+    else:
+        assert cli.main(["validate", "--config", path]) == 0
     capsys.readouterr()
-    assert _status_and_line(capsys, [algorithm, "--config", path]) == (
-        3, f"algorithm failure: {message}")
+    assert _status_and_line(capsys, [algorithm, "--config", path]) == (3, line)
     assert _outputs_untouched(tmp_path)
 
 

@@ -9,7 +9,8 @@ bit-identical:
 Covered: ``pfilter`` on Gompertz, SIR and seasonal SIR (each also with a
 tolerated filtering failure) and on Ricker; three Gompertz filters run as the
 blocks of one swarm (one block with a tolerated failure), five more (two
-failing at one step and a third later), and three SIR
+failing at one step and a third later), eight of 600 particles with
+differing ``r`` (one failing once), a swarm resampled by counting, and three SIR
 filters likewise, whose differing ``gamma`` and ``mu`` become per-particle
 arrays; ``simulate_paths`` on SIR, seasonal SIR (also one 2-year
 realization), Ricker, Gompertz (also without measurements, and one
@@ -146,6 +147,13 @@ def library_hashes():
     results = smc._pfilter_blocks(broken, blocks, 50, 11, 1)
     out["pfilter-blocks/gompertz/failures"] = digest(*(part for res in results
                                                        for part in filter_parts(res)))
+    # eight blocks of 600, a swarm large enough to be resampled by counting
+    # (smc._COUNTING_MIN_SWARM); block 5 fails at step 4
+    blocks = [gomp.params.replace(r=r) for r in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)]
+    broken = fails_at(gomp, float(gomp.data.times[3]), lambda params: params["r"] == 0.3)
+    results = smc._pfilter_blocks(broken, blocks, 600, 11, 1)
+    out["pfilter-blocks/gompertz/large"] = digest(*(part for res in results
+                                                    for part in filter_parts(res)))
     # SIR blocks with different gamma (and mu): per-particle rate arrays
     blocks = [sir.params, sir.params.replace(gamma=30.0), sir.params.replace(mu=0.03)]
     results = smc._pfilter_blocks(sir, blocks, 40, 11, 0)
