@@ -661,18 +661,24 @@ def _merge_flags(args) -> dict:
 @core.one_run
 def main(argv=None) -> int:
     """Run ``pomp-kit`` on ``argv``; returns the process exit status.  The output
-    directory and its files are made only once the runner has succeeded."""
+    directory and its files are made only once the runner has succeeded.
+
+    numpy's floating-point warnings are ignored for the whole run, so that a
+    refusal is one line: the divergence scan and the filter's NaN rule name
+    what those warnings come before (a state gone non-finite, a NaN log
+    weight)."""
     logging.basicConfig(level=os.environ.get("PK_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            _prepare(load_config(args.config))
-            line = "valid"
-        else:
-            config = _merge_flags(args)
-            line = write_outputs(config, *next(_prepare(config)))
+        with np.errstate(all="ignore"):
+            if args.command == "validate":
+                _prepare(load_config(args.config))
+                line = "valid"
+            else:
+                config = _merge_flags(args)
+                line = write_outputs(config, *next(_prepare(config)))
     except (PompKitError, MemoryError) as err:  # a count can outgrow the memory
         return _refused(err)
     print(line)

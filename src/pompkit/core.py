@@ -42,7 +42,12 @@ Every named output of ``rprocess``, ``rmeasure`` and ``initializer``, and
 ``dmeasure``'s result, is a float64 array of length n, taken as it is, or
 anything that broadcasts to one, a scalar say, taken as a float copy.  A
 missing name raises :class:`ModelComponentError` and any other shape
-:class:`DomainError`, each naming the callback.
+:class:`DomainError`, each naming the callback.  Every call the library makes
+of a callback goes through one failure rule (:func:`_call`): a ``ValueError``
+it raises, such as numpy's ``scale < 0`` for a parameter outside its domain,
+is re-raised as :class:`DomainError` naming the callback and the time, with
+the ``ValueError`` as its cause, and a :class:`PompKitError` passes through
+unchanged.
 
 Callbacks must be pure given their inputs and the supplied generator, which
 makes a constructed model immutable and safe to share across workers.  Pure
@@ -449,7 +454,7 @@ def _transformed(model: ModelSpec, d: dict, direction: str, checked=None) -> dic
     if fn is None:
         return d
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        d = dict(fn(d))
+        d = dict(_call(f"{direction} transform", fn, d))
     bad = [k for k in (d if checked is None else checked) if not np.isfinite(d[k]).all()]
     if bad:
         raise TransformDomainError(bad, direction)
@@ -643,35 +648,42 @@ def _stack(out: dict, names, n: int, component: str, operation: str) -> np.ndarr
 
 def _init_states(model: ModelSpec, params: dict, t0, rng, n) -> np.ndarray:
     init = model.initializer if model.initializer is not None else default_initializer(model)
-    return _stack(init(params, t0, rng, n), model.state_names, n, "initializer", "initialize")
+    x = _call("initial-state simulation at t={1:g}", init, params, t0, rng, n)
+    return _stack(x, model.state_names, n, "initializer", "initialize")
 
 
 def _as_state_dict(model: ModelSpec, mat: np.ndarray) -> dict:
     return {s: mat[:, i] for i, s in enumerate(model.state_names)}
 
 
-def _rprocess(model: ModelSpec, x: dict, params: dict, t0, t1, rng) -> dict:
-    """``model.rprocess`` over [t0, t1].
+def _call(what, callback, *args):
+    """``callback(*args)``: the one way the library calls a model callback.
 
-    A ``ValueError`` from the simulator itself (say, numpy refusing a negative
-    scale because a parameter left its domain) is re-raised as
-    :class:`DomainError` naming the interval.
+    A :class:`PompKitError` passes through unchanged.  A ``ValueError`` (say,
+    numpy refusing a negative scale because a parameter left its domain) is
+    re-raised as :class:`DomainError` ``"<what> failed: <error>"`` with the
+    ``ValueError`` as its cause.  ``what`` is a format string over ``args``,
+    such as ``"measurement simulation at t={2:g}"``, filled in only then.
     """
     try:
-        return model.rprocess(x, params, t0, t1, rng, model.covariates)
+        return callback(*args)
     except PompKitError:
         raise
     except ValueError as err:
-        raise DomainError(f"process simulation over [{t0:g}, {t1:g}] failed: {err}") from err
+        raise DomainError(f"{what.format(*args)} failed: {err}") from err
+
+
+_PROCESS = "process simulation over [{2:g}, {3:g}]"  # rprocess(x, params, t0, t1, ...)
 
 
 def advance(model: ModelSpec, state_mat: np.ndarray, params: dict, t0, t1, rng) -> np.ndarray:
     """Propagate a (n, q) state matrix from t0 to t1 through rprocess.
 
     A ``ValueError`` from the simulator becomes :class:`DomainError` (see
-    :func:`_rprocess`).
+    :func:`_call`).
     """
-    x = _rprocess(model, _as_state_dict(model, state_mat), params, t0, t1, rng)
+    x = _call(_PROCESS, model.rprocess, _as_state_dict(model, state_mat), params, t0, t1, rng,
+              model.covariates)
     return _stack(x, model.state_names, state_mat.shape[0], "rprocess", "advance")
 
 
@@ -689,7 +701,8 @@ def measurement_logdensity(model: ModelSpec, y: dict, state_mat: np.ndarray, par
     whenever any entry is, and raises :class:`DomainError` naming ``t``.
     """
     cv = model.covariates.lookup(t) if model.covariates is not None else None
-    logw = model.dmeasure(y, _as_state_dict(model, state_mat), params, t, True, cv)
+    logw = _call("measurement density at t={3:g}", model.dmeasure, y,
+                 _as_state_dict(model, state_mat), params, t, True, cv)
     return _column({"log density": logw}, "log density", state_mat.shape[0], "dmeasure",
                    "weighting")
 
@@ -734,6 +747,7 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     rng_proc = stream(seed, "simulate-process")
     rng_meas = stream(seed, "simulate-measure") if with_obs else None
     state_names, obs_names, covars = model.state_names, model.obs_names, model.covariates
+    rprocess, rmeasure = model.rprocess, model.rmeasure
 
     x0 = _init_states(model, p, t0, rng_proc, nsim)
     states = np.empty((nsim, n_steps + 1, model.n_states))
@@ -752,14 +766,14 @@ def simulate_paths(model: ModelSpec, params, seed, nsim, times=None, t0=None,
     state_cols, obs_cols = list(enumerate(state_names)), list(enumerate(obs_names))
     t_prev = t0
     for n, t in enumerate(times.tolist()):
-        out = _rprocess(model, x, p, t_prev, t, rng_proc)
+        out = _call(_PROCESS, rprocess, x, p, t_prev, t, rng_proc, covars)
         x = {}
         for i, name in state_cols:
             x[name] = states[:, n + 1, i] = _column(out, name, nsim, "rprocess", "advance")
         if with_obs:
             cv = covars.lookup(t) if covars is not None else None
             try:
-                y = model.rmeasure(x, p, t, rng_meas, cv)
+                y = _call("measurement simulation at t={2:g}", rmeasure, x, p, t, rng_meas, cv)
             except (ValueError, FloatingPointError):
                 # a non-finite state often crashes the measurement sampler;
                 # report the divergence rather than the downstream symptom

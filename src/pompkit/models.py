@@ -303,13 +303,8 @@ def _sir_seasonal_step(x, params, t, dt, rng, covars):
 
 
 def _sir_seasonal_initializer(params, t0, rng, n):
-    fracs = _initial_fractions(params)
-    counts = np.round(params["popsize"] * (fracs / fracs.sum(axis=0)))
-    return {
-        "S": np.full(n, counts[0]), "I": np.full(n, counts[1]),
-        "R": np.full(n, counts[2]), "P": np.full(n, np.round(params["popsize"])),
-        "H": np.zeros(n), "Phi": np.zeros(n), "noise": np.zeros(n),
-    }
+    return {**_sir_initializer(params, t0, rng, n), "P": np.full(n, np.round(params["popsize"])),
+            "Phi": np.zeros(n), "noise": np.zeros(n)}
 
 
 def synthetic_birth_covariate(t_min=-0.2, t_max=10.2, popsize=500000.0,

@@ -68,15 +68,18 @@ def rbf_centers(ymin: float, ymax: float, n_rbf: int):
     """Centers and scale for the radial basis over the range [ymin, ymax].
 
     Centers span the range widened by 10% on each side; the common scale is
-    0.3 times the range.  A degenerate range is an error.
+    0.3 times the range.  A range that is degenerate, or so wide that the
+    square of the scale the basis divides by is not finite, is an error.
     """
     n_rbf = require_integer("n_rbf", n_rbf, 2)
     span = float(ymax) - float(ymin)
-    if not span > 0:
-        raise DomainError(f"degenerate simulated range [{ymin}, {ymax}]")
+    scale = 0.3 * span
+    if not (span > 0 and 0 < scale * scale < math.inf):
+        raise DomainError(f"simulated range [{ymin}, {ymax}] is degenerate or too wide "
+                          "for the radial basis")
     k = np.arange(n_rbf, dtype=float)
     centers = ymin + span * (1.2 * k / (n_rbf - 1) - 0.1)
-    return centers, 0.3 * span
+    return centers, scale
 
 
 def _rbf_design(values: np.ndarray, lags, centers, scale) -> np.ndarray:

@@ -179,7 +179,8 @@ def _chain_start(model: core.ModelSpec, start: core.ParamVector, proposal: Propo
     model.require(operation, "dprior")
     names = start.names
     require_batch(M * len(names), f"{M} step(s) of {len(names)} parameters")
-    logprior = float(model.dprior(dict(zip(names, start.values)), True))
+    logprior = float(core._call("prior density", model.dprior, dict(zip(names, start.values)),
+                                True))
     if not np.isfinite(logprior):
         raise DomainError("starting parameters have zero prior density")
     return logprior, proposal.scales(names)
@@ -213,7 +214,7 @@ def _metropolis(model: core.ModelSpec, start: core.ParamVector, proposal: Propos
     for m in range(1, M + 1):
         theta_prop = theta + scales * rng.standard_normal(theta.shape)
         params_prop = dict(zip(names, theta_prop))
-        logprior_prop = float(model.dprior(params_prop, True))
+        logprior_prop = float(core._call("prior density", model.dprior, params_prop, True))
         log_u = math.log(rng.random())
         if np.isfinite(logprior_prop):
             target_prop = log_target(params_prop, m)

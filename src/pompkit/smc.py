@@ -25,19 +25,11 @@ block's numbers are those of a one-block pass that drew the same uniforms.
 A small swarm resamples each block by a binary search of its cumulative
 weights (``searchsorted``), one call per row.  From ``_COUNTING_MIN_SWARM``
 = 1500 particles on, where K row calls cost more than a few passes over the
-(K, J) array, the blocks are resampled by counting instead.  Row k's
-queries are q_j = fl(fl(u_k + j) / J), j < J, and particle i gets
-count_i - count_(i-1) copies, where count_i is the number of queries at or
-below its cumulative weight C_i.  That count is estimated by arithmetic, as
-floor(C_i*J - u_k + J * 2**-49) + 1, and made exact by one comparison of
-C_i with the last query the estimate counts.  The rounding in the query
-test q_j <= C_i and in the estimate moves the exact test u_k + j <= C_i*J
-by less than J * 2**-50 together, which the added J * 2**-49 outweighs, so
-the estimate misses no query; and for J < 2**48 (J << 2**50) the window it
-widens holds at most one integer j, so it is the count or one more
-(``_counting_resampler`` spells this out).  Both ways give the
-same indices, so the size changes no number.  K = 1 keeps the one search
-of ``_systematic_resample``.
+(K, J) array, the blocks are resampled by counting instead: each
+particle's copies are estimated by arithmetic and made exact by one
+comparison, which gives the same indices (``_counting_resampler`` states
+the rule and why it is exact), so the size changes no number.  K = 1 keeps
+the one search of ``_systematic_resample``.
 The private ``_pfilter_blocks`` runs replicate filters this way, for the
 CLI's ``replicates`` and mif evaluations; :func:`pfilter` is its one-block
 case.  A batched replicate draws from the shared stream, so it is not the
@@ -306,22 +298,15 @@ def _filter_pass(model: core.ModelSpec, x, params, rng, max_fail, perturb=None,
     weighted on the (K, J) array of log weights, one numpy call per
     operation along its rows, and resampled from one uniform per block,
     drawn in block order: by one ``searchsorted`` per row, or, for a swarm
-    of at least ``_COUNTING_MIN_SWARM`` particles, by counting, row k's
-    particle i taking count_i - count_(i-1) copies, where count_i is the
-    number of queries fl(fl(u_k + j) / J), j < J, at or below its
-    cumulative weight C_i.  The count is estimated as
-    floor(C_i*J - u_k + J * 2**-49) + 1, which for J << 2**50 is the count
-    or one more (the queries and the estimate round the exact test
-    u_k + j <= C_i*J by less than J * 2**-50 together, which the margin
-    outweighs), and made exact by one comparison of C_i with the last query
-    the estimate counts (:func:`_counting_resampler`); both ways give the
-    same indices.  Each block counts its own failures against ``max_fail``; a
-    failed block stays unresampled and draws no uniform.
-    Every row operation gives what the same operation gives on that row
-    alone, so each block's numbers are those of a one-block pass that drew
-    the same uniforms; K = 1 runs those one-block operations on the 1-D
-    swarm.  Returns one :class:`FilterResult` per block; ``final_particles``
-    holds the block's swarm after the last step.
+    of at least ``_COUNTING_MIN_SWARM`` particles, by counting
+    (:func:`_counting_resampler`); both ways give the same indices.  Each
+    block counts its own failures against ``max_fail``; a failed block
+    stays unresampled and draws no uniform.  Every row operation gives what
+    the same operation gives on that row alone, so each block's numbers are
+    those of a one-block pass that drew the same uniforms; K = 1 runs those
+    one-block operations on the 1-D swarm.  Returns one :class:`FilterResult`
+    per block; ``final_particles`` holds the block's swarm after the last
+    step.
 
     ``diagnostics`` says which blocks compute the ESS and filter means: every
     block (True), none (False) or the first ``diagnostics`` blocks.  The

@@ -2,7 +2,9 @@
 of the other subcommands, exits 0, 2 or 3 from ``validate`` and from the run; no
 exception escapes ``cli.main``.  A count that sizes an array, drawn past what any
 array can hold, is refused alike by ``validate`` and the run, with one line
-naming it."""
+naming it.  A built-in model's parameter set to -1, 0 or +-1e300, on simulated
+data, makes every subcommand exit 0, 2 or 3 with at most that one line, and
+no warning or traceback."""
 
 import contextlib
 import io
@@ -13,7 +15,7 @@ import warnings
 
 import pytest
 
-from pompkit import cli
+from pompkit import cli, models
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -155,3 +157,53 @@ def test_a_count_no_array_can_hold_is_refused_alike_by_validate_and_the_run(size
         status, line = refusals[0]
         assert status == 3 and line.startswith("algorithm failure: array is too big: ")
         assert line.count("\n") == 1 and str(value) in line, line
+
+
+# small runnable settings of every subcommand for a model whose observable is "var"
+def _runnable(var):
+    walk = {"proposal_sd": {"sigma": 0.01}, "prior": {"sigma": [0.01, 1.0]}}
+    mean = [{"type": "mean", "var": var}]
+    return {
+        "simulate": {},
+        "pfilter": {"np": 10},
+        "mif": {"iterations": 1, "np": 10, "eval_replicates": 1, "rw_sd": {"sigma": 0.02}},
+        "pmcmc": {"steps": 2, "np": 10, **walk},
+        "probe": {"nsim": 10, "probes": mean},
+        "abc": {"steps": 2, "scale_nsim": 10, "probes": mean, **walk},
+        "nlf": {"lags": [1], "nrbf": 2, "transient": 10, "sim_length": 20},
+        "kalman": {},
+    }
+
+
+# SIR is left out: its ten simulated years of weekly data take too long per example
+OBSERVABLE = {"gompertz": "Y", "ricker": "y"}
+OUT_OF_DOMAIN = st.sampled_from(sorted(OBSERVABLE)).flatmap(lambda model: st.tuples(
+    st.just(model), st.sampled_from(cli.ALGORITHMS),
+    st.sampled_from(models.build_model(model).params.names),
+    st.sampled_from([-1.0, 0.0, 1e300, -1e300])))
+
+
+@PROPERTY
+@hypothesis.given(OUT_OF_DOMAIN)
+def test_a_parameter_out_of_its_domain_exits_0_2_or_3_with_one_line(drawn):
+    model, algorithm, name, value = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema": 1, "algorithm": algorithm, "model": model, "seed": 1,
+                       "data": "simulate", "output": os.path.join(tmp, "out"),
+                       "params": {name: value},
+                       "settings": _runnable(OBSERVABLE[model])[algorithm]}, fh)
+        for argv in (["validate", "--config", path], [algorithm, "--config", path]):
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                status = cli.main(argv)
+            assert status in (0, 2, 3), err.getvalue()
+            assert not caught, [str(w.message) for w in caught]  # a warning is a stderr line
+            assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+            if status:
+                lines = err.getvalue().strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith(
+                    "error: " if status == 2 else "algorithm failure: "), err.getvalue()

@@ -455,6 +455,77 @@ def test_simulate_paths_turns_a_simulator_value_error_into_a_domain_error():
     assert isinstance(err.value.__cause__, ValueError)
 
 
+def test_simulate_paths_turns_a_measurement_value_error_into_a_domain_error():
+    def rmeasure(x, p, t, rng, cv):
+        return {"y": rng.normal(x["x"], -1.0 if t >= 3.0 else 1.0)}
+
+    model = _toy(("x",), lambda x, p, t0, t1, rng, cv: x, rmeasure, **{"x.0": 0.0})
+    with pytest.raises(DomainError, match=r"^measurement simulation at t=3 failed: ") as err:
+        pk.simulate_paths(model, None, 0, 4)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_pfilter_turns_a_measurement_density_value_error_into_a_domain_error():
+    def dmeasure(y, x, p, t, log, cv):
+        if t >= 3.0:
+            raise ValueError("scale < 0")
+        return np.zeros_like(x["x"])
+
+    model = pk.ModelSpec(
+        data=TimeSeriesData(0.0, [1.0, 2.0, 3.0, 4.0], np.ones((4, 1)), ("y",)),
+        state_names=("x",), rprocess=lambda x, p, t0, t1, rng, cv: x, dmeasure=dmeasure,
+        params=ParamVector({"x.0": 1.0}),
+    )
+    with pytest.raises(DomainError, match=r"^measurement density at t=3 failed: scale <") as err:
+        pk.pfilter(model, num_particles=5, seed=0)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("run", ["simulate_paths", "pfilter"])
+def test_an_initializer_value_error_is_a_domain_error_naming_t0(run):
+    def initializer(p, t0, rng, n):
+        return {"x": rng.normal(0.0, -1.0, size=n)}
+
+    model = pk.ModelSpec(
+        data=TimeSeriesData(0.0, [1.0, 2.0], np.ones((2, 1)), ("y",)), state_names=("x",),
+        rprocess=lambda x, p, t0, t1, rng, cv: x, rmeasure=lambda x, p, t, rng, cv: {"y": x["x"]},
+        dmeasure=lambda y, x, p, t, log, cv: np.zeros_like(x["x"]), initializer=initializer,
+        params=ParamVector({"x.0": 0.0}),
+    )
+    with pytest.raises(DomainError, match=r"^initial-state simulation at t=0 failed: ") as err:
+        if run == "simulate_paths":
+            pk.simulate_paths(model, None, 0, 3)
+        else:
+            pk.pfilter(model, num_particles=3, seed=0)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_a_transform_value_error_is_a_domain_error_naming_the_direction():
+    def to_est(params):
+        return {n: np.log(v) if v > 0 else float("nan") for n, v in params.items()}
+
+    def from_est(params):
+        raise ValueError("math domain error")
+
+    model = dataclasses.replace(pk.gompertz_model(), to_estimation=to_est,
+                                from_estimation=from_est)
+    with pytest.raises(DomainError, match=r"^from-estimation transform failed: math") as err:
+        pk.transform_params(model, model.params, "from-estimation")
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_a_pomp_kit_error_from_a_callback_passes_through_unchanged():
+    refusal = ModelComponentError("rmeasure (by design)", "measure")
+
+    def rmeasure(x, p, t, rng, cv):
+        raise refusal
+
+    model = _toy(("x",), lambda x, p, t0, t1, rng, cv: x, rmeasure, **{"x.0": 0.0})
+    with pytest.raises(ModelComponentError) as err:
+        pk.simulate_paths(model, None, 0, 2)
+    assert err.value is refusal
+
+
 def _wrong_length_model(component):
     model = pk.ModelSpec(
         data=TimeSeriesData(0.0, [1.0, 2.0, 3.0], np.ones((3, 1)), ("y",)),

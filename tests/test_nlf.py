@@ -35,6 +35,15 @@ def test_rbf_degenerate_range_is_error():
         pk.rbf_centers(5.0, 5.0, 4)
 
 
+@pytest.mark.parametrize("ymin, ymax", [(0.0, 1e300), (0.0, np.inf), (-np.inf, 0.0),
+                                        (0.0, np.nan), (0.0, 1e-200)])
+def test_rbf_range_whose_scale_has_no_finite_positive_square_is_error(ymin, ymax):
+    # the basis divides by scale**2: an overflow or a zero would fill the
+    # design with NaN instead of refusing the range
+    with pytest.raises(DomainError, match=r"too wide for the radial basis"):
+        pk.rbf_centers(ymin, ymax, 4)
+
+
 def test_rbf_basis_is_gaussian_bump():
     centers, scale = pk.rbf_centers(0.0, 1.0, 2)
     design = _rbf_design(np.array([0.0, 0.5, -0.1]), (1,), centers, scale)

@@ -282,6 +282,22 @@ def test_a_model_without_dprior_is_a_model_component_error(method):
             _run_chain(method, model, n_steps=0, seed=-1)
 
 
+@pytest.mark.parametrize("method", ["pmcmc", "abc"])
+@pytest.mark.parametrize("at_start", [True, False])
+def test_a_prior_density_value_error_is_a_domain_error(method, at_start):
+    model = stub_model(0.4)
+    dprior = model.dprior
+
+    def failing_dprior(params, log=True):
+        if at_start or params["theta"] != 0.0:  # the start is theta = 0
+            raise ValueError("math domain error")
+        return dprior(params, log)
+
+    with pytest.raises(DomainError, match=r"^prior density failed: math domain error$") as err:
+        _run_chain(method, dataclasses.replace(model, dprior=failing_dprior))
+    assert isinstance(err.value.__cause__, ValueError)
+
+
 def test_the_kernel_scores_the_start_and_plain_dicts_and_returns_the_chain():
     model = stub_model(0.4)
     seen = []
